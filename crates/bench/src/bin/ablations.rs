@@ -10,9 +10,8 @@
 //!    creation at every level) versus the steady state the paper's
 //!    "cache open sessions" efficiency rule buys.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use inet::testbed::two_hosts;
 use xbench::{ms, print_row, print_table_header, registry, LATENCY_ITERS, WARMUP_ITERS};
@@ -37,8 +36,8 @@ fn latency_with(extra_layers: usize, policy: HeaderPolicy) -> u64 {
     let tb = two_hosts(cfg, &reg, &graph).expect("testbed");
     xrpc::procs::register_standard(&tb.server, "select").unwrap();
     let server_ip = tb.server_ip;
-    let out = Arc::new(Mutex::new(0u64));
-    let o2 = Arc::clone(&out);
+    let out = Rc::new(RefCell::new(0u64));
+    let o2 = Rc::clone(&out);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         let id = k.lookup("select").unwrap();
@@ -57,11 +56,11 @@ fn latency_with(extra_layers: usize, policy: HeaderPolicy) -> u64 {
         for _ in 0..LATENCY_ITERS {
             call(ctx);
         }
-        *o2.lock() = (ctx.now() - t0) / LATENCY_ITERS as u64;
+        *o2.borrow_mut() = (ctx.now() - t0) / LATENCY_ITERS as u64;
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    let v = *out.lock();
+    let v = *out.borrow_mut();
     v
 }
 
@@ -130,18 +129,18 @@ fn main() {
     .expect("testbed");
     xrpc::procs::register_standard(&tb.server, "select").unwrap();
     let server_ip = tb.server_ip;
-    let samples: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let s2 = Arc::clone(&samples);
+    let samples: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+    let s2 = Rc::clone(&samples);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         for _ in 0..4 {
             let t0 = ctx.now();
-            xrpc::call(ctx, &k, "select", server_ip, NULL_PROC, Vec::new()).unwrap();
-            s2.lock().push(ctx.now() - t0);
+            xrpc::call(ctx, k, "select", server_ip, NULL_PROC, Vec::new()).unwrap();
+            s2.borrow_mut().push(ctx.now() - t0);
         }
     });
     tb.sim.run_until_idle();
-    let got = samples.lock();
+    let got = samples.borrow_mut();
     print_row(&["first (cold: opens + ARP)".into(), ms(got[0])]);
     print_row(&["second".into(), ms(got[1])]);
     print_row(&["steady state".into(), ms(got[3])]);

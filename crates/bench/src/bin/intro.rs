@@ -2,9 +2,8 @@
 //! versus SunOS 4.0 sockets (5.36 msec), and the §3.1 figure that the IP
 //! layer costs 0.37 msec per RPC round trip.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use inet::testbed::two_hosts;
 use inet::with_concrete;
@@ -88,13 +87,13 @@ fn udp_latency(handicapped: bool) -> u64 {
     let sema = SharedSema::new(0);
     let echo_id = tb
         .server
-        .register("udpecho", |me| Ok(Arc::new(UdpEcho { me }) as ProtocolRef))
+        .register("udpecho", |me| Ok(Rc::new(UdpEcho { me }) as ProtocolRef))
         .unwrap();
     let wait_sema = sema.clone();
     let wait_id = tb
         .client
         .register("udpwait", |me| {
-            Ok(Arc::new(UdpWait {
+            Ok(Rc::new(UdpWait {
                 me,
                 sema: wait_sema,
             }) as ProtocolRef)
@@ -114,8 +113,8 @@ fn udp_latency(handicapped: bool) -> u64 {
     }
     let server_ip = tb.server_ip;
     let udp_name2: String = udp_name.to_string();
-    let out = Arc::new(Mutex::new(0u64));
-    let o2 = Arc::clone(&out);
+    let out = Rc::new(RefCell::new(0u64));
+    let o2 = Rc::clone(&out);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         let udp = k.lookup(&udp_name2).unwrap();
@@ -135,12 +134,12 @@ fn udp_latency(handicapped: bool) -> u64 {
             sess.push(ctx, ping()).unwrap();
             assert!(sema.p_timeout(ctx, 1_000_000_000));
         }
-        *o2.lock() = (ctx.now() - t0) / LATENCY_ITERS as u64;
+        *o2.borrow_mut() = (ctx.now() - t0) / LATENCY_ITERS as u64;
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
     let _ = with_concrete::<inet::udp::Udp, ()>(&tb.client, "udp", |_| ());
-    let v = *out.lock();
+    let v = *out.borrow_mut();
     v
 }
 

@@ -14,12 +14,12 @@
 //! wallclock [--quick] [--threads N] [--out PATH]
 //! ```
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use chaos::{full_matrix, run_matrix};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::rc::Rc;
 use xbench::{registry, rpc_rig};
 use xkernel::par;
 use xkernel::sim::Mode;
@@ -79,20 +79,20 @@ fn scheduled_events_wall(stack: &StackDef, calls: u32) -> (u64, f64) {
     let tb = rpc_rig(stack, Mode::Scheduled);
     let server_ip = tb.server_ip;
     let entry = stack.entry;
-    let done = Arc::new(Mutex::new(false));
-    let d2 = Arc::clone(&done);
+    let done = Rc::new(RefCell::new(false));
+    let d2 = Rc::clone(&done);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         for _ in 0..calls {
-            xrpc::call(ctx, &k, entry, server_ip, NULL_PROC, Vec::new()).expect("null call");
+            xrpc::call(ctx, k, entry, server_ip, NULL_PROC, Vec::new()).expect("null call");
         }
-        *d2.lock() = true;
+        *d2.borrow_mut() = true;
     });
     let t0 = Instant::now();
     let report = tb.sim.run_until_idle();
     let wall = t0.elapsed().as_secs_f64();
     assert_eq!(report.blocked, 0, "scheduled run must drain");
-    assert!(*done.lock(), "client must finish");
+    assert!(*done.borrow_mut(), "client must finish");
     (report.events, wall)
 }
 

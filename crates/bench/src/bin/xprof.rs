@@ -238,29 +238,29 @@ fn rpc_latency_iters(stack: &xrpc::stacks::StackDef, iters: usize) -> u64 {
     if iters == LATENCY_ITERS {
         return rpc_latency(stack);
     }
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use xbench::{rpc_rig, WARMUP_ITERS};
     use xkernel::sim::Mode;
     use xrpc::procs::NULL_PROC;
     let tb = rpc_rig(stack, Mode::Scheduled);
     let server_ip = tb.server_ip;
     let entry = stack.entry;
-    let out = Arc::new(Mutex::new(0u64));
-    let o2 = Arc::clone(&out);
+    let out = Rc::new(RefCell::new(0u64));
+    let o2 = Rc::clone(&out);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         for _ in 0..WARMUP_ITERS {
-            xrpc::call(ctx, &k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
+            xrpc::call(ctx, k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
         }
         let t0 = ctx.now();
         for _ in 0..iters {
-            xrpc::call(ctx, &k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
+            xrpc::call(ctx, k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
         }
-        *o2.lock() = (ctx.now() - t0) / iters as u64;
+        *o2.borrow_mut() = (ctx.now() - t0) / iters as u64;
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0, "latency run must drain");
-    let v = *out.lock();
+    let v = *out.borrow_mut();
     v
 }

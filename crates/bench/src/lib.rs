@@ -16,9 +16,8 @@
 
 #![warn(missing_docs)]
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use inet::testbed::{base_registry, two_hosts, TwoHosts};
 use inet::with_concrete;
@@ -64,22 +63,22 @@ pub fn rpc_latency(stack: &StackDef) -> u64 {
     let tb = rpc_rig(stack, Mode::Scheduled);
     let server_ip = tb.server_ip;
     let entry = stack.entry;
-    let out = Arc::new(Mutex::new(0u64));
-    let o2 = Arc::clone(&out);
+    let out = Rc::new(RefCell::new(0u64));
+    let o2 = Rc::clone(&out);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         for _ in 0..WARMUP_ITERS {
-            xrpc::call(ctx, &k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
+            xrpc::call(ctx, k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
         }
         let t0 = ctx.now();
         for _ in 0..LATENCY_ITERS {
-            xrpc::call(ctx, &k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
+            xrpc::call(ctx, k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
         }
-        *o2.lock() = (ctx.now() - t0) / LATENCY_ITERS as u64;
+        *o2.borrow_mut() = (ctx.now() - t0) / LATENCY_ITERS as u64;
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0, "latency run must drain");
-    let v = *out.lock();
+    let v = *out.borrow_mut();
     v
 }
 
@@ -124,28 +123,29 @@ pub fn rpc_latency_traced(stack: &StackDef, iters: usize) -> TracedLatency {
     let server = tb.server.host();
     let sim2 = tb.sim.clone();
     type Captured = (u64, CostBreakdown, Vec<FoldedLine>);
-    let out: Arc<Mutex<Option<Captured>>> = Arc::new(Mutex::new(None));
-    let o2 = Arc::clone(&out);
+    let out: Rc<RefCell<Option<Captured>>> = Rc::new(RefCell::new(None));
+    let o2 = Rc::clone(&out);
     tb.sim.spawn(client, move |ctx| {
         let k = ctx.kernel();
         for _ in 0..WARMUP_ITERS {
-            xrpc::call(ctx, &k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
+            xrpc::call(ctx, k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
         }
         // Scope the ledger to the measured window: everything before this
         // point (boot, ARP, warmup) is discarded.
         ctx.trace_clear();
         let t0 = ctx.now();
         for _ in 0..iters {
-            xrpc::call(ctx, &k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
+            xrpc::call(ctx, k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
         }
         let window = ctx.now() - t0;
         // Capture the ledger *here*, before process teardown and the final
         // scheduler drain can attribute anything past the window's end.
-        *o2.lock() = Some((window, ctx.cost_breakdown(), sim2.folded()));
+        *o2.borrow_mut() = Some((window, ctx.cost_breakdown(), sim2.folded()));
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0, "traced latency run must drain");
-    let (window_ns, breakdown, folded) = out.lock().take().expect("client captured the window");
+    let (window_ns, breakdown, folded) =
+        out.borrow_mut().take().expect("client captured the window");
     TracedLatency {
         latency_ns: window_ns / iters as u64,
         window_ns,
@@ -163,23 +163,23 @@ pub fn rpc_rtt_for_size(stack: &StackDef, size: usize, iters: usize) -> u64 {
     let tb = rpc_rig(stack, Mode::Scheduled);
     let server_ip = tb.server_ip;
     let entry = stack.entry;
-    let out = Arc::new(Mutex::new(0u64));
-    let o2 = Arc::clone(&out);
+    let out = Rc::new(RefCell::new(0u64));
+    let o2 = Rc::clone(&out);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         let payload: Vec<u8> = vec![0xA5; size];
         for _ in 0..WARMUP_ITERS {
-            xrpc::call(ctx, &k, entry, server_ip, SINK_PROC, payload.clone()).unwrap();
+            xrpc::call(ctx, k, entry, server_ip, SINK_PROC, payload.clone()).unwrap();
         }
         let t0 = ctx.now();
         for _ in 0..iters {
-            xrpc::call(ctx, &k, entry, server_ip, SINK_PROC, payload.clone()).unwrap();
+            xrpc::call(ctx, k, entry, server_ip, SINK_PROC, payload.clone()).unwrap();
         }
-        *o2.lock() = (ctx.now() - t0) / iters as u64;
+        *o2.borrow_mut() = (ctx.now() - t0) / iters as u64;
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0, "throughput run must drain");
-    let v = *out.lock();
+    let v = *out.borrow_mut();
     v
 }
 
@@ -231,20 +231,20 @@ pub fn pinger_latency(graph: &str, lower: &str) -> u64 {
         kernels.push(k);
     }
     let server_ip = IpAddr::new(10, 0, 0, 2);
-    let out = Arc::new(Mutex::new(0u64));
-    let o2 = Arc::clone(&out);
-    let client = Arc::clone(&kernels[0]);
+    let out = Rc::new(RefCell::new(0u64));
+    let o2 = Rc::clone(&out);
+    let client = &kernels[0];
     sim.spawn(client.host(), move |ctx| {
-        with_concrete::<Pinger, _>(&ctx.kernel(), "pinger", |p| {
+        with_concrete::<Pinger, _>(ctx.kernel(), "pinger", |p| {
             p.run_series(ctx, server_ip, WARMUP_ITERS, 0).unwrap();
             let total = p.run_series(ctx, server_ip, LATENCY_ITERS, 0).unwrap();
-            *o2.lock() = total / LATENCY_ITERS as u64;
+            *o2.borrow_mut() = total / LATENCY_ITERS as u64;
         })
         .unwrap();
     });
     let r = sim.run_until_idle();
     assert_eq!(r.blocked, 0, "pinger run must drain");
-    let v = *out.lock();
+    let v = *out.borrow_mut();
     v
 }
 

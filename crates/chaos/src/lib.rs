@@ -29,9 +29,8 @@
 //! *independent* of the simulation's own PRNG: the schedule a seed denotes
 //! never changes when a protocol consumes more or fewer random draws.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use inet::arp::Arp;
 use inet::testbed::{base_registry, lan_hosts, two_hosts, TwoHosts};
@@ -81,7 +80,7 @@ const RPC_PROC: u16 = 7;
 pub fn warm_arp(sim: &Sim, host: HostId, peer: IpAddr) {
     sim.spawn(host, move |ctx| {
         let k = ctx.kernel();
-        with_concrete::<Arp, _>(&k, "arp", |a| a.resolve(ctx, peer))
+        with_concrete::<Arp, _>(k, "arp", |a| a.resolve(ctx, peer))
             .expect("arp registered")
             .expect("warm-up resolve on the quiet wire");
     });
@@ -617,20 +616,20 @@ impl Scenario {
     /// handler, warms ARP on the quiet wire, installs the fault schedule,
     /// and arms journaling / fault recording / suppression per `opts` —
     /// everything up to (but not including) spawning client processes.
-    fn rpc_setup(&self, flavor: RpcFlavor, opts: &RunOpts) -> (TwoHosts, Arc<Mutex<Tally>>) {
+    fn rpc_setup(&self, flavor: RpcFlavor, opts: &RunOpts) -> (TwoHosts, Rc<RefCell<Tally>>) {
         let graph = match flavor {
             RpcFlavor::Paper(def) => def.graph,
             RpcFlavor::SunRpc(g) => g,
         };
         let tb = self.two_host_rig(graph, opts);
-        let tally = Arc::new(Mutex::new(Tally::default()));
+        let tally = Rc::new(RefCell::new(Tally::default()));
 
         // Server: a side-effecting procedure that verifies the request's
         // integrity and replies with its transform.
-        let t2 = Arc::clone(&tally);
+        let t2 = Rc::clone(&tally);
         let handler = move |_ctx: &Ctx, msg: Message| {
             let req = msg.to_vec();
-            let mut t = t2.lock();
+            let mut t = t2.borrow_mut();
             t.executed += 1;
             if !payload_is_intact(&req) {
                 t.garbage += 1;
@@ -677,7 +676,7 @@ impl Scenario {
     fn spawn_rpc_clients(
         &self,
         tb: &TwoHosts,
-        tally: &Arc<Mutex<Tally>>,
+        tally: &Rc<RefCell<Tally>>,
         flavor: RpcFlavor,
         lo: u32,
         hi: u32,
@@ -691,7 +690,7 @@ impl Scenario {
             } else {
                 seed.wrapping_add(u64::from(j).wrapping_mul(0x9e37_79b9_7f4a_7c15))
             };
-            let t3 = Arc::clone(tally);
+            let t3 = Rc::clone(tally);
             tb.sim.spawn(tb.client.host(), move |ctx| {
                 for i in lo..hi {
                     let req = chaos_payload(client_seed, u64::from(i));
@@ -699,16 +698,16 @@ impl Scenario {
                     let got = match flavor {
                         RpcFlavor::Paper(def) => {
                             let k = ctx.kernel();
-                            xrpc::call(ctx, &k, def.entry, server_ip, RPC_PROC, req)
+                            xrpc::call(ctx, k, def.entry, server_ip, RPC_PROC, req)
                         }
                         RpcFlavor::SunRpc(_) => {
-                            with_concrete::<SunSelect, _>(&ctx.kernel(), "sunselect", |s| {
+                            with_concrete::<SunSelect, _>(ctx.kernel(), "sunselect", |s| {
                                 s.call(ctx, server_ip, SUN_PROG, SUN_VERS, SUN_PROC, req)
                             })
                             .expect("sunselect registered")
                         }
                     };
-                    let mut t = t3.lock();
+                    let mut t = t3.borrow_mut();
                     match got {
                         Ok(r) if r == want => t.completed += 1,
                         Ok(_) => t.mismatched += 1,
@@ -785,7 +784,7 @@ impl Scenario {
 
         let sim_snap = tb.sim.snapshot().expect("quiescent after run_until_idle");
         let net_snap = tb.net.snapshot();
-        let tally_snap = tally.lock().clone();
+        let tally_snap = tally.borrow_mut().clone();
 
         // Continue uninterrupted: the reference run.
         self.spawn_rpc_clients(&tb, &tally, flavor, mid, self.calls);
@@ -799,7 +798,7 @@ impl Scenario {
         // Rewind everything and replay phase two on the same rig.
         tb.sim.restore(&sim_snap).expect("restore on the same rig");
         tb.net.restore(&net_snap);
-        *tally.lock() = tally_snap;
+        *tally.borrow_mut() = tally_snap;
         self.spawn_rpc_clients(&tb, &tally, flavor, mid, self.calls);
         let replayed = self.report(
             tb.sim.run_until_idle(),
@@ -872,7 +871,7 @@ impl Scenario {
             rig,
             conv_a,
             conv_b,
-            tally: Arc::new(Mutex::new(Tally::default())),
+            tally: Rc::new(RefCell::new(Tally::default())),
         }
     }
 
@@ -882,21 +881,21 @@ impl Scenario {
         let seed = self.seed;
 
         // Side A: send a round, await its transform.
-        let conv_a = Arc::clone(&pr.conv_a);
-        let ta = Arc::clone(&pr.tally);
+        let conv_a = Rc::clone(&pr.conv_a);
+        let ta = Rc::clone(&pr.tally);
         let ha = pr.rig.kernels[0].host();
         pr.rig.sim.spawn(ha, move |ctx| {
             for i in lo..hi {
                 let req = chaos_payload(seed, u64::from(i));
                 let want = expected_reply(&req);
                 if conv_a.send(ctx, req).is_err() {
-                    ta.lock().failed += 1;
+                    ta.borrow_mut().failed += 1;
                     continue;
                 }
                 // Receive *before* taking the tally lock: receive blocks in
                 // the scheduler, and side B needs the lock to make progress.
                 let got = conv_a.receive(ctx, PSYNC_RECV_TIMEOUT_NS);
-                let mut t = ta.lock();
+                let mut t = ta.borrow_mut();
                 match got {
                     Ok(m) if m.data == want => t.completed += 1,
                     Ok(_) => t.mismatched += 1,
@@ -906,8 +905,8 @@ impl Scenario {
         });
 
         // Side B: receive each round, verify, reply in its context.
-        let conv_b = Arc::clone(&pr.conv_b);
-        let tb2 = Arc::clone(&pr.tally);
+        let conv_b = Rc::clone(&pr.conv_b);
+        let tb2 = Rc::clone(&pr.tally);
         let hb = pr.rig.kernels[1].host();
         pr.rig.sim.spawn(hb, move |ctx| {
             for _ in lo..hi {
@@ -915,7 +914,7 @@ impl Scenario {
                     Ok(m) => m,
                     Err(_) => return,
                 };
-                let mut t = tb2.lock();
+                let mut t = tb2.borrow_mut();
                 t.executed += 1;
                 if !payload_is_intact(&m.data) {
                     t.garbage += 1;
@@ -964,7 +963,7 @@ impl Scenario {
             .snapshot()
             .expect("quiescent after run_until_idle");
         let net_snap = pr.rig.net.snapshot();
-        let tally_snap = pr.tally.lock().clone();
+        let tally_snap = pr.tally.borrow_mut().clone();
 
         self.spawn_psync_phase(&pr, mid, self.calls);
         let first = self.report(
@@ -979,7 +978,7 @@ impl Scenario {
             .restore(&sim_snap)
             .expect("restore on the same rig");
         pr.rig.net.restore(&net_snap);
-        *pr.tally.lock() = tally_snap;
+        *pr.tally.borrow_mut() = tally_snap;
         self.spawn_psync_phase(&pr, mid, self.calls);
         let replayed = self.report(
             pr.rig.sim.run_until_idle(),
@@ -999,10 +998,10 @@ impl Scenario {
         &self,
         run: RunReport,
         lan: LanStats,
-        tally: &Mutex<Tally>,
+        tally: &RefCell<Tally>,
         attempted: u32,
     ) -> ChaosReport {
-        let t = tally.lock();
+        let t = tally.borrow_mut();
         ChaosReport {
             label: self.label(),
             run,
@@ -1027,9 +1026,9 @@ enum RpcFlavor {
 /// The Psync two-party rig plus the handles a phased run needs.
 struct PsyncRig {
     rig: inet::testbed::Lan,
-    conv_a: Arc<psync::Conversation>,
-    conv_b: Arc<psync::Conversation>,
-    tally: Arc<Mutex<Tally>>,
+    conv_a: Rc<psync::Conversation>,
+    conv_b: Rc<psync::Conversation>,
+    tally: Rc<RefCell<Tally>>,
 }
 
 /// Outcome of [`Scenario::run_snapshotted`]: the uninterrupted run and

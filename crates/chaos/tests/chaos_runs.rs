@@ -5,9 +5,8 @@
 //! Any failure here is reproducible from its assertion message: the
 //! scenario label carries the stack, profile, and seed.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use chaos::{warm_arp, Profile, Scenario, StackKind};
 use inet::testbed::{base_registry, two_hosts, TwoHosts};
@@ -140,15 +139,15 @@ fn measure(graph: &str, seed: u64, sched: FaultSchedule, calls: u32) -> (u32, u6
     warm_arp(&tb.sim, tb.client.host(), tb.server_ip);
     tb.net.set_fault_schedule(tb.lan, sched);
     let server_ip = tb.server_ip;
-    let done = Arc::new(Mutex::new(0u32));
-    let d2 = Arc::clone(&done);
+    let done = Rc::new(RefCell::new(0u32));
+    let d2 = Rc::clone(&done);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         for i in 0..calls {
             let body = vec![i as u8; 64];
             match xrpc::call(
                 ctx,
-                &k,
+                k,
                 "select",
                 server_ip,
                 xrpc::procs::ECHO_PROC,
@@ -156,7 +155,7 @@ fn measure(graph: &str, seed: u64, sched: FaultSchedule, calls: u32) -> (u32, u6
             ) {
                 Ok(r) => {
                     assert_eq!(r, body, "echo integrity");
-                    *d2.lock() += 1;
+                    *d2.borrow_mut() += 1;
                 }
                 Err(e) => eprintln!("call {i} failed: {e}"),
             }
@@ -165,7 +164,7 @@ fn measure(graph: &str, seed: u64, sched: FaultSchedule, calls: u32) -> (u32, u6
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
     let client = r.hosts[0];
-    let completed = *done.lock();
+    let completed = *done.borrow_mut();
     (
         completed,
         client.retransmits,
@@ -227,10 +226,10 @@ fn client_survives_server_crash_and_restart_mid_conversation() {
         L_RPC_VIP.graph,
     )
     .expect("testbed builds");
-    let executed = Arc::new(Mutex::new(0u32));
-    let e2 = Arc::clone(&executed);
+    let executed = Rc::new(RefCell::new(0u32));
+    let e2 = Rc::clone(&executed);
     xrpc::serve(&tb.server, "select", 7, move |_ctx, msg| {
-        *e2.lock() += 1;
+        *e2.borrow_mut() += 1;
         Ok(msg)
     })
     .expect("serve");
@@ -244,14 +243,14 @@ fn client_survives_server_crash_and_restart_mid_conversation() {
     tb.sim.restart_at(150_000_000, server_host);
 
     let server_ip = tb.server_ip;
-    let replies: Arc<Mutex<Vec<Vec<u8>>>> = Arc::new(Mutex::new(Vec::new()));
-    let r2 = Arc::clone(&replies);
+    let replies: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(Vec::new()));
+    let r2 = Rc::clone(&replies);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         for (i, gap) in [(1u8, 50_000_000u64), (2, 10_000_000), (3, 0)] {
             let body = vec![i; 32];
-            let r = xrpc::call(ctx, &k, "select", server_ip, 7, body).expect("call survives");
-            r2.lock().push(r);
+            let r = xrpc::call(ctx, k, "select", server_ip, 7, body).expect("call survives");
+            r2.borrow_mut().push(r);
             ctx.sleep(gap);
         }
     });
@@ -260,12 +259,12 @@ fn client_survives_server_crash_and_restart_mid_conversation() {
 
     // All three calls completed with correct replies; the crashed call
     // executed exactly once on the restarted server.
-    let got = replies.lock();
+    let got = replies.borrow_mut();
     assert_eq!(got.len(), 3);
     for (i, r) in got.iter().enumerate() {
         assert_eq!(*r, vec![i as u8 + 1; 32]);
     }
-    assert_eq!(*executed.lock(), 3, "at-most-once across the reboot");
+    assert_eq!(*executed.borrow_mut(), 3, "at-most-once across the reboot");
 
     // The kernel really rebooted, and the client really retransmitted.
     assert_eq!(tb.sim.boot_epoch(server_host), 1);

@@ -6,9 +6,9 @@
 //! reply (no corrupt surfaces), and the IP counters must show the
 //! machinery actually engaged on every hop.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use chaos::{body_from_tag, Profile};
 use inet::ip::{Ip, IpStats};
@@ -76,8 +76,8 @@ fn run(seed: u64) -> (u64, [IpStats; 3], RunReport) {
         Profile::Lossy.schedule(seed ^ 0xb, client_eth, server_eth, false),
     );
 
-    let completed = Arc::new(Mutex::new(0u64));
-    let c2 = Arc::clone(&completed);
+    let completed = Rc::new(RefCell::new(0u64));
+    let c2 = Rc::clone(&completed);
     let k = Arc::clone(&client);
     tb.sim.spawn(client.host(), move |ctx| {
         for i in 0..CALLS {
@@ -85,13 +85,13 @@ fn run(seed: u64) -> (u64, [IpStats; 3], RunReport) {
             let r = xrpc::call(ctx, &k, "mrpc", server_ip, ECHO_PROC, body.clone())
                 .expect("call rides out the loss on retransmission");
             assert_eq!(r, body, "reply must be byte-identical (call {i})");
-            *c2.lock() += 1;
+            *c2.borrow_mut() += 1;
             ctx.sleep(12_000_000);
         }
     });
     let report = tb.sim.run_until_idle();
     assert_eq!(report.blocked, 0);
-    let done = *completed.lock();
+    let done = *completed.borrow_mut();
     let stats = [ip_stats(&client), ip_stats(&tb.router), ip_stats(&server)];
     (done, stats, report)
 }

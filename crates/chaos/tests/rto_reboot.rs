@@ -33,7 +33,7 @@ fn channel_rto_state_re_cold_seeds_on_reboot() {
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         for _ in 0..2 {
-            xrpc::call(ctx, &k, "select", server_ip, 7, vec![7; 16]).expect("warm call");
+            xrpc::call(ctx, k, "select", server_ip, 7, vec![7; 16]).expect("warm call");
         }
     });
     assert_eq!(tb.sim.run_until_idle().blocked, 0);
@@ -43,7 +43,7 @@ fn channel_rto_state_re_cold_seeds_on_reboot() {
 
     // Override the run-time policy knobs (protocol-level control ops).
     tb.sim.spawn(tb.client.host(), |ctx| {
-        with_concrete::<Channel, _>(&ctx.kernel(), "channel", |c| {
+        with_concrete::<Channel, _>(ctx.kernel(), "channel", |c| {
             c.control(ctx, &ControlOp::SetTimeout(1_000_000)).unwrap();
             c.control(ctx, &ControlOp::SetBackoff(0)).unwrap();
             c.set_adaptive(false);
@@ -76,7 +76,7 @@ fn channel_rto_state_re_cold_seeds_on_reboot() {
     // And the fresh incarnation is immediately usable.
     tb.sim.spawn(host, move |ctx| {
         let k = ctx.kernel();
-        xrpc::call(ctx, &k, "select", server_ip, 7, vec![9; 16]).expect("post-reboot call");
+        xrpc::call(ctx, k, "select", server_ip, 7, vec![9; 16]).expect("post-reboot call");
     });
     assert_eq!(tb.sim.run_until_idle().blocked, 0);
 }
@@ -99,7 +99,7 @@ fn request_reply_rto_state_re_cold_seeds_on_reboot() {
 
     let server_ip = tb.server_ip;
     tb.sim.spawn(tb.client.host(), move |ctx| {
-        with_concrete::<SunSelect, _>(&ctx.kernel(), "sunselect", |s| {
+        with_concrete::<SunSelect, _>(ctx.kernel(), "sunselect", |s| {
             for _ in 0..2 {
                 s.call(ctx, server_ip, 100_099, 1, 7, vec![7; 16])
                     .expect("warm call");
@@ -114,7 +114,7 @@ fn request_reply_rto_state_re_cold_seeds_on_reboot() {
     assert!(warm_rtt > 0, "replies trained the estimator");
 
     tb.sim.spawn(tb.client.host(), |ctx| {
-        with_concrete::<RequestReply, _>(&ctx.kernel(), "request_reply", |r| {
+        with_concrete::<RequestReply, _>(ctx.kernel(), "request_reply", |r| {
             r.control(ctx, &ControlOp::SetTimeout(1_000_000)).unwrap();
             r.control(ctx, &ControlOp::SetBackoff(0)).unwrap();
             r.set_adaptive(false);
@@ -138,7 +138,7 @@ fn request_reply_rto_state_re_cold_seeds_on_reboot() {
     .expect("request_reply registered");
 
     tb.sim.spawn(host, move |ctx| {
-        with_concrete::<SunSelect, _>(&ctx.kernel(), "sunselect", |s| {
+        with_concrete::<SunSelect, _>(ctx.kernel(), "sunselect", |s| {
             s.call(ctx, server_ip, 100_099, 1, 7, vec![9; 16])
                 .expect("post-reboot call")
         })

@@ -20,11 +20,9 @@
 //! fragmentation layer is not in the middle of transmitting the message".
 
 use std::any::Any;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
-
-use parking_lot::Mutex;
+use std::rc::{Rc, Weak};
 
 use xkernel::prelude::*;
 use xkernel::sim::Nanos;
@@ -78,10 +76,10 @@ const DEFAULT_MAX_BACKOFF: u32 = 6;
 
 /// Run-time-tunable knobs (the `SetTimeout` / `SetBackoff` control ops).
 struct Tunables {
-    base_timeout_ns: AtomicU64,
-    peer_boot: AtomicU32,
-    adaptive: AtomicBool,
-    max_backoff: AtomicU32,
+    base_timeout_ns: Cell<u64>,
+    peer_boot: Cell<u32>,
+    adaptive: Cell<bool>,
+    max_backoff: Cell<u32>,
 }
 
 struct ClientState {
@@ -91,12 +89,20 @@ struct ClientState {
 
 /// A client channel: one outstanding RPC at a time.
 pub struct ChanClientSession {
-    parent: Arc<Channel>,
+    parent: Weak<Channel>,
     chan: u16,
     proto_num: u32,
     peer: IpAddr,
     lower: SessionRef,
-    st: Mutex<ClientState>,
+    st: RefCell<ClientState>,
+}
+
+impl ChanClientSession {
+    fn parent(&self) -> Rc<Channel> {
+        self.parent
+            .upgrade()
+            .expect("a protocol outlives its sessions")
+    }
 }
 
 impl ChanClientSession {
@@ -111,18 +117,19 @@ impl ChanClientSession {
             .control(ctx, &ControlOp::GetFragCount(wire_len))
             .and_then(|r| r.size())
             .unwrap_or(1);
-        self.parent.cfg.per_frag_ns * (frags.saturating_sub(1) as u64)
+        self.parent().cfg.per_frag_ns * (frags.saturating_sub(1) as u64)
     }
 }
 
 impl Session for ChanClientSession {
     fn protocol_id(&self) -> ProtoId {
-        self.parent.me
+        self.parent().me
     }
 
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
+        let parent = self.parent();
         let (seq, sema) = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             if st.outstanding.is_some() {
                 return Err(XError::Config(format!(
                     "channel {} already has an outstanding request",
@@ -141,7 +148,7 @@ impl Session for ChanClientSession {
             (st.seq, sema)
         };
 
-        let boot_id = self.parent.boot_id();
+        let boot_id = parent.boot_id();
         let mut hdr = ChannelHdr {
             flags: flags::REQUEST,
             channel: self.chan,
@@ -151,9 +158,9 @@ impl Session for ChanClientSession {
             boot_id,
         };
         let extra = self.frag_allowance(ctx, msg.len() + CHANNEL_HDR_LEN);
-        let step = self.parent.tunables.base_timeout_ns.load(Ordering::Relaxed) + extra;
-        let adaptive = self.parent.tunables.adaptive.load(Ordering::Relaxed);
-        let max_backoff = self.parent.tunables.max_backoff.load(Ordering::Relaxed);
+        let step = parent.tunables.base_timeout_ns.get() + extra;
+        let adaptive = parent.tunables.adaptive.get();
+        let max_backoff = parent.tunables.max_backoff.get();
         let mut attempts = 0u32;
         loop {
             let timeout = if adaptive {
@@ -165,7 +172,7 @@ impl Session for ChanClientSession {
                 // here, keeping fault-free runs on the same PRNG stream as
                 // the fixed scheme).
                 let base = {
-                    let e = self.parent.estimator.lock();
+                    let e = parent.estimator.borrow_mut();
                     if e.is_cold() {
                         step
                     } else {
@@ -173,13 +180,7 @@ impl Session for ChanClientSession {
                     }
                 };
                 let jitter = if attempts > 0 { ctx.next_u64() } else { 0 };
-                backoff_rto(
-                    base,
-                    attempts,
-                    max_backoff,
-                    self.parent.cfg.max_rto_ns,
-                    jitter,
-                )
+                backoff_rto(base, attempts, max_backoff, parent.cfg.max_rto_ns, jitter)
             } else {
                 step
             };
@@ -190,7 +191,7 @@ impl Session for ChanClientSession {
                 // A synchronous lower-layer failure (e.g. ARP could not
                 // resolve the peer) must not leave the channel poisoned
                 // with a forever-outstanding request.
-                self.st.lock().outstanding = None;
+                self.st.borrow_mut().outstanding = None;
                 return Err(e);
             }
 
@@ -198,7 +199,7 @@ impl Session for ChanClientSession {
             // counting as a retransmission round.
             let outcome = loop {
                 let _signalled = sema.p_timeout(ctx, timeout);
-                let mut st = self.st.lock();
+                let mut st = self.st.borrow_mut();
                 let out = st
                     .outstanding
                     .as_mut()
@@ -224,7 +225,7 @@ impl Session for ChanClientSession {
                     // cannot be attributed to a particular send, so only
                     // clean exchanges feed the estimator.
                     if attempts == 0 {
-                        self.parent.observe_rtt(ctx.now().saturating_sub(sent_at));
+                        parent.observe_rtt(ctx.now().saturating_sub(sent_at));
                     }
                     return Ok(Some(reply));
                 }
@@ -237,8 +238,8 @@ impl Session for ChanClientSession {
                 None => ctx.note(RobustEvent::TimeoutFired),
             }
             attempts += 1;
-            if attempts > self.parent.cfg.max_retries || ctx.mode() == Mode::Inline {
-                self.st.lock().outstanding = None;
+            if attempts > parent.cfg.max_retries || ctx.mode() == Mode::Inline {
+                self.st.borrow_mut().outstanding = None;
                 return Err(XError::Timeout(format!(
                     "channel {} request {seq} to {} after {attempts} attempts",
                     self.chan, self.peer
@@ -254,23 +255,15 @@ impl Session for ChanClientSession {
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
         match op {
             ControlOp::GetPeerHost => Ok(ControlRes::Ip(self.peer)),
-            ControlOp::GetRtt => Ok(ControlRes::U64(self.parent.rtt_estimate())),
-            ControlOp::GetMyBootId => Ok(ControlRes::U32(self.parent.boot_id())),
-            ControlOp::GetPeerBootId => Ok(ControlRes::U32(
-                self.parent.tunables.peer_boot.load(Ordering::Relaxed),
-            )),
+            ControlOp::GetRtt => Ok(ControlRes::U64(self.parent().rtt_estimate())),
+            ControlOp::GetMyBootId => Ok(ControlRes::U32(self.parent().boot_id())),
+            ControlOp::GetPeerBootId => Ok(ControlRes::U32(self.parent().tunables.peer_boot.get())),
             ControlOp::SetTimeout(ns) => {
-                self.parent
-                    .tunables
-                    .base_timeout_ns
-                    .store(*ns, Ordering::Relaxed);
+                self.parent().tunables.base_timeout_ns.set(*ns);
                 Ok(ControlRes::Done)
             }
             ControlOp::SetBackoff(n) => {
-                self.parent
-                    .tunables
-                    .max_backoff
-                    .store(*n, Ordering::Relaxed);
+                self.parent().tunables.max_backoff.set(*n);
                 Ok(ControlRes::Done)
             }
             other => self.lower.control(ctx, other),
@@ -291,24 +284,32 @@ struct ServerState {
 
 /// A server channel: tracks at-most-once state for one (peer, channel).
 pub struct ChanServerSession {
-    parent: Arc<Channel>,
+    parent: Weak<Channel>,
     chan: u16,
     proto_num: u32,
     // The lower session replies travel down on; refreshed on each request
     // so replies follow the path the latest request arrived by.
-    lls: Mutex<SessionRef>,
-    st: Mutex<ServerState>,
+    lls: RefCell<SessionRef>,
+    st: RefCell<ServerState>,
+}
+
+impl ChanServerSession {
+    fn parent(&self) -> Rc<Channel> {
+        self.parent
+            .upgrade()
+            .expect("a protocol outlives its sessions")
+    }
 }
 
 impl Session for ChanServerSession {
     fn protocol_id(&self) -> ProtoId {
-        self.parent.me
+        self.parent().me
     }
 
     /// The high-level protocol pushes the *reply* into the server channel.
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
         let seq = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             st.in_progress.take().ok_or_else(|| {
                 XError::Config(format!("channel {}: reply without request", self.chan))
             })?
@@ -319,18 +320,18 @@ impl Session for ChanServerSession {
             protocol_num: self.proto_num,
             sequence_num: seq,
             error: 0,
-            boot_id: self.parent.boot_id(),
+            boot_id: self.parent().boot_id(),
         };
         let mut wire = msg;
         ctx.push_header(&mut wire, &hdr.encode());
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             st.last_seq = seq;
             // Retain the encoded reply until implicitly acknowledged by the
             // next request on this channel.
             st.saved_reply = Some((seq, wire.clone()));
         }
-        let lls = Arc::clone(&self.lls.lock());
+        let lls = Rc::clone(&self.lls.borrow_mut());
         ctx.charge_layer_call();
         lls.push(ctx, wire)?;
         Ok(None)
@@ -338,17 +339,17 @@ impl Session for ChanServerSession {
 
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
         match op {
-            ControlOp::GetMyBootId => Ok(ControlRes::U32(self.parent.boot_id())),
+            ControlOp::GetMyBootId => Ok(ControlRes::U32(self.parent().boot_id())),
             // An overloaded upper layer dropped the request it was just
             // handed (shepherd pool full, Drop policy): clear the
             // in-progress slot so the client's retransmission is delivered
             // again instead of being acknowledged as still-working.
             ControlOp::Custom("chan_abort", _) => {
-                self.st.lock().in_progress = None;
+                self.st.borrow_mut().in_progress = None;
                 Ok(ControlRes::Done)
             }
             other => {
-                let lls = Arc::clone(&self.lls.lock());
+                let lls = Rc::clone(&self.lls.borrow_mut());
                 lls.control(ctx, other)
             }
         }
@@ -366,56 +367,52 @@ pub struct Channel {
     lower: ProtoId,
     cfg: ChanConfig,
     tunables: Tunables,
-    lower_name: OnceLock<&'static str>,
-    boot: Mutex<u32>,
-    next_chan: Mutex<u16>,
-    estimator: Mutex<RtoEstimator>,
-    enables: Mutex<HashMap<u32, ProtoId>>,
-    clients: Mutex<HashMap<(u16, u32), Arc<ChanClientSession>>>,
-    servers: Mutex<HashMap<(PeerKey, u16, u32), Arc<ChanServerSession>>>,
+    lower_name: OnceCell<&'static str>,
+    boot: RefCell<u32>,
+    next_chan: RefCell<u16>,
+    estimator: RefCell<RtoEstimator>,
+    enables: RefCell<HashMap<u32, ProtoId>>,
+    clients: RefCell<HashMap<(u16, u32), Rc<ChanClientSession>>>,
+    servers: RefCell<HashMap<(PeerKey, u16, u32), Rc<ChanServerSession>>>,
 }
 
 impl Channel {
     /// Creates CHANNEL above `lower` (FRAGMENT, a virtual protocol, IP, or
     /// raw ETH — anything that can move one packet unreliably).
-    pub fn new(me: ProtoId, lower: ProtoId, cfg: ChanConfig) -> Arc<Channel> {
-        Arc::new_cyclic(|weak_self| Channel {
+    pub fn new(me: ProtoId, lower: ProtoId, cfg: ChanConfig) -> Rc<Channel> {
+        Rc::new_cyclic(|weak_self| Channel {
             weak_self: weak_self.clone(),
             me,
             lower,
             tunables: Tunables {
-                base_timeout_ns: AtomicU64::new(cfg.base_timeout_ns),
-                peer_boot: AtomicU32::new(0),
-                adaptive: AtomicBool::new(cfg.adaptive),
-                max_backoff: AtomicU32::new(DEFAULT_MAX_BACKOFF),
+                base_timeout_ns: Cell::new(cfg.base_timeout_ns),
+                peer_boot: Cell::new(0),
+                adaptive: Cell::new(cfg.adaptive),
+                max_backoff: Cell::new(DEFAULT_MAX_BACKOFF),
             },
             cfg,
-            lower_name: OnceLock::new(),
-            boot: Mutex::new(0),
-            next_chan: Mutex::new(0),
-            estimator: Mutex::new(RtoEstimator::new(
+            lower_name: OnceCell::new(),
+            boot: RefCell::new(0),
+            next_chan: RefCell::new(0),
+            estimator: RefCell::new(RtoEstimator::new(
                 cfg.base_timeout_ns,
                 cfg.min_rto_ns,
                 cfg.max_rto_ns,
             )),
-            enables: Mutex::new(HashMap::new()),
-            clients: Mutex::new(HashMap::new()),
-            servers: Mutex::new(HashMap::new()),
+            enables: RefCell::new(HashMap::new()),
+            clients: RefCell::new(HashMap::new()),
+            servers: RefCell::new(HashMap::new()),
         })
-    }
-
-    fn self_arc(&self) -> Arc<Channel> {
-        self.weak_self.upgrade().expect("channel alive")
     }
 
     /// This kernel's boot incarnation id.
     pub fn boot_id(&self) -> u32 {
-        *self.boot.lock()
+        *self.boot.borrow_mut()
     }
 
     /// Overrides the boot id (tests simulate reboot/reincarnation).
     pub fn set_boot_id(&self, id: u32) {
-        *self.boot.lock() = id;
+        *self.boot.borrow_mut() = id;
     }
 
     /// Allocates a fresh, kernel-unique channel number. Skips numbers that
@@ -425,8 +422,8 @@ impl Channel {
     /// never issued — fresh counters start above it, so a post-wrap 0 would
     /// be an id no other allocation path can produce.
     pub fn alloc_channel(&self) -> u16 {
-        let mut c = self.next_chan.lock();
-        let clients = self.clients.lock();
+        let mut c = self.next_chan.borrow_mut();
+        let clients = self.clients.borrow_mut();
         for _ in 0..=u16::MAX as u32 {
             *c = c.wrapping_add(1);
             let cand = *c;
@@ -443,12 +440,12 @@ impl Channel {
     }
 
     fn observe_rtt(&self, sample: u64) {
-        self.estimator.lock().observe(sample);
+        self.estimator.borrow_mut().observe(sample);
     }
 
     /// Smoothed round-trip estimate (virtual ns; 0 until the first reply).
     pub fn rtt_estimate(&self) -> u64 {
-        let e = self.estimator.lock();
+        let e = self.estimator.borrow_mut();
         if e.is_cold() {
             0
         } else {
@@ -459,19 +456,19 @@ impl Channel {
     /// Switches between the adaptive RTO and the paper's fixed step
     /// function at run time (chaos experiments compare the two).
     pub fn set_adaptive(&self, on: bool) {
-        self.tunables.adaptive.store(on, Ordering::Relaxed);
+        self.tunables.adaptive.set(on);
     }
 
     /// Current backoff-doubling cap, as `SetBackoff` last left it (resets
     /// to the default on reboot).
     pub fn max_backoff(&self) -> u32 {
-        self.tunables.max_backoff.load(Ordering::Relaxed)
+        self.tunables.max_backoff.get()
     }
 
     /// Whether the adaptive RTO is currently in effect (resets to the
     /// configured value on reboot).
     pub fn adaptive(&self) -> bool {
-        self.tunables.adaptive.load(Ordering::Relaxed)
+        self.tunables.adaptive.get()
     }
 
     fn request_in(
@@ -484,36 +481,36 @@ impl Channel {
         let pk = peer_key(ctx, lls)?;
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let sess = {
-            let mut servers = self.servers.lock();
+            let mut servers = self.servers.borrow_mut();
             match servers.get(&(pk, hdr.channel, hdr.protocol_num)) {
                 Some(s) => {
-                    *s.lls.lock() = Arc::clone(lls);
-                    Arc::clone(s)
+                    *s.lls.borrow_mut() = Rc::clone(lls);
+                    Rc::clone(s)
                 }
                 None => {
                     ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-                    let s = Arc::new(ChanServerSession {
-                        parent: self.self_arc(),
+                    let s = Rc::new(ChanServerSession {
+                        parent: Weak::clone(&self.weak_self),
                         chan: hdr.channel,
                         proto_num: hdr.protocol_num,
-                        lls: Mutex::new(Arc::clone(lls)),
-                        st: Mutex::new(ServerState {
+                        lls: RefCell::new(Rc::clone(lls)),
+                        st: RefCell::new(ServerState {
                             last_boot: hdr.boot_id,
                             last_seq: 0,
                             in_progress: None,
                             saved_reply: None,
                         }),
                     });
-                    servers.insert((pk, hdr.channel, hdr.protocol_num), Arc::clone(&s));
+                    servers.insert((pk, hdr.channel, hdr.protocol_num), Rc::clone(&s));
                     drop(servers);
                     // The open-done upcall: tell the high-level protocol a
                     // session was passively created on its behalf,
                     // completing its earlier open_enable.
-                    if let Some(upper) = self.enables.lock().get(&hdr.protocol_num).copied() {
+                    if let Some(upper) = self.enables.borrow_mut().get(&hdr.protocol_num).copied() {
                         let parts = ParticipantSet::local(
                             Participant::proto(hdr.protocol_num).with_port(hdr.channel),
                         );
-                        let sref: SessionRef = Arc::clone(&s) as SessionRef;
+                        let sref: SessionRef = Rc::clone(&s) as SessionRef;
                         ctx.kernel().open_done(ctx, upper, self.me, &sref, &parts)?;
                     }
                     s
@@ -528,7 +525,7 @@ impl Channel {
             Drop,
         }
         let action = {
-            let mut st = sess.st.lock();
+            let mut st = sess.st.borrow_mut();
             if hdr.boot_id != st.last_boot {
                 // Client reincarnated: reset at-most-once state.
                 st.last_boot = hdr.boot_id;
@@ -583,7 +580,7 @@ impl Channel {
                 Ok(())
             }
             Action::Deliver => {
-                let upper = self.enables.lock().get(&hdr.protocol_num).copied();
+                let upper = self.enables.borrow_mut().get(&hdr.protocol_num).copied();
                 match upper {
                     Some(upper) => {
                         let sref: SessionRef = sess;
@@ -592,7 +589,7 @@ impl Channel {
                     None => {
                         // No such service: answer with an error reply so the
                         // client fails fast instead of retransmitting.
-                        sess.st.lock().in_progress = None;
+                        sess.st.borrow_mut().in_progress = None;
                         let err = ChannelHdr {
                             flags: flags::REPLY,
                             channel: hdr.channel,
@@ -616,7 +613,7 @@ impl Channel {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let client = self
             .clients
-            .lock()
+            .borrow_mut()
             .get(&(hdr.channel, hdr.protocol_num))
             .cloned();
         let Some(client) = client else {
@@ -626,20 +623,20 @@ impl Channel {
         // Peer reincarnation check, *before* taking this client's state
         // lock (the reset below locks the map and then each session; no
         // path may hold a session lock while acquiring the map's).
-        let prev = self.tunables.peer_boot.swap(hdr.boot_id, Ordering::Relaxed);
+        let prev = self.tunables.peer_boot.replace(hdr.boot_id);
         if prev != 0 && prev != hdr.boot_id {
             ctx.trace_note("peer rebooted");
             // Sequence numbers and RTT history from the old incarnation
             // are meaningless; reset every channel not mid-exchange.
-            for c in self.clients.lock().values() {
-                let mut cst = c.st.lock();
+            for c in self.clients.borrow_mut().values() {
+                let mut cst = c.st.borrow_mut();
                 if cst.outstanding.is_none() {
                     cst.seq = 0;
                 }
             }
-            self.estimator.lock().reset(self.cfg.base_timeout_ns);
+            self.estimator.borrow_mut().reset(self.cfg.base_timeout_ns);
         }
-        let mut st = client.st.lock();
+        let mut st = client.st.borrow_mut();
         let Some(out) = st.outstanding.as_mut() else {
             return Ok(()); // Late duplicate; already satisfied.
         };
@@ -686,7 +683,7 @@ impl Protocol for Channel {
         self.lower_name
             .set(lower.name())
             .map_err(|_| XError::Config("channel double boot".into()))?;
-        *self.boot.lock() = (ctx.next_u64() & 0xffff_ffff) as u32 | 1;
+        *self.boot.borrow_mut() = (ctx.next_u64() & 0xffff_ffff) as u32 | 1;
         let parts =
             ParticipantSet::local(Participant::proto(rel_proto_num(lower.name(), "channel")?));
         kernel.open_enable(ctx, self.lower, self.me, &parts)
@@ -695,23 +692,17 @@ impl Protocol for Channel {
     fn reboot(&self, ctx: &Ctx) -> XResult<()> {
         // Fresh incarnation: a new boot id and no surviving channels; the
         // graph wiring (enables, lower binding) persists from build time.
-        *self.boot.lock() = (ctx.next_u64() & 0xffff_ffff) as u32 | 1;
-        self.clients.lock().clear();
-        self.servers.lock().clear();
-        self.tunables.peer_boot.store(0, Ordering::Relaxed);
-        self.tunables
-            .base_timeout_ns
-            .store(self.cfg.base_timeout_ns, Ordering::Relaxed);
+        *self.boot.borrow_mut() = (ctx.next_u64() & 0xffff_ffff) as u32 | 1;
+        self.clients.borrow_mut().clear();
+        self.servers.borrow_mut().clear();
+        self.tunables.peer_boot.set(0);
+        self.tunables.base_timeout_ns.set(self.cfg.base_timeout_ns);
         // Every RTO knob re-cold-seeds, including the run-time overrides
         // (`SetBackoff` / `set_adaptive`): a fresh incarnation must not
         // inherit policy its config never specified.
-        self.tunables
-            .max_backoff
-            .store(DEFAULT_MAX_BACKOFF, Ordering::Relaxed);
-        self.tunables
-            .adaptive
-            .store(self.cfg.adaptive, Ordering::Relaxed);
-        self.estimator.lock().reset(self.cfg.base_timeout_ns);
+        self.tunables.max_backoff.set(DEFAULT_MAX_BACKOFF);
+        self.tunables.adaptive.set(self.cfg.adaptive);
+        self.estimator.borrow_mut().reset(self.cfg.base_timeout_ns);
         Ok(())
     }
 
@@ -728,8 +719,8 @@ impl Protocol for Channel {
             Some(c) => c,
             None => self.alloc_channel(),
         };
-        if let Some(s) = self.clients.lock().get(&(chan, proto_num)) {
-            return Ok(Arc::clone(s) as SessionRef);
+        if let Some(s) = self.clients.borrow_mut().get(&(chan, proto_num)) {
+            return Ok(Rc::clone(s) as SessionRef);
         }
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
         let lname = self.lower_name.get().expect("channel booted");
@@ -738,20 +729,20 @@ impl Protocol for Channel {
             Participant::host(peer),
         );
         let lower = ctx.kernel().open(ctx, self.lower, self.me, &lparts)?;
-        let s = Arc::new(ChanClientSession {
-            parent: self.self_arc(),
+        let s = Rc::new(ChanClientSession {
+            parent: Weak::clone(&self.weak_self),
             chan,
             proto_num,
             peer,
             lower,
-            st: Mutex::new(ClientState {
+            st: RefCell::new(ClientState {
                 seq: 0,
                 outstanding: None,
             }),
         });
         self.clients
-            .lock()
-            .insert((chan, proto_num), Arc::clone(&s));
+            .borrow_mut()
+            .insert((chan, proto_num), Rc::clone(&s));
         Ok(s)
     }
 
@@ -760,7 +751,7 @@ impl Protocol for Channel {
             .local_part()
             .and_then(|p| p.proto_num)
             .ok_or_else(|| XError::Config("channel enable needs a protocol number".into()))?;
-        self.enables.lock().insert(proto_num, upper);
+        self.enables.borrow_mut().insert(proto_num, upper);
         Ok(())
     }
 
@@ -796,11 +787,11 @@ impl Protocol for Channel {
             // The RTO knobs are protocol-wide (sessions store into the same
             // tunables), so policy sweeps can set them without a session.
             ControlOp::SetTimeout(ns) => {
-                self.tunables.base_timeout_ns.store(*ns, Ordering::Relaxed);
+                self.tunables.base_timeout_ns.set(*ns);
                 Ok(ControlRes::Done)
             }
             ControlOp::SetBackoff(n) => {
-                self.tunables.max_backoff.store(*n, Ordering::Relaxed);
+                self.tunables.max_backoff.set(*n);
                 Ok(ControlRes::Done)
             }
             _ => Err(XError::Unsupported("channel control")),
@@ -813,42 +804,42 @@ impl Protocol for Channel {
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         let clients = self
             .clients
-            .lock()
+            .borrow_mut()
             .iter()
             .map(|(k, c)| {
-                let st = c.st.lock();
+                let st = c.st.borrow_mut();
                 debug_assert!(
                     st.outstanding.is_none(),
                     "channel snapshot with an outstanding request (not quiescent)"
                 );
-                (*k, (Arc::clone(c), st.seq))
+                (*k, (Rc::clone(c), st.seq))
             })
             .collect();
         let servers = self
             .servers
-            .lock()
+            .borrow_mut()
             .iter()
             .map(|(k, srv)| {
-                let st = srv.st.lock();
+                let st = srv.st.borrow_mut();
                 let snap = ServerSnap {
-                    lls: Arc::clone(&srv.lls.lock()),
+                    lls: Rc::clone(&srv.lls.borrow_mut()),
                     last_boot: st.last_boot,
                     last_seq: st.last_seq,
                     in_progress: st.in_progress,
                     saved_reply: st.saved_reply.clone(),
                 };
-                (*k, (Arc::clone(srv), snap))
+                (*k, (Rc::clone(srv), snap))
             })
             .collect();
-        Some(Arc::new(ChanSnap {
+        Some(Rc::new(ChanSnap {
             boot: self.boot_id(),
-            next_chan: *self.next_chan.lock(),
-            estimator: self.estimator.lock().clone(),
-            base_timeout_ns: self.tunables.base_timeout_ns.load(Ordering::Relaxed),
-            peer_boot: self.tunables.peer_boot.load(Ordering::Relaxed),
-            adaptive: self.tunables.adaptive.load(Ordering::Relaxed),
-            max_backoff: self.tunables.max_backoff.load(Ordering::Relaxed),
-            enables: self.enables.lock().clone(),
+            next_chan: *self.next_chan.borrow_mut(),
+            estimator: self.estimator.borrow_mut().clone(),
+            base_timeout_ns: self.tunables.base_timeout_ns.get(),
+            peer_boot: self.tunables.peer_boot.get(),
+            adaptive: self.tunables.adaptive.get(),
+            max_backoff: self.tunables.max_backoff.get(),
+            enables: self.enables.borrow_mut().clone(),
             clients,
             servers,
         }))
@@ -856,41 +847,35 @@ impl Protocol for Channel {
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<ChanSnap>(blob, "channel")?;
-        *self.boot.lock() = s.boot;
-        *self.next_chan.lock() = s.next_chan;
-        *self.estimator.lock() = s.estimator.clone();
-        self.tunables
-            .base_timeout_ns
-            .store(s.base_timeout_ns, Ordering::Relaxed);
-        self.tunables
-            .peer_boot
-            .store(s.peer_boot, Ordering::Relaxed);
-        self.tunables.adaptive.store(s.adaptive, Ordering::Relaxed);
-        self.tunables
-            .max_backoff
-            .store(s.max_backoff, Ordering::Relaxed);
-        *self.enables.lock() = s.enables.clone();
+        *self.boot.borrow_mut() = s.boot;
+        *self.next_chan.borrow_mut() = s.next_chan;
+        *self.estimator.borrow_mut() = s.estimator.clone();
+        self.tunables.base_timeout_ns.set(s.base_timeout_ns);
+        self.tunables.peer_boot.set(s.peer_boot);
+        self.tunables.adaptive.set(s.adaptive);
+        self.tunables.max_backoff.set(s.max_backoff);
+        *self.enables.borrow_mut() = s.enables.clone();
         {
-            let mut clients = self.clients.lock();
+            let mut clients = self.clients.borrow_mut();
             clients.clear();
             for (k, (sess, seq)) in &s.clients {
-                let mut st = sess.st.lock();
+                let mut st = sess.st.borrow_mut();
                 st.seq = *seq;
                 st.outstanding = None;
-                clients.insert(*k, Arc::clone(sess));
+                clients.insert(*k, Rc::clone(sess));
             }
         }
         {
-            let mut servers = self.servers.lock();
+            let mut servers = self.servers.borrow_mut();
             servers.clear();
             for (k, (sess, snap)) in &s.servers {
-                *sess.lls.lock() = Arc::clone(&snap.lls);
-                let mut st = sess.st.lock();
+                *sess.lls.borrow_mut() = Rc::clone(&snap.lls);
+                let mut st = sess.st.borrow_mut();
                 st.last_boot = snap.last_boot;
                 st.last_seq = snap.last_seq;
                 st.in_progress = snap.in_progress;
                 st.saved_reply = snap.saved_reply.clone();
-                servers.insert(*k, Arc::clone(sess));
+                servers.insert(*k, Rc::clone(sess));
             }
         }
         Ok(())
@@ -918,6 +903,6 @@ struct ChanSnap {
     adaptive: bool,
     max_backoff: u32,
     enables: HashMap<u32, ProtoId>,
-    clients: HashMap<(u16, u32), (Arc<ChanClientSession>, u32)>,
-    servers: HashMap<(PeerKey, u16, u32), (Arc<ChanServerSession>, ServerSnap)>,
+    clients: HashMap<(u16, u32), (Rc<ChanClientSession>, u32)>,
+    servers: HashMap<(PeerKey, u16, u32), (Rc<ChanServerSession>, ServerSnap)>,
 }

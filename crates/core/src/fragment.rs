@@ -18,11 +18,9 @@
 //!   arriving later is a *new* FRAGMENT message with a new sequence number.
 
 use std::any::Any;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
-
-use parking_lot::Mutex;
+use std::rc::{Rc, Weak};
 
 use xkernel::prelude::*;
 use xkernel::sim::Nanos;
@@ -76,11 +74,11 @@ pub struct FragStats {
 
 #[derive(Default)]
 struct Counters {
-    messages_sent: AtomicU64,
-    fragments_sent: AtomicU64,
-    messages_delivered: AtomicU64,
-    nacks_sent: AtomicU64,
-    nacks_received: AtomicU64,
+    messages_sent: Cell<u64>,
+    fragments_sent: Cell<u64>,
+    messages_delivered: Cell<u64>,
+    nacks_sent: Cell<u64>,
+    nacks_received: Cell<u64>,
 }
 
 struct Saved {
@@ -111,42 +109,42 @@ pub struct Fragment {
     me: ProtoId,
     lower: ProtoId,
     cfg: FragConfig,
-    my_ip: OnceLock<IpAddr>,
-    lower_name: OnceLock<&'static str>,
-    base_frag_size: OnceLock<usize>,
-    next_seq: Mutex<u32>,
-    enables: Mutex<HashMap<u32, ProtoId>>,
+    my_ip: OnceCell<IpAddr>,
+    lower_name: OnceCell<&'static str>,
+    base_frag_size: OnceCell<usize>,
+    next_seq: RefCell<u32>,
+    enables: RefCell<HashMap<u32, ProtoId>>,
     // Retained sent messages, insertion-ordered for LRU eviction.
-    send_cache: Mutex<Vec<(u32, Saved)>>,
-    rasm: Mutex<HashMap<(u32, u32), Rasm>>,
-    passive: Mutex<HashMap<(u32, u32), SessionRef>>,
-    lowers: Mutex<HashMap<u32, (SessionRef, usize)>>,
+    send_cache: RefCell<Vec<(u32, Saved)>>,
+    rasm: RefCell<HashMap<(u32, u32), Rasm>>,
+    passive: RefCell<HashMap<(u32, u32), SessionRef>>,
+    lowers: RefCell<HashMap<u32, (SessionRef, usize)>>,
     counters: Counters,
 }
 
 impl Fragment {
     /// Creates FRAGMENT above `lower` (an IP-addressed delivery protocol:
     /// IP, VIP, or VIPADDR).
-    pub fn new(me: ProtoId, lower: ProtoId, cfg: FragConfig) -> Arc<Fragment> {
-        Arc::new_cyclic(|weak_self| Fragment {
+    pub fn new(me: ProtoId, lower: ProtoId, cfg: FragConfig) -> Rc<Fragment> {
+        Rc::new_cyclic(|weak_self| Fragment {
             weak_self: weak_self.clone(),
             me,
             lower,
             cfg,
-            my_ip: OnceLock::new(),
-            lower_name: OnceLock::new(),
-            base_frag_size: OnceLock::new(),
-            next_seq: Mutex::new(0),
-            enables: Mutex::new(HashMap::new()),
-            send_cache: Mutex::new(Vec::new()),
-            rasm: Mutex::new(HashMap::new()),
-            passive: Mutex::new(HashMap::new()),
-            lowers: Mutex::new(HashMap::new()),
+            my_ip: OnceCell::new(),
+            lower_name: OnceCell::new(),
+            base_frag_size: OnceCell::new(),
+            next_seq: RefCell::new(0),
+            enables: RefCell::new(HashMap::new()),
+            send_cache: RefCell::new(Vec::new()),
+            rasm: RefCell::new(HashMap::new()),
+            passive: RefCell::new(HashMap::new()),
+            lowers: RefCell::new(HashMap::new()),
             counters: Counters::default(),
         })
     }
 
-    fn self_arc(&self) -> Arc<Fragment> {
+    fn self_arc(&self) -> Rc<Fragment> {
         self.weak_self.upgrade().expect("fragment alive")
     }
 
@@ -160,7 +158,7 @@ impl Fragment {
 
     /// The lower session (and its fragment payload size) towards `peer`.
     fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<(SessionRef, usize)> {
-        if let Some(hit) = self.lowers.lock().get(&peer.0) {
+        if let Some(hit) = self.lowers.borrow_mut().get(&peer.0) {
             return Ok(hit.clone());
         }
         let parts = ParticipantSet::pair(
@@ -174,8 +172,8 @@ impl Fragment {
             .unwrap_or(1500);
         let frag_size = opt - FRAGMENT_HDR_LEN;
         self.lowers
-            .lock()
-            .insert(peer.0, (Arc::clone(&sess), frag_size));
+            .borrow_mut()
+            .insert(peer.0, (Rc::clone(&sess), frag_size));
         Ok((sess, frag_size))
     }
 
@@ -220,7 +218,9 @@ impl Fragment {
             let mut pkt = frag;
             ctx.push_header(&mut pkt, &hdr.encode());
             ctx.charge_layer_call();
-            self.counters.fragments_sent.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .fragments_sent
+                .set(self.counters.fragments_sent.get() + 1);
             lower.push(ctx, pkt)?;
         }
         Ok(())
@@ -247,11 +247,13 @@ impl Fragment {
             });
         }
         let seq = {
-            let mut s = self.next_seq.lock();
+            let mut s = self.next_seq.borrow_mut();
             *s = s.wrapping_add(1);
             *s
         };
-        self.counters.messages_sent.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .messages_sent
+            .set(self.counters.messages_sent.get() + 1);
         // Sequence allocation + retained-copy bookkeeping.
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let saved = Saved {
@@ -270,7 +272,7 @@ impl Fragment {
 
         // Retain a copy for NACK service, bounded and timed.
         {
-            let mut cache = self.send_cache.lock();
+            let mut cache = self.send_cache.borrow_mut();
             cache.push((seq, saved));
             let cap = self.cfg.cache_cap;
             if cache.len() > cap {
@@ -280,34 +282,33 @@ impl Fragment {
         }
         let parent = self.self_arc();
         ctx.schedule_after(self.cfg.discard_ns, move |_tctx| {
-            parent.send_cache.lock().retain(|(s, _)| *s != seq);
+            parent.send_cache.borrow_mut().retain(|(s, _)| *s != seq);
         });
         Ok(())
     }
 
     fn deliver_up(&self, ctx: &Ctx, from: IpAddr, proto_num: u32, msg: Message) -> XResult<()> {
-        self.counters
-            .messages_delivered
-            .fetch_add(1, Ordering::Relaxed);
+        let delivered = &self.counters.messages_delivered;
+        delivered.set(delivered.get() + 1);
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let upper = self
             .enables
-            .lock()
+            .borrow_mut()
             .get(&proto_num)
             .copied()
             .ok_or_else(|| XError::NoEnable(format!("fragment proto {proto_num}")))?;
         let sess = {
-            let mut cache = self.passive.lock();
+            let mut cache = self.passive.borrow_mut();
             match cache.get(&(from.0, proto_num)) {
-                Some(s) => Arc::clone(s),
+                Some(s) => Rc::clone(s),
                 None => {
                     ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-                    let s: SessionRef = Arc::new(FragSession {
-                        parent: self.self_arc(),
+                    let s: SessionRef = Rc::new(FragSession {
+                        parent: Weak::clone(&self.weak_self),
                         peer: from,
                         proto_num,
                     });
-                    cache.insert((from.0, proto_num), Arc::clone(&s));
+                    cache.insert((from.0, proto_num), Rc::clone(&s));
                     s
                 }
             }
@@ -324,7 +325,7 @@ impl Fragment {
 
     fn on_gap_timer(&self, ctx: &Ctx, key: (u32, u32)) {
         let nack = {
-            let mut rasm = self.rasm.lock();
+            let mut rasm = self.rasm.borrow_mut();
             let Some(ent) = rasm.get_mut(&key) else {
                 return; // Completed meanwhile.
             };
@@ -370,7 +371,9 @@ impl Fragment {
                 let mut pkt = ctx.empty_msg();
                 ctx.push_header(&mut pkt, &hdr.encode());
                 ctx.charge_layer_call();
-                self.counters.nacks_sent.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .nacks_sent
+                    .set(self.counters.nacks_sent.get() + 1);
                 if lower.push(ctx, pkt).is_err() {
                     ctx.trace_note("nack send failed");
                 }
@@ -388,7 +391,7 @@ impl Fragment {
         }
         let key = (hdr.clnt_host.0, hdr.sequence_num);
         let complete = {
-            let mut rasm = self.rasm.lock();
+            let mut rasm = self.rasm.borrow_mut();
             let ent = rasm.entry(key).or_insert_with(|| Rasm {
                 num_frags: hdr.num_frags,
                 have_mask: 0,
@@ -440,10 +443,12 @@ impl Fragment {
     }
 
     fn nack_in(&self, ctx: &Ctx, hdr: FragmentHdr) -> XResult<()> {
-        self.counters.nacks_received.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .nacks_received
+            .set(self.counters.nacks_received.get() + 1);
         let seq = hdr.sequence_num;
         let found = {
-            let cache = self.send_cache.lock();
+            let cache = self.send_cache.borrow_mut();
             cache.iter().any(|(s, _)| *s == seq)
         };
         if !found {
@@ -454,7 +459,7 @@ impl Fragment {
         }
         // Retransmit the missing fragments from the retained copy.
         let (dst, mask) = {
-            let cache = self.send_cache.lock();
+            let cache = self.send_cache.borrow_mut();
             let (_, saved) = cache
                 .iter()
                 .find(|(s, _)| *s == seq)
@@ -462,7 +467,7 @@ impl Fragment {
             (saved.dst, hdr.frag_mask)
         };
         let (lower, _) = self.lower_for(ctx, dst)?;
-        let cache = self.send_cache.lock();
+        let cache = self.send_cache.borrow_mut();
         if let Some((_, saved)) = cache.iter().find(|(s, _)| *s == seq) {
             // Rebuild fragment list and send the requested ones. We must not
             // hold the cache lock across pushes — clone the needed state.
@@ -481,59 +486,67 @@ impl Fragment {
 
     /// Observable state for tests: retained send-cache size.
     pub fn retained(&self) -> usize {
-        self.send_cache.lock().len()
+        self.send_cache.borrow_mut().len()
     }
 
     /// Cumulative traffic counters.
     pub fn stats(&self) -> FragStats {
         FragStats {
-            messages_sent: self.counters.messages_sent.load(Ordering::Relaxed),
-            fragments_sent: self.counters.fragments_sent.load(Ordering::Relaxed),
-            messages_delivered: self.counters.messages_delivered.load(Ordering::Relaxed),
-            nacks_sent: self.counters.nacks_sent.load(Ordering::Relaxed),
-            nacks_received: self.counters.nacks_received.load(Ordering::Relaxed),
+            messages_sent: self.counters.messages_sent.get(),
+            fragments_sent: self.counters.fragments_sent.get(),
+            messages_delivered: self.counters.messages_delivered.get(),
+            nacks_sent: self.counters.nacks_sent.get(),
+            nacks_received: self.counters.nacks_received.get(),
         }
     }
 
     /// Observable state for tests: open reassembly buffers.
     pub fn reassembling(&self) -> usize {
-        self.rasm.lock().len()
+        self.rasm.borrow_mut().len()
     }
 }
 
 /// A FRAGMENT session towards one (peer, high-level protocol).
 pub struct FragSession {
-    parent: Arc<Fragment>,
+    parent: Weak<Fragment>,
     peer: IpAddr,
     proto_num: u32,
 }
 
+impl FragSession {
+    fn parent(&self) -> Rc<Fragment> {
+        self.parent
+            .upgrade()
+            .expect("a protocol outlives its sessions")
+    }
+}
+
 impl Session for FragSession {
     fn protocol_id(&self) -> ProtoId {
-        self.parent.me
+        self.parent().me
     }
 
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
-        self.parent.send(ctx, self.peer, self.proto_num, msg)?;
+        self.parent().send(ctx, self.peer, self.proto_num, msg)?;
         Ok(None)
     }
 
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
         match op {
             ControlOp::GetMaxPacket => {
-                let (_, frag_size) = self.parent.lower_for(ctx, self.peer)?;
+                let (_, frag_size) = self.parent().lower_for(ctx, self.peer)?;
                 Ok(ControlRes::Size(MAX_FRAGS * frag_size))
             }
             ControlOp::GetOptPacket => {
-                let (_, frag_size) = self.parent.lower_for(ctx, self.peer)?;
+                let (_, frag_size) = self.parent().lower_for(ctx, self.peer)?;
                 Ok(ControlRes::Size(frag_size))
             }
             ControlOp::GetFragCount(size) => {
-                let (_, frag_size) = self.parent.lower_for(ctx, self.peer)?;
+                let (_, frag_size) = self.parent().lower_for(ctx, self.peer)?;
                 Ok(ControlRes::Size(size.max(&1).div_ceil(frag_size)))
             }
             ControlOp::GetPeerHost => Ok(ControlRes::Ip(self.peer)),
-            ControlOp::GetMyHost => Ok(ControlRes::Ip(self.parent.my_ip())),
+            ControlOp::GetMyHost => Ok(ControlRes::Ip(self.parent().my_ip())),
             _ => Err(XError::Unsupported("fragment session control")),
         }
     }
@@ -581,10 +594,10 @@ impl Protocol for Fragment {
         // messages from the previous incarnation), partial reassemblies,
         // and cached sessions. `next_seq` is deliberately kept — reusing
         // message ids could collide with stale partials on peers.
-        self.send_cache.lock().clear();
-        self.rasm.lock().clear();
-        self.passive.lock().clear();
-        self.lowers.lock().clear();
+        self.send_cache.borrow_mut().clear();
+        self.rasm.borrow_mut().clear();
+        self.passive.borrow_mut().clear();
+        self.lowers.borrow_mut().clear();
         Ok(())
     }
 
@@ -598,8 +611,8 @@ impl Protocol for Fragment {
             .and_then(|p| p.host)
             .ok_or_else(|| XError::Config("fragment open needs a peer host".into()))?;
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        Ok(Arc::new(FragSession {
-            parent: self.self_arc(),
+        Ok(Rc::new(FragSession {
+            parent: Weak::clone(&self.weak_self),
             peer,
             proto_num,
         }))
@@ -610,7 +623,7 @@ impl Protocol for Fragment {
             .local_part()
             .and_then(|p| p.proto_num)
             .ok_or_else(|| XError::Config("fragment enable needs a protocol number".into()))?;
-        self.enables.lock().insert(proto_num, upper);
+        self.enables.borrow_mut().insert(proto_num, upper);
         Ok(())
     }
 
@@ -653,41 +666,33 @@ impl Protocol for Fragment {
     // counter, enables, session caches, and traffic counters.
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         debug_assert!(
-            self.send_cache.lock().is_empty() && self.rasm.lock().is_empty(),
+            self.send_cache.borrow_mut().is_empty() && self.rasm.borrow_mut().is_empty(),
             "fragment snapshot with retained/partial messages (not quiescent)"
         );
-        Some(Arc::new(FragSnap {
-            next_seq: *self.next_seq.lock(),
-            enables: self.enables.lock().clone(),
-            passive: self.passive.lock().clone(),
-            lowers: self.lowers.lock().clone(),
+        Some(Rc::new(FragSnap {
+            next_seq: *self.next_seq.borrow_mut(),
+            enables: self.enables.borrow_mut().clone(),
+            passive: self.passive.borrow_mut().clone(),
+            lowers: self.lowers.borrow_mut().clone(),
             stats: self.stats(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<FragSnap>(blob, "fragment")?;
-        self.send_cache.lock().clear();
-        self.rasm.lock().clear();
-        *self.next_seq.lock() = s.next_seq;
-        *self.enables.lock() = s.enables.clone();
-        *self.passive.lock() = s.passive.clone();
-        *self.lowers.lock() = s.lowers.clone();
-        self.counters
-            .messages_sent
-            .store(s.stats.messages_sent, Ordering::Relaxed);
-        self.counters
-            .fragments_sent
-            .store(s.stats.fragments_sent, Ordering::Relaxed);
+        self.send_cache.borrow_mut().clear();
+        self.rasm.borrow_mut().clear();
+        *self.next_seq.borrow_mut() = s.next_seq;
+        *self.enables.borrow_mut() = s.enables.clone();
+        *self.passive.borrow_mut() = s.passive.clone();
+        *self.lowers.borrow_mut() = s.lowers.clone();
+        self.counters.messages_sent.set(s.stats.messages_sent);
+        self.counters.fragments_sent.set(s.stats.fragments_sent);
         self.counters
             .messages_delivered
-            .store(s.stats.messages_delivered, Ordering::Relaxed);
-        self.counters
-            .nacks_sent
-            .store(s.stats.nacks_sent, Ordering::Relaxed);
-        self.counters
-            .nacks_received
-            .store(s.stats.nacks_received, Ordering::Relaxed);
+            .set(s.stats.messages_delivered);
+        self.counters.nacks_sent.set(s.stats.nacks_sent);
+        self.counters.nacks_received.set(s.stats.nacks_received);
         Ok(())
     }
 
@@ -731,7 +736,7 @@ mod tests {
             self.me
         }
         fn open(&self, _c: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<SessionRef> {
-            Ok(Arc::new(BigMtuSession { opt: self.opt }))
+            Ok(Rc::new(BigMtuSession { opt: self.opt }))
         }
         fn open_enable(&self, _c: &Ctx, _u: ProtoId, _p: &ParticipantSet) -> XResult<()> {
             Ok(())
@@ -780,7 +785,7 @@ mod tests {
         let opt = 8_192;
         let lower = kernel
             .register("vip", |me| {
-                Ok(Arc::new(BigMtuLower { me, opt }) as ProtocolRef)
+                Ok(Rc::new(BigMtuLower { me, opt }) as ProtocolRef)
             })
             .unwrap();
         let frag_id = kernel

@@ -85,8 +85,6 @@ pub mod select;
 pub mod stacks;
 pub mod vip;
 
-use std::sync::Arc;
-
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
 use xkernel::prelude::*;
 
@@ -173,7 +171,7 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
 /// reply bytes. This is the whole client API: open (cached) + push.
 pub fn call(
     ctx: &Ctx,
-    kernel: &Arc<Kernel>,
+    kernel: &Kernel,
     proto: &str,
     server: IpAddr,
     command: u16,
@@ -193,9 +191,9 @@ pub fn call(
 
 /// Registers a server procedure on the RPC protocol registered as `proto`
 /// (a `sprite` or `select` instance).
-pub fn serve<F>(kernel: &Arc<Kernel>, proto: &str, command: u16, f: F) -> XResult<()>
+pub fn serve<F>(kernel: &Kernel, proto: &str, command: u16, f: F) -> XResult<()>
 where
-    F: Fn(&Ctx, Message) -> XResult<Message> + Send + Sync + Clone + 'static,
+    F: Fn(&Ctx, Message) -> XResult<Message> + Clone + 'static,
 {
     let p = kernel.get(proto)?;
     if let Some(s) = p.as_any().downcast_ref::<select::Select>() {
@@ -224,7 +222,7 @@ pub mod procs {
     pub const SINK_PROC: u16 = 2;
 
     /// Registers the three standard procedures on `proto`.
-    pub fn register_standard(kernel: &Arc<Kernel>, proto: &str) -> XResult<()> {
+    pub fn register_standard(kernel: &Kernel, proto: &str) -> XResult<()> {
         serve(kernel, proto, NULL_PROC, |_ctx, _msg| Ok(Message::empty()))?;
         serve(kernel, proto, ECHO_PROC, |_ctx, msg| Ok(msg))?;
         serve(kernel, proto, SINK_PROC, |_ctx, _msg| Ok(Message::empty()))

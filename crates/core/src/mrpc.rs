@@ -17,10 +17,9 @@
 //! client retransmit only the fragments the server is missing.
 
 use std::any::Any;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, Weak};
-
-use parking_lot::{Mutex, RwLock};
+use std::rc::{Rc, Weak};
 
 use xkernel::prelude::*;
 use xkernel::shepherd::{Overload, ShepherdConfig, ShepherdStats, Shepherds, Submitted};
@@ -100,12 +99,12 @@ struct MChanState {
 /// One client channel.
 struct MChan {
     chan: u16,
-    st: Mutex<MChanState>,
+    st: RefCell<MChanState>,
 }
 
 struct Pool {
     sema: SharedSema,
-    free: Mutex<Vec<Arc<MChan>>>,
+    free: RefCell<Vec<Rc<MChan>>>,
 }
 
 #[derive(Clone)]
@@ -126,7 +125,7 @@ struct ServerState {
 struct MServer {
     clnt: IpAddr,
     chan: u16,
-    st: Mutex<ServerState>,
+    st: RefCell<ServerState>,
 }
 
 /// The monolithic Sprite RPC protocol object.
@@ -139,39 +138,39 @@ pub struct Mrpc {
     /// performs the same IP→hardware mapping VIP does.
     arp: Option<ProtoId>,
     cfg: MrpcConfig,
-    lower_name: OnceLock<&'static str>,
-    my_ip: OnceLock<IpAddr>,
-    boot: Mutex<u32>,
-    next_chan: Mutex<u16>,
-    handlers: RwLock<HashMap<u16, Handler>>,
-    pools: Mutex<HashMap<u32, Arc<Pool>>>,
-    chans: Mutex<HashMap<u16, Arc<MChan>>>,
-    servers: Mutex<HashMap<(u32, u16), Arc<MServer>>>,
-    sessions: Mutex<HashMap<(u32, u16), SessionRef>>,
-    lowers: Mutex<HashMap<u32, (SessionRef, usize)>>,
-    shepherds: Arc<Shepherds>,
+    lower_name: OnceCell<&'static str>,
+    my_ip: OnceCell<IpAddr>,
+    boot: RefCell<u32>,
+    next_chan: RefCell<u16>,
+    handlers: RefCell<HashMap<u16, Handler>>,
+    pools: RefCell<HashMap<u32, Rc<Pool>>>,
+    chans: RefCell<HashMap<u16, Rc<MChan>>>,
+    servers: RefCell<HashMap<(u32, u16), Rc<MServer>>>,
+    sessions: RefCell<HashMap<(u32, u16), SessionRef>>,
+    lowers: RefCell<HashMap<u32, (SessionRef, usize)>>,
+    shepherds: Rc<Shepherds>,
 }
 
 impl Mrpc {
     /// Creates monolithic Sprite RPC above `lower` (raw ETH, IP, or VIP).
     /// `arp` is required when `lower` is raw ETH.
-    pub fn new(me: ProtoId, lower: ProtoId, arp: Option<ProtoId>, cfg: MrpcConfig) -> Arc<Mrpc> {
-        Arc::new_cyclic(|weak_self| Mrpc {
+    pub fn new(me: ProtoId, lower: ProtoId, arp: Option<ProtoId>, cfg: MrpcConfig) -> Rc<Mrpc> {
+        Rc::new_cyclic(|weak_self| Mrpc {
             weak_self: weak_self.clone(),
             me,
             lower,
             arp,
             cfg,
-            lower_name: OnceLock::new(),
-            my_ip: OnceLock::new(),
-            boot: Mutex::new(0),
-            next_chan: Mutex::new(0),
-            handlers: RwLock::new(HashMap::new()),
-            pools: Mutex::new(HashMap::new()),
-            chans: Mutex::new(HashMap::new()),
-            servers: Mutex::new(HashMap::new()),
-            sessions: Mutex::new(HashMap::new()),
-            lowers: Mutex::new(HashMap::new()),
+            lower_name: OnceCell::new(),
+            my_ip: OnceCell::new(),
+            boot: RefCell::new(0),
+            next_chan: RefCell::new(0),
+            handlers: RefCell::new(HashMap::new()),
+            pools: RefCell::new(HashMap::new()),
+            chans: RefCell::new(HashMap::new()),
+            servers: RefCell::new(HashMap::new()),
+            sessions: RefCell::new(HashMap::new()),
+            lowers: RefCell::new(HashMap::new()),
             shepherds: Shepherds::new(cfg.shepherds),
         })
     }
@@ -181,7 +180,7 @@ impl Mrpc {
         self.shepherds.stats()
     }
 
-    fn self_arc(&self) -> Arc<Mrpc> {
+    fn self_arc(&self) -> Rc<Mrpc> {
         self.weak_self.upgrade().expect("mrpc alive")
     }
 
@@ -191,24 +190,24 @@ impl Mrpc {
 
     /// This kernel's boot incarnation.
     pub fn boot_id(&self) -> u32 {
-        *self.boot.lock()
+        *self.boot.borrow_mut()
     }
 
     /// Overrides the boot id (tests simulate reincarnation).
     pub fn set_boot_id(&self, id: u32) {
-        *self.boot.lock() = id;
+        *self.boot.borrow_mut() = id;
     }
 
     /// Registers the procedure for `command`.
     pub fn serve<F>(&self, command: u16, f: F)
     where
-        F: Fn(&Ctx, Message) -> XResult<Message> + Send + Sync + 'static,
+        F: Fn(&Ctx, Message) -> XResult<Message> + 'static,
     {
-        self.handlers.write().insert(command, Box::new(f));
+        self.handlers.borrow_mut().insert(command, Rc::new(f));
     }
 
     fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<(SessionRef, usize)> {
-        if let Some(hit) = self.lowers.lock().get(&peer.0) {
+        if let Some(hit) = self.lowers.borrow_mut().get(&peer.0) {
             return Ok(hit.clone());
         }
         let lname = self.lower_name.get().expect("mrpc booted");
@@ -234,35 +233,37 @@ impl Mrpc {
             .unwrap_or(1500);
         let frag_size = opt - SPRITE_HDR_LEN;
         self.lowers
-            .lock()
-            .insert(peer.0, (Arc::clone(&sess), frag_size));
+            .borrow_mut()
+            .insert(peer.0, (Rc::clone(&sess), frag_size));
         Ok((sess, frag_size))
     }
 
-    fn pool_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<Arc<Pool>> {
-        if let Some(p) = self.pools.lock().get(&peer.0) {
-            return Ok(Arc::clone(p));
+    fn pool_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<Rc<Pool>> {
+        if let Some(p) = self.pools.borrow_mut().get(&peer.0) {
+            return Ok(Rc::clone(p));
         }
         let mut chans = Vec::with_capacity(self.cfg.channels_per_peer);
         for _ in 0..self.cfg.channels_per_peer {
             let chan = {
-                let mut c = self.next_chan.lock();
+                let mut c = self.next_chan.borrow_mut();
                 *c = c.wrapping_add(1);
                 *c
             };
-            let mc = Arc::new(MChan {
+            let mc = Rc::new(MChan {
                 chan,
-                st: Mutex::new(MChanState { seq: 0, out: None }),
+                st: RefCell::new(MChanState { seq: 0, out: None }),
             });
-            self.chans.lock().insert(chan, Arc::clone(&mc));
+            self.chans.borrow_mut().insert(chan, Rc::clone(&mc));
             chans.push(mc);
             ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
         }
-        let pool = Arc::new(Pool {
+        let pool = Rc::new(Pool {
             sema: SharedSema::new(self.cfg.channels_per_peer as i64),
-            free: Mutex::new(chans),
+            free: RefCell::new(chans),
         });
-        Ok(Arc::clone(self.pools.lock().entry(peer.0).or_insert(pool)))
+        Ok(Rc::clone(
+            self.pools.borrow_mut().entry(peer.0).or_insert(pool),
+        ))
     }
 
     /// Sends the fragments of `msg` selected by `mask`.
@@ -308,7 +309,11 @@ impl Mrpc {
         }
         let pool = self.pool_for(ctx, peer)?;
         pool.sema.p(ctx); // Blocks when all channels are in use.
-        let chan = pool.free.lock().pop().expect("semaphore-guarded pool");
+        let chan = pool
+            .free
+            .borrow_mut()
+            .pop()
+            .expect("semaphore-guarded pool");
 
         let result = self.call_on_channel(
             ctx,
@@ -321,7 +326,7 @@ impl Mrpc {
             num_frags as u16,
         );
 
-        pool.free.lock().push(chan);
+        pool.free.borrow_mut().push(chan);
         pool.sema.v(ctx);
         result
     }
@@ -330,7 +335,7 @@ impl Mrpc {
     fn call_on_channel(
         &self,
         ctx: &Ctx,
-        chan: &Arc<MChan>,
+        chan: &Rc<MChan>,
         lower: &SessionRef,
         frag_size: usize,
         peer: IpAddr,
@@ -339,7 +344,7 @@ impl Mrpc {
         num_frags: u16,
     ) -> XResult<Message> {
         let (seq, sema) = {
-            let mut st = chan.st.lock();
+            let mut st = chan.st.borrow_mut();
             debug_assert!(st.out.is_none(), "channel pool guarantees exclusivity");
             st.seq = st.seq.wrapping_add(1);
             let sema = SharedSema::new(0);
@@ -382,12 +387,12 @@ impl Mrpc {
                 // A synchronous send failure must clear the outstanding
                 // slot: the channel goes back to the pool on return, and
                 // the next caller asserts it is clean.
-                chan.st.lock().out = None;
+                chan.st.borrow_mut().out = None;
                 return Err(e);
             }
             let outcome = loop {
                 let _ = sema.p_timeout(ctx, timeout);
-                let mut st = chan.st.lock();
+                let mut st = chan.st.borrow_mut();
                 let out = st.out.as_mut().expect("outstanding until cleared");
                 if let Some(reply) = out.done.take() {
                     st.out = None;
@@ -412,7 +417,7 @@ impl Mrpc {
             ctx.note(RobustEvent::TimeoutFired);
             attempts += 1;
             if attempts > self.cfg.max_retries || ctx.mode() == Mode::Inline {
-                chan.st.lock().out = None;
+                chan.st.borrow_mut().out = None;
                 return Err(XError::Timeout(format!(
                     "sprite rpc {command} seq {seq} to {peer} after {attempts} attempts"
                 )));
@@ -422,14 +427,14 @@ impl Mrpc {
         }
     }
 
-    fn server_for(&self, hdr: &SpriteHdr) -> Arc<MServer> {
+    fn server_for(&self, hdr: &SpriteHdr) -> Rc<MServer> {
         let key = (hdr.clnt_host.0, hdr.channel);
-        let mut servers = self.servers.lock();
-        Arc::clone(servers.entry(key).or_insert_with(|| {
-            Arc::new(MServer {
+        let mut servers = self.servers.borrow_mut();
+        Rc::clone(servers.entry(key).or_insert_with(|| {
+            Rc::new(MServer {
                 clnt: hdr.clnt_host,
                 chan: hdr.channel,
-                st: Mutex::new(ServerState {
+                st: RefCell::new(ServerState {
                     last_boot: hdr.boot_id,
                     last_seq: 0,
                     in_progress: None,
@@ -455,7 +460,7 @@ impl Mrpc {
             Dispatch(Message),
         }
         let action = {
-            let mut st = server.st.lock();
+            let mut st = server.st.borrow_mut();
             if hdr.boot_id != st.last_boot {
                 st.last_boot = hdr.boot_id;
                 st.last_seq = 0;
@@ -552,7 +557,7 @@ impl Mrpc {
                     return self.dispatch(ctx, &server, hdr, body);
                 }
                 let me = self.self_arc();
-                let job_server = Arc::clone(&server);
+                let job_server = Rc::clone(&server);
                 let submitted = self.shepherds.submit(
                     ctx,
                     Box::new(move |jctx| {
@@ -567,7 +572,7 @@ impl Mrpc {
                         // Roll the channel back so the client's retransmission
                         // is treated as a fresh request.
                         {
-                            let mut st = server.st.lock();
+                            let mut st = server.st.borrow_mut();
                             st.in_progress = None;
                             st.dispatched = false;
                             st.req_num = 0;
@@ -612,17 +617,15 @@ impl Mrpc {
     fn dispatch(
         &self,
         ctx: &Ctx,
-        server: &Arc<MServer>,
+        server: &Rc<MServer>,
         hdr: SpriteHdr,
         body: Message,
     ) -> XResult<()> {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup); // Procedure table.
-        let result = {
-            let handlers = self.handlers.read();
-            match handlers.get(&hdr.command) {
-                Some(h) => h(ctx, body),
-                None => Err(XError::Remote(format!("no procedure {}", hdr.command))),
-            }
+        let handler = self.handlers.borrow().get(&hdr.command).cloned();
+        let result = match handler {
+            Some(h) => h(ctx, body),
+            None => Err(XError::Remote(format!("no procedure {}", hdr.command))),
         };
         let reply_body = result.unwrap_or_else(|_| ctx.empty_msg());
         let (lower, frag_size) = self.lower_for(ctx, server.clnt)?;
@@ -651,7 +654,7 @@ impl Mrpc {
             wire_frags.push(pkt);
         }
         {
-            let mut st = server.st.lock();
+            let mut st = server.st.borrow_mut();
             st.in_progress = None;
             st.last_seq = hdr.sequence_num;
             st.saved_reply_seq = hdr.sequence_num;
@@ -666,11 +669,11 @@ impl Mrpc {
 
     fn reply_in(&self, ctx: &Ctx, hdr: SpriteHdr, msg: Message) -> XResult<()> {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let chan = self.chans.lock().get(&hdr.channel).cloned();
+        let chan = self.chans.borrow_mut().get(&hdr.channel).cloned();
         let Some(chan) = chan else {
             return Ok(());
         };
-        let mut st = chan.st.lock();
+        let mut st = chan.st.borrow_mut();
         let Some(out) = st.out.as_mut() else {
             return Ok(());
         };
@@ -716,18 +719,26 @@ impl Mrpc {
 
 /// A client session bound to one (server, procedure).
 pub struct MrpcSession {
-    parent: Arc<Mrpc>,
+    parent: Weak<Mrpc>,
     peer: IpAddr,
     command: u16,
 }
 
+impl MrpcSession {
+    fn parent(&self) -> Rc<Mrpc> {
+        self.parent
+            .upgrade()
+            .expect("a protocol outlives its sessions")
+    }
+}
+
 impl Session for MrpcSession {
     fn protocol_id(&self) -> ProtoId {
-        self.parent.me
+        self.parent().me
     }
 
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
-        self.parent
+        self.parent()
             .call(ctx, self.peer, self.command, msg)
             .map(Some)
     }
@@ -736,7 +747,7 @@ impl Session for MrpcSession {
         match op {
             ControlOp::GetPeerHost => Ok(ControlRes::Ip(self.peer)),
             ControlOp::GetMaxPacket => {
-                let (_, frag_size) = self.parent.lower_for(ctx, self.peer)?;
+                let (_, frag_size) = self.parent().lower_for(ctx, self.peer)?;
                 Ok(ControlRes::Size(MAX_FRAGS * frag_size))
             }
             _ => Err(XError::Unsupported("mrpc session control")),
@@ -767,7 +778,7 @@ impl Protocol for Mrpc {
         self.lower_name
             .set(lower.name())
             .map_err(|_| XError::Config("mrpc double boot".into()))?;
-        *self.boot.lock() = (ctx.next_u64() & 0xffff_ffff) as u32 | 1;
+        *self.boot.borrow_mut() = (ctx.next_u64() & 0xffff_ffff) as u32 | 1;
         // Our host identity: from the lower protocol if it speaks internet
         // addresses, else from ARP (the raw-Ethernet configuration).
         let my_ip = lower
@@ -788,12 +799,12 @@ impl Protocol for Mrpc {
     fn reboot(&self, ctx: &Ctx) -> XResult<()> {
         // Fresh incarnation: new boot id, all channel/session state gone.
         // Registered procedures and graph wiring survive.
-        *self.boot.lock() = (ctx.next_u64() & 0xffff_ffff) as u32 | 1;
-        self.pools.lock().clear();
-        self.chans.lock().clear();
-        self.servers.lock().clear();
-        self.sessions.lock().clear();
-        self.lowers.lock().clear();
+        *self.boot.borrow_mut() = (ctx.next_u64() & 0xffff_ffff) as u32 | 1;
+        self.pools.borrow_mut().clear();
+        self.chans.borrow_mut().clear();
+        self.servers.borrow_mut().clear();
+        self.sessions.borrow_mut().clear();
+        self.lowers.borrow_mut().clear();
         Ok(())
     }
 
@@ -807,18 +818,18 @@ impl Protocol for Mrpc {
             .and_then(|p| p.proto_num)
             .ok_or_else(|| XError::Config("sprite open needs a command".into()))?
             as u16;
-        if let Some(s) = self.sessions.lock().get(&(peer.0, command)) {
-            return Ok(Arc::clone(s));
+        if let Some(s) = self.sessions.borrow_mut().get(&(peer.0, command)) {
+            return Ok(Rc::clone(s));
         }
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        let s: SessionRef = Arc::new(MrpcSession {
-            parent: self.self_arc(),
+        let s: SessionRef = Rc::new(MrpcSession {
+            parent: Weak::clone(&self.weak_self),
             peer,
             command,
         });
         self.sessions
-            .lock()
-            .insert((peer.0, command), Arc::clone(&s));
+            .borrow_mut()
+            .insert((peer.0, command), Rc::clone(&s));
         Ok(s)
     }
 
@@ -864,83 +875,83 @@ impl Protocol for Mrpc {
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         let pools = self
             .pools
-            .lock()
+            .borrow_mut()
             .iter()
             .map(|(k, p)| {
                 (
                     *k,
                     MPoolSnap {
-                        pool: Arc::clone(p),
+                        pool: Rc::clone(p),
                         sema: p.sema.snap_state(),
-                        free: p.free.lock().clone(),
+                        free: p.free.borrow_mut().clone(),
                     },
                 )
             })
             .collect();
         let chans = self
             .chans
-            .lock()
+            .borrow_mut()
             .iter()
             .map(|(k, c)| {
-                let st = c.st.lock();
+                let st = c.st.borrow_mut();
                 debug_assert!(
                     st.out.is_none(),
                     "mrpc snapshot with an outstanding call (not quiescent)"
                 );
-                (*k, (Arc::clone(c), st.seq))
+                (*k, (Rc::clone(c), st.seq))
             })
             .collect();
         let servers = self
             .servers
-            .lock()
+            .borrow_mut()
             .iter()
-            .map(|(k, srv)| (*k, (Arc::clone(srv), srv.st.lock().clone())))
+            .map(|(k, srv)| (*k, (Rc::clone(srv), srv.st.borrow_mut().clone())))
             .collect();
-        Some(Arc::new(MrpcSnap {
+        Some(Rc::new(MrpcSnap {
             boot: self.boot_id(),
-            next_chan: *self.next_chan.lock(),
+            next_chan: *self.next_chan.borrow_mut(),
             pools,
             chans,
             servers,
-            sessions: self.sessions.lock().clone(),
-            lowers: self.lowers.lock().clone(),
+            sessions: self.sessions.borrow_mut().clone(),
+            lowers: self.lowers.borrow_mut().clone(),
             shepherds: self.shepherds.stats(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<MrpcSnap>(blob, "sprite")?;
-        *self.boot.lock() = s.boot;
-        *self.next_chan.lock() = s.next_chan;
+        *self.boot.borrow_mut() = s.boot;
+        *self.next_chan.borrow_mut() = s.next_chan;
         {
-            let mut pools = self.pools.lock();
+            let mut pools = self.pools.borrow_mut();
             pools.clear();
             for (k, ps) in &s.pools {
                 ps.pool.sema.restore_state(ps.sema);
-                *ps.pool.free.lock() = ps.free.clone();
-                pools.insert(*k, Arc::clone(&ps.pool));
+                *ps.pool.free.borrow_mut() = ps.free.clone();
+                pools.insert(*k, Rc::clone(&ps.pool));
             }
         }
         {
-            let mut chans = self.chans.lock();
+            let mut chans = self.chans.borrow_mut();
             chans.clear();
             for (k, (mc, seq)) in &s.chans {
-                let mut st = mc.st.lock();
+                let mut st = mc.st.borrow_mut();
                 st.seq = *seq;
                 st.out = None;
-                chans.insert(*k, Arc::clone(mc));
+                chans.insert(*k, Rc::clone(mc));
             }
         }
         {
-            let mut servers = self.servers.lock();
+            let mut servers = self.servers.borrow_mut();
             servers.clear();
             for (k, (srv, st)) in &s.servers {
-                *srv.st.lock() = st.clone();
-                servers.insert(*k, Arc::clone(srv));
+                *srv.st.borrow_mut() = st.clone();
+                servers.insert(*k, Rc::clone(srv));
             }
         }
-        *self.sessions.lock() = s.sessions.clone();
-        *self.lowers.lock() = s.lowers.clone();
+        *self.sessions.borrow_mut() = s.sessions.clone();
+        *self.lowers.borrow_mut() = s.lowers.clone();
         self.shepherds.restore_stats(s.shepherds);
         Ok(())
     }
@@ -951,17 +962,17 @@ impl Protocol for Mrpc {
 }
 
 struct MPoolSnap {
-    pool: Arc<Pool>,
+    pool: Rc<Pool>,
     sema: (i64, u64),
-    free: Vec<Arc<MChan>>,
+    free: Vec<Rc<MChan>>,
 }
 
 struct MrpcSnap {
     boot: u32,
     next_chan: u16,
     pools: HashMap<u32, MPoolSnap>,
-    chans: HashMap<u16, (Arc<MChan>, u32)>,
-    servers: HashMap<(u32, u16), (Arc<MServer>, ServerState)>,
+    chans: HashMap<u16, (Rc<MChan>, u32)>,
+    servers: HashMap<(u32, u16), (Rc<MServer>, ServerState)>,
     sessions: HashMap<(u32, u16), SessionRef>,
     lowers: HashMap<u32, (SessionRef, usize)>,
     shepherds: ShepherdStats,

@@ -14,10 +14,9 @@
 //! reply from `push`) or when the echo is demultiplexed back up.
 
 use std::any::Any;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use xkernel::prelude::*;
 
@@ -31,14 +30,14 @@ pub struct Pinger {
     me: ProtoId,
     lower: ProtoId,
     echo: bool,
-    lower_name: OnceLock<&'static str>,
-    sessions: Mutex<HashMap<u32, SessionRef>>,
-    waiting: Mutex<Option<EchoWaiter>>,
-    series: Mutex<Option<Series>>,
+    lower_name: OnceCell<&'static str>,
+    sessions: RefCell<HashMap<u32, SessionRef>>,
+    waiting: RefCell<Option<EchoWaiter>>,
+    series: RefCell<Option<Series>>,
 }
 
 /// A parked single round trip: wake signal plus the echoed-bytes slot.
-type EchoWaiter = (SharedSema, Arc<Mutex<Option<Vec<u8>>>>);
+type EchoWaiter = (SharedSema, Rc<RefCell<Option<Vec<u8>>>>);
 
 /// In-flight callback-driven ping-pong series (see [`Pinger::run_series`]).
 struct Series {
@@ -50,21 +49,21 @@ struct Series {
 
 impl Pinger {
     /// Creates a PINGER above `lower`; `echo` marks the responder side.
-    pub fn new(me: ProtoId, lower: ProtoId, echo: bool) -> Arc<Pinger> {
-        Arc::new(Pinger {
+    pub fn new(me: ProtoId, lower: ProtoId, echo: bool) -> Rc<Pinger> {
+        Rc::new(Pinger {
             me,
             lower,
             echo,
-            lower_name: OnceLock::new(),
-            sessions: Mutex::new(HashMap::new()),
-            waiting: Mutex::new(None),
-            series: Mutex::new(None),
+            lower_name: OnceCell::new(),
+            sessions: RefCell::new(HashMap::new()),
+            waiting: RefCell::new(None),
+            series: RefCell::new(None),
         })
     }
 
     fn session_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<SessionRef> {
-        if let Some(s) = self.sessions.lock().get(&peer.0) {
-            return Ok(Arc::clone(s));
+        if let Some(s) = self.sessions.borrow_mut().get(&peer.0) {
+            return Ok(Rc::clone(s));
         }
         let lname = self.lower_name.get().expect("pinger booted");
         let parts = ParticipantSet::pair(
@@ -72,7 +71,7 @@ impl Pinger {
             Participant::host(peer),
         );
         let s = ctx.kernel().open(ctx, self.lower, self.me, &parts)?;
-        self.sessions.lock().insert(peer.0, Arc::clone(&s));
+        self.sessions.borrow_mut().insert(peer.0, Rc::clone(&s));
         Ok(s)
     }
 
@@ -100,18 +99,18 @@ impl Pinger {
         let t0 = ctx.now();
         let done = SharedSema::new(0);
         {
-            let mut series = self.series.lock();
+            let mut series = self.series.borrow_mut();
             *series = Some(Series {
                 remaining: n,
                 payload: payload.clone(),
-                sess: Arc::clone(&sess),
+                sess: Rc::clone(&sess),
                 done: done.clone(),
             });
         }
         if let Some(_reply) = sess.push(ctx, ctx.msg(payload.clone()))? {
             // Synchronous-reply lower (CHANNEL): a plain loop, blocking per
             // call exactly as a real RPC client would.
-            *self.series.lock() = None;
+            *self.series.borrow_mut() = None;
             for _ in 1..n {
                 sess.push(ctx, ctx.msg(payload.clone()))?;
             }
@@ -120,7 +119,7 @@ impl Pinger {
         // Datagram lower: the demux of each echo launches the next send;
         // block only once, at the end of the whole series.
         if !done.p_timeout(ctx, PING_TIMEOUT_NS.saturating_mul(n as u64)) {
-            *self.series.lock() = None;
+            *self.series.borrow_mut() = None;
             return Err(XError::Timeout(format!("pinger series to {peer}")));
         }
         Ok(ctx.now() - t0)
@@ -131,20 +130,20 @@ impl Pinger {
     pub fn rtt(&self, ctx: &Ctx, peer: IpAddr, payload: Vec<u8>) -> XResult<Vec<u8>> {
         let sess = self.session_for(ctx, peer)?;
         let sema = SharedSema::new(0);
-        let slot: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-        *self.waiting.lock() = Some((sema.clone(), Arc::clone(&slot)));
+        let slot: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
+        *self.waiting.borrow_mut() = Some((sema.clone(), Rc::clone(&slot)));
         let pushed = sess.push(ctx, ctx.msg(payload))?;
         if let Some(reply) = pushed {
             // Request/reply lower (CHANNEL): the echo came back in-band.
-            *self.waiting.lock() = None;
+            *self.waiting.borrow_mut() = None;
             return Ok(reply.to_vec());
         }
-        let ok = sema.p_timeout(ctx, PING_TIMEOUT_NS) || slot.lock().is_some();
-        *self.waiting.lock() = None;
+        let ok = sema.p_timeout(ctx, PING_TIMEOUT_NS) || slot.borrow_mut().is_some();
+        *self.waiting.borrow_mut() = None;
         if !ok {
             return Err(XError::Timeout(format!("pinger echo from {peer}")));
         }
-        let data = slot.lock().take();
+        let data = slot.borrow_mut().take();
         data.ok_or_else(|| XError::Timeout(format!("pinger woke without echo from {peer}")))
     }
 }
@@ -189,7 +188,7 @@ impl Protocol for Pinger {
         }
         // Callback-driven series: fire the next send from this shepherd.
         let next = {
-            let mut series = self.series.lock();
+            let mut series = self.series.borrow_mut();
             match series.as_mut() {
                 Some(st) => {
                     st.remaining -= 1;
@@ -198,7 +197,7 @@ impl Protocol for Pinger {
                         Some((None, st.done))
                     } else {
                         Some((
-                            Some((Arc::clone(&st.sess), st.payload.clone())),
+                            Some((Rc::clone(&st.sess), st.payload.clone())),
                             st.done.clone(),
                         ))
                     }
@@ -218,8 +217,8 @@ impl Protocol for Pinger {
             }
             None => {}
         }
-        if let Some((sema, slot)) = self.waiting.lock().as_ref() {
-            *slot.lock() = Some(msg.to_vec());
+        if let Some((sema, slot)) = self.waiting.borrow_mut().as_ref() {
+            *slot.borrow_mut() = Some(msg.to_vec());
             sema.v(ctx);
         }
         Ok(())
@@ -236,19 +235,19 @@ impl Protocol for Pinger {
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         debug_assert!(
-            self.waiting.lock().is_none() && self.series.lock().is_none(),
+            self.waiting.borrow_mut().is_none() && self.series.borrow_mut().is_none(),
             "pinger snapshot with a round trip in flight (not quiescent)"
         );
-        Some(Arc::new(PingerSnap {
-            sessions: self.sessions.lock().clone(),
+        Some(Rc::new(PingerSnap {
+            sessions: self.sessions.borrow_mut().clone(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<PingerSnap>(blob, "pinger")?;
-        *self.waiting.lock() = None;
-        *self.series.lock() = None;
-        *self.sessions.lock() = s.sessions.clone();
+        *self.waiting.borrow_mut() = None;
+        *self.series.borrow_mut() = None;
+        *self.sessions.borrow_mut() = s.sessions.clone();
         Ok(())
     }
 

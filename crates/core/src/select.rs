@@ -16,11 +16,9 @@
 //!   of CHANNEL.
 
 use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-
-use parking_lot::{Mutex, RwLock};
+use std::rc::{Rc, Weak};
 
 use xkernel::prelude::*;
 use xkernel::shepherd::{Overload, ShepherdConfig, ShepherdStats, Shepherds, Submitted};
@@ -29,7 +27,7 @@ use crate::hdr::{SelectHdr, SELECT_HDR_LEN};
 use crate::protnum::rel_proto_num;
 
 /// A server procedure: takes the request body, returns the reply body.
-pub type Handler = Box<dyn Fn(&Ctx, Message) -> XResult<Message> + Send + Sync>;
+pub type Handler = Rc<dyn Fn(&Ctx, Message) -> XResult<Message>>;
 
 /// Reply status codes carried in [`SelectHdr::status`].
 pub mod status {
@@ -70,7 +68,7 @@ impl Default for SelectConfig {
 /// A fixed pool of client channels towards one server.
 struct ChanPool {
     sema: SharedSema,
-    free: Mutex<Vec<SessionRef>>,
+    free: RefCell<Vec<SessionRef>>,
 }
 
 /// The SELECT protocol object.
@@ -79,27 +77,27 @@ pub struct Select {
     me: ProtoId,
     channel: ProtoId,
     cfg: SelectConfig,
-    handlers: RwLock<HashMap<u16, Handler>>,
-    forward: Mutex<HashMap<u16, IpAddr>>,
-    pools: Mutex<HashMap<u32, Arc<ChanPool>>>,
-    sessions: Mutex<HashMap<(u32, u16), SessionRef>>,
-    passive_opens: AtomicU64,
-    shepherds: Arc<Shepherds>,
+    handlers: RefCell<HashMap<u16, Handler>>,
+    forward: RefCell<HashMap<u16, IpAddr>>,
+    pools: RefCell<HashMap<u32, Rc<ChanPool>>>,
+    sessions: RefCell<HashMap<(u32, u16), SessionRef>>,
+    passive_opens: Cell<u64>,
+    shepherds: Rc<Shepherds>,
 }
 
 impl Select {
     /// Creates SELECT above the CHANNEL protocol `channel`.
-    pub fn new(me: ProtoId, channel: ProtoId, cfg: SelectConfig) -> Arc<Select> {
-        Arc::new_cyclic(|weak_self| Select {
+    pub fn new(me: ProtoId, channel: ProtoId, cfg: SelectConfig) -> Rc<Select> {
+        Rc::new_cyclic(|weak_self| Select {
             weak_self: weak_self.clone(),
             me,
             channel,
             cfg,
-            handlers: RwLock::new(HashMap::new()),
-            forward: Mutex::new(HashMap::new()),
-            pools: Mutex::new(HashMap::new()),
-            sessions: Mutex::new(HashMap::new()),
-            passive_opens: AtomicU64::new(0),
+            handlers: RefCell::new(HashMap::new()),
+            forward: RefCell::new(HashMap::new()),
+            pools: RefCell::new(HashMap::new()),
+            sessions: RefCell::new(HashMap::new()),
+            passive_opens: Cell::new(0),
             shepherds: Shepherds::new(cfg.shepherds),
         })
     }
@@ -114,39 +112,42 @@ impl Select {
         self.shepherds.queue_depth()
     }
 
-    fn self_arc(&self) -> Arc<Select> {
+    fn self_arc(&self) -> Rc<Select> {
         self.weak_self.upgrade().expect("select alive")
     }
 
     /// Registers the procedure for `command`.
     pub fn serve<F>(&self, command: u16, f: F)
     where
-        F: Fn(&Ctx, Message) -> XResult<Message> + Send + Sync + 'static,
+        F: Fn(&Ctx, Message) -> XResult<Message> + 'static,
     {
-        self.handlers.write().insert(command, Box::new(f));
+        self.handlers.borrow_mut().insert(command, Rc::new(f));
     }
 
     /// Redirects `command` to `host` — the alternative *forwarding*
     /// selection policy.
     pub fn set_forward(&self, command: u16, host: IpAddr) {
-        self.forward.lock().insert(command, host);
+        self.forward.borrow_mut().insert(command, host);
     }
 
     /// Number of currently free channels towards `peer` (tests; None until
     /// the pool exists).
     pub fn free_channels(&self, peer: IpAddr) -> Option<usize> {
-        self.pools.lock().get(&peer.0).map(|p| p.free.lock().len())
+        self.pools
+            .borrow_mut()
+            .get(&peer.0)
+            .map(|p| p.free.borrow_mut().len())
     }
 
     /// How many server channels CHANNEL has passively created on our
     /// behalf (reported through the open-done upcall).
     pub fn passive_opens(&self) -> u64 {
-        self.passive_opens.load(Ordering::Relaxed)
+        self.passive_opens.get()
     }
 
-    fn pool_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<Arc<ChanPool>> {
-        if let Some(p) = self.pools.lock().get(&peer.0) {
-            return Ok(Arc::clone(p));
+    fn pool_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<Rc<ChanPool>> {
+        if let Some(p) = self.pools.borrow_mut().get(&peer.0) {
+            return Ok(Rc::clone(p));
         }
         // Open the fixed channel set outside the pools lock.
         let my_num = rel_proto_num("channel", "select")?;
@@ -155,11 +156,13 @@ impl Select {
             let parts = ParticipantSet::pair(Participant::proto(my_num), Participant::host(peer));
             sessions.push(ctx.kernel().open(ctx, self.channel, self.me, &parts)?);
         }
-        let pool = Arc::new(ChanPool {
+        let pool = Rc::new(ChanPool {
             sema: SharedSema::new(self.cfg.channels_per_peer as i64),
-            free: Mutex::new(sessions),
+            free: RefCell::new(sessions),
         });
-        Ok(Arc::clone(self.pools.lock().entry(peer.0).or_insert(pool)))
+        Ok(Rc::clone(
+            self.pools.borrow_mut().entry(peer.0).or_insert(pool),
+        ))
     }
 
     /// The full client path: allocate a channel (blocking if none free),
@@ -170,7 +173,7 @@ impl Select {
         pool.sema.p(ctx); // Blocks when all channels are busy.
         let chan = pool
             .free
-            .lock()
+            .borrow_mut()
             .pop()
             .expect("semaphore guarantees a free channel");
 
@@ -204,7 +207,7 @@ impl Select {
             }
         })();
 
-        pool.free.lock().push(chan);
+        pool.free.borrow_mut().push(chan);
         pool.sema.v(ctx);
         result
     }
@@ -221,7 +224,7 @@ impl Select {
         msg: Message,
     ) -> XResult<()> {
         // Forwarding policy first: redirect the command to another host.
-        let fwd = self.forward.lock().get(&command).copied();
+        let fwd = self.forward.borrow_mut().get(&command).copied();
         if let Some(backend) = fwd {
             let result = self.call(ctx, backend, command, msg);
             return match result {
@@ -232,15 +235,11 @@ impl Select {
             };
         }
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup); // Procedure table lookup.
-        let handlers = self.handlers.read();
-        match handlers.get(&command) {
-            None => {
-                drop(handlers);
-                self.reply_via(ctx, lls, command, status::NO_SUCH_PROC, Message::empty())
-            }
+        let handler = self.handlers.borrow().get(&command).cloned();
+        match handler {
+            None => self.reply_via(ctx, lls, command, status::NO_SUCH_PROC, Message::empty()),
             Some(h) => {
                 let result = h(ctx, msg);
-                drop(handlers);
                 match result {
                     Ok(body) => self.reply_via(ctx, lls, command, status::OK, body),
                     Err(e) => {
@@ -277,18 +276,26 @@ impl Select {
 
 /// A client session bound to one (server, procedure).
 pub struct SelectSession {
-    parent: Arc<Select>,
+    parent: Weak<Select>,
     peer: IpAddr,
     command: u16,
 }
 
+impl SelectSession {
+    fn parent(&self) -> Rc<Select> {
+        self.parent
+            .upgrade()
+            .expect("a protocol outlives its sessions")
+    }
+}
+
 impl Session for SelectSession {
     fn protocol_id(&self) -> ProtoId {
-        self.parent.me
+        self.parent().me
     }
 
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
-        self.parent
+        self.parent()
             .call(ctx, self.peer, self.command, msg)
             .map(Some)
     }
@@ -297,7 +304,7 @@ impl Session for SelectSession {
         match op {
             ControlOp::GetPeerHost => Ok(ControlRes::Ip(self.peer)),
             ControlOp::GetFreeChannels => Ok(ControlRes::Size(
-                self.parent.free_channels(self.peer).unwrap_or(0),
+                self.parent().free_channels(self.peer).unwrap_or(0),
             )),
             _ => {
                 let _ = ctx;
@@ -333,8 +340,8 @@ impl Protocol for Select {
         // Channel pools and cached sessions referenced the old CHANNEL
         // incarnation; drop them so fresh ones are opened on demand.
         // Registered procedures and forwarding policy survive.
-        self.pools.lock().clear();
-        self.sessions.lock().clear();
+        self.pools.borrow_mut().clear();
+        self.sessions.borrow_mut().clear();
         Ok(())
     }
 
@@ -348,18 +355,18 @@ impl Protocol for Select {
             .and_then(|p| p.proto_num)
             .ok_or_else(|| XError::Config("select open needs a command".into()))?
             as u16;
-        if let Some(s) = self.sessions.lock().get(&(peer.0, command)) {
-            return Ok(Arc::clone(s));
+        if let Some(s) = self.sessions.borrow_mut().get(&(peer.0, command)) {
+            return Ok(Rc::clone(s));
         }
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        let s: SessionRef = Arc::new(SelectSession {
-            parent: self.self_arc(),
+        let s: SessionRef = Rc::new(SelectSession {
+            parent: Weak::clone(&self.weak_self),
             peer,
             command,
         });
         self.sessions
-            .lock()
-            .insert((peer.0, command), Arc::clone(&s));
+            .borrow_mut()
+            .insert((peer.0, command), Rc::clone(&s));
         Ok(s)
     }
 
@@ -377,7 +384,7 @@ impl Protocol for Select {
         _lls: &SessionRef,
         _parts: &ParticipantSet,
     ) -> XResult<()> {
-        self.passive_opens.fetch_add(1, Ordering::Relaxed);
+        self.passive_opens.set(self.passive_opens.get() + 1);
         Ok(())
     }
 
@@ -400,7 +407,7 @@ impl Protocol for Select {
             return self.execute_request(ctx, lls, hdr.command, msg);
         }
         let me = self.self_arc();
-        let job_lls = Arc::clone(lls);
+        let job_lls = Rc::clone(lls);
         let command = hdr.command;
         let submitted = self.shepherds.submit(
             ctx,
@@ -442,10 +449,10 @@ impl Protocol for Select {
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         let pools = self
             .pools
-            .lock()
+            .borrow_mut()
             .iter()
             .map(|(k, p)| {
-                let free = p.free.lock().clone();
+                let free = p.free.borrow_mut().clone();
                 debug_assert_eq!(
                     free.len(),
                     self.cfg.channels_per_peer,
@@ -454,36 +461,36 @@ impl Protocol for Select {
                 (
                     *k,
                     PoolSnap {
-                        pool: Arc::clone(p),
+                        pool: Rc::clone(p),
                         sema: p.sema.snap_state(),
                         free,
                     },
                 )
             })
             .collect();
-        Some(Arc::new(SelectSnap {
-            forward: self.forward.lock().clone(),
+        Some(Rc::new(SelectSnap {
+            forward: self.forward.borrow_mut().clone(),
             pools,
-            sessions: self.sessions.lock().clone(),
-            passive_opens: self.passive_opens.load(Ordering::Relaxed),
+            sessions: self.sessions.borrow_mut().clone(),
+            passive_opens: self.passive_opens.get(),
             shepherds: self.shepherds.stats(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<SelectSnap>(blob, "select")?;
-        *self.forward.lock() = s.forward.clone();
+        *self.forward.borrow_mut() = s.forward.clone();
         {
-            let mut pools = self.pools.lock();
+            let mut pools = self.pools.borrow_mut();
             pools.clear();
             for (k, ps) in &s.pools {
                 ps.pool.sema.restore_state(ps.sema);
-                *ps.pool.free.lock() = ps.free.clone();
-                pools.insert(*k, Arc::clone(&ps.pool));
+                *ps.pool.free.borrow_mut() = ps.free.clone();
+                pools.insert(*k, Rc::clone(&ps.pool));
             }
         }
-        *self.sessions.lock() = s.sessions.clone();
-        self.passive_opens.store(s.passive_opens, Ordering::Relaxed);
+        *self.sessions.borrow_mut() = s.sessions.clone();
+        self.passive_opens.set(s.passive_opens);
         self.shepherds.restore_stats(s.shepherds);
         Ok(())
     }
@@ -494,7 +501,7 @@ impl Protocol for Select {
 }
 
 struct PoolSnap {
-    pool: Arc<ChanPool>,
+    pool: Rc<ChanPool>,
     sema: (i64, u64),
     free: Vec<SessionRef>,
 }
@@ -517,37 +524,41 @@ pub struct Rdgram {
     weak_self: Weak<Rdgram>,
     me: ProtoId,
     channel: ProtoId,
-    upper: Mutex<Option<ProtoId>>,
-    sessions: Mutex<HashMap<u32, SessionRef>>,
+    upper: RefCell<Option<ProtoId>>,
+    sessions: RefCell<HashMap<u32, SessionRef>>,
 }
 
 impl Rdgram {
     /// Creates RDGRAM above the CHANNEL protocol `channel`.
-    pub fn new(me: ProtoId, channel: ProtoId) -> Arc<Rdgram> {
-        Arc::new_cyclic(|weak_self| Rdgram {
+    pub fn new(me: ProtoId, channel: ProtoId) -> Rc<Rdgram> {
+        Rc::new_cyclic(|weak_self| Rdgram {
             weak_self: weak_self.clone(),
             me,
             channel,
-            upper: Mutex::new(None),
-            sessions: Mutex::new(HashMap::new()),
+            upper: RefCell::new(None),
+            sessions: RefCell::new(HashMap::new()),
         })
-    }
-
-    fn self_arc(&self) -> Arc<Rdgram> {
-        self.weak_self.upgrade().expect("rdgram alive")
     }
 }
 
 /// Client session: push = reliably deliver one datagram.
 pub struct RdgramSession {
-    parent: Arc<Rdgram>,
+    parent: Weak<Rdgram>,
     peer: IpAddr,
     chan: SessionRef,
 }
 
+impl RdgramSession {
+    fn parent(&self) -> Rc<Rdgram> {
+        self.parent
+            .upgrade()
+            .expect("a protocol outlives its sessions")
+    }
+}
+
 impl Session for RdgramSession {
     fn protocol_id(&self) -> ProtoId {
-        self.parent.me
+        self.parent().me
     }
 
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
@@ -588,7 +599,7 @@ impl Protocol for Rdgram {
     }
 
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
-        self.sessions.lock().clear();
+        self.sessions.borrow_mut().clear();
         Ok(())
     }
 
@@ -597,8 +608,8 @@ impl Protocol for Rdgram {
             .remote_part()
             .and_then(|p| p.host)
             .ok_or_else(|| XError::Config("rdgram open needs a peer host".into()))?;
-        if let Some(s) = self.sessions.lock().get(&peer.0) {
-            return Ok(Arc::clone(s));
+        if let Some(s) = self.sessions.borrow_mut().get(&peer.0) {
+            return Ok(Rc::clone(s));
         }
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
         let cparts = ParticipantSet::pair(
@@ -606,25 +617,25 @@ impl Protocol for Rdgram {
             Participant::host(peer),
         );
         let chan = ctx.kernel().open(ctx, self.channel, self.me, &cparts)?;
-        let s: SessionRef = Arc::new(RdgramSession {
-            parent: self.self_arc(),
+        let s: SessionRef = Rc::new(RdgramSession {
+            parent: Weak::clone(&self.weak_self),
             peer,
             chan,
         });
-        self.sessions.lock().insert(peer.0, Arc::clone(&s));
+        self.sessions.borrow_mut().insert(peer.0, Rc::clone(&s));
         Ok(s)
     }
 
     fn open_enable(&self, _ctx: &Ctx, upper: ProtoId, _parts: &ParticipantSet) -> XResult<()> {
-        *self.upper.lock() = Some(upper);
+        *self.upper.borrow_mut() = Some(upper);
         Ok(())
     }
 
     /// Server side: deliver the datagram up, then confirm with an empty
     /// reply so the sender's CHANNEL push completes.
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, msg: Message) -> XResult<()> {
-        let upper =
-            (*self.upper.lock()).ok_or_else(|| XError::NoEnable("rdgram has no upper".into()))?;
+        let upper = (*self.upper.borrow_mut())
+            .ok_or_else(|| XError::NoEnable("rdgram has no upper".into()))?;
         ctx.kernel().demux_to(ctx, upper, lls, msg)?;
         ctx.charge_layer_call();
         lls.push(ctx, ctx.empty_msg())?;
@@ -632,16 +643,16 @@ impl Protocol for Rdgram {
     }
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        Some(Arc::new(RdgramSnap {
-            upper: *self.upper.lock(),
-            sessions: self.sessions.lock().clone(),
+        Some(Rc::new(RdgramSnap {
+            upper: *self.upper.borrow_mut(),
+            sessions: self.sessions.borrow_mut().clone(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<RdgramSnap>(blob, "rdgram")?;
-        *self.upper.lock() = s.upper;
-        *self.sessions.lock() = s.sessions.clone();
+        *self.upper.borrow_mut() = s.upper;
+        *self.sessions.borrow_mut() = s.sessions.clone();
         Ok(())
     }
 

@@ -27,7 +27,7 @@
 //! 256 ≪ 65,536): `eth_type::VIP_BASE + p`.
 
 use std::any::Any;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use xkernel::prelude::*;
 
@@ -98,8 +98,8 @@ pub struct Vip {
 
 impl Vip {
     /// Creates VIP over `ip` and `eth`, using `arp` as the locality oracle.
-    pub fn new(me: ProtoId, ip: ProtoId, eth: ProtoId, arp: ProtoId) -> Arc<Vip> {
-        Arc::new(Vip { me, ip, eth, arp })
+    pub fn new(me: ProtoId, ip: ProtoId, eth: ProtoId, arp: ProtoId) -> Rc<Vip> {
+        Rc::new(Vip { me, ip, eth, arp })
     }
 }
 
@@ -206,7 +206,7 @@ impl Protocol for Vip {
             (false, true) => "open: eth=false ip=true",
             (false, false) => "open: eth=false ip=false",
         });
-        Ok(Arc::new(VipSession {
+        Ok(Rc::new(VipSession {
             proto: self.me,
             peer: dst,
             my_ip,
@@ -271,8 +271,8 @@ pub struct VipAddr {
 
 impl VipAddr {
     /// Creates VIPADDR over `ip` and `eth`, with `arp` as locality oracle.
-    pub fn new(me: ProtoId, ip: ProtoId, eth: ProtoId, arp: ProtoId) -> Arc<VipAddr> {
-        Arc::new(VipAddr { me, ip, eth, arp })
+    pub fn new(me: ProtoId, ip: ProtoId, eth: ProtoId, arp: ProtoId) -> Rc<VipAddr> {
+        Rc::new(VipAddr { me, ip, eth, arp })
     }
 }
 
@@ -354,8 +354,8 @@ pub struct VipSize {
 impl VipSize {
     /// Creates VIPSIZE selecting between `fragment` and `direct` (usually
     /// VIPADDR).
-    pub fn new(me: ProtoId, fragment: ProtoId, direct: ProtoId) -> Arc<VipSize> {
-        Arc::new(VipSize {
+    pub fn new(me: ProtoId, fragment: ProtoId, direct: ProtoId) -> Rc<VipSize> {
+        Rc::new(VipSize {
             me,
             fragment,
             direct,
@@ -433,7 +433,7 @@ impl Protocol for VipSize {
             .unwrap_or(ETH_MTU);
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
         ctx.trace_note("open: size-selected");
-        Ok(Arc::new(VipSizeSession {
+        Ok(Rc::new(VipSizeSession {
             proto: self.me,
             peer: dst,
             frag,

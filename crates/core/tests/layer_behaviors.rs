@@ -3,9 +3,9 @@
 //! protocol with large messages (both sessions open), and the step-function
 //! timeout plumbing.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use inet::testbed::{base_registry, two_hosts, TwoHosts};
 use inet::with_concrete;
@@ -31,7 +31,7 @@ fn warm(tb: &TwoHosts, entry: &'static str) {
     let server_ip = tb.server_ip;
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
-        xrpc::call(ctx, &k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
+        xrpc::call(ctx, k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
     });
     assert_eq!(tb.sim.run_until_idle().blocked, 0);
 }
@@ -49,7 +49,7 @@ fn channel_rtt_estimator_converges() {
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         for _ in 0..10 {
-            xrpc::call(ctx, &k, "select", server_ip, NULL_PROC, Vec::new()).unwrap();
+            xrpc::call(ctx, k, "select", server_ip, NULL_PROC, Vec::new()).unwrap();
         }
     });
     tb.sim.run_until_idle();
@@ -69,11 +69,11 @@ fn slow_server_elicits_explicit_ack_not_reexecution() {
     // ("still working"), the client keeps waiting, and the procedure runs
     // exactly once.
     let tb = rig(L_RPC_VIP.graph);
-    let hits = Arc::new(Mutex::new(0u32));
-    let h2 = Arc::clone(&hits);
+    let hits = Rc::new(RefCell::new(0u32));
+    let h2 = Rc::clone(&hits);
     let base = xrpc::channel::ChanConfig::default().base_timeout_ns;
     xrpc::serve(&tb.server, "select", 5, move |ctx, _| {
-        *h2.lock() += 1;
+        *h2.borrow_mut() += 1;
         ctx.sleep(base * 3); // Three timeout periods of "work".
         Ok(ctx.empty_msg())
     })
@@ -82,23 +82,23 @@ fn slow_server_elicits_explicit_ack_not_reexecution() {
     warm(&tb, "select");
 
     let server_ip = tb.server_ip;
-    let done = Arc::new(Mutex::new(false));
-    let d2 = Arc::clone(&done);
-    let elapsed = Arc::new(Mutex::new(0u64));
-    let e2 = Arc::clone(&elapsed);
+    let done = Rc::new(RefCell::new(false));
+    let d2 = Rc::clone(&done);
+    let elapsed = Rc::new(RefCell::new(0u64));
+    let e2 = Rc::clone(&elapsed);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         let t0 = ctx.now();
-        xrpc::call(ctx, &k, "select", server_ip, 5, Vec::new()).unwrap();
-        *e2.lock() = ctx.now() - t0;
-        *d2.lock() = true;
+        xrpc::call(ctx, k, "select", server_ip, 5, Vec::new()).unwrap();
+        *e2.borrow_mut() = ctx.now() - t0;
+        *d2.borrow_mut() = true;
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    assert!(*done.lock(), "the slow call completed");
-    assert_eq!(*hits.lock(), 1, "the ACK suppressed re-execution");
+    assert!(*done.borrow_mut(), "the slow call completed");
+    assert_eq!(*hits.borrow_mut(), 1, "the ACK suppressed re-execution");
     assert!(
-        *elapsed.lock() >= base * 3,
+        *elapsed.borrow_mut() >= base * 3,
         "the client genuinely waited through the service time"
     );
 }
@@ -137,10 +137,10 @@ fn channel_step_timeout_grows_with_fragment_count() {
 #[test]
 fn mrpc_recovers_multifragment_request_exactly_once() {
     let tb = rig(M_RPC_VIP.graph);
-    let hits = Arc::new(Mutex::new(0u32));
-    let h2 = Arc::clone(&hits);
+    let hits = Rc::new(RefCell::new(0u32));
+    let h2 = Rc::clone(&hits);
     xrpc::serve(&tb.server, "mrpc", 5, move |_ctx, msg| {
-        *h2.lock() += 1;
+        *h2.borrow_mut() += 1;
         Ok(msg)
     })
     .unwrap();
@@ -152,22 +152,22 @@ fn mrpc_recovers_multifragment_request_exactly_once() {
     tb.net
         .set_faults(tb.lan, FaultPlan::drop_exactly([base + 1]));
     let server_ip = tb.server_ip;
-    let out: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-    let o2 = Arc::clone(&out);
+    let out: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
+    let o2 = Rc::clone(&out);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         let body: Vec<u8> = (0..8000).map(|i| (i % 251) as u8).collect();
-        let echoed = xrpc::call(ctx, &k, "mrpc", server_ip, 5, body.clone()).unwrap();
-        *o2.lock() = Some(echoed);
+        let echoed = xrpc::call(ctx, k, "mrpc", server_ip, 5, body.clone()).unwrap();
+        *o2.borrow_mut() = Some(echoed);
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
     assert_eq!(
-        out.lock().take().unwrap().len(),
+        out.borrow_mut().take().unwrap().len(),
         8000,
         "full echo despite the dropped fragment"
     );
-    assert_eq!(*hits.lock(), 1, "executed exactly once");
+    assert_eq!(*hits.borrow_mut(), 1, "executed exactly once");
     // Recovery budget: 6 request frags (1 lost) + full retransmit round
     // bounded by 6 + ACK traffic + 6 reply frags. Anything wildly above
     // means the partial-retransmission machinery regressed.
@@ -183,10 +183,10 @@ fn mrpc_duplicate_reply_suppressed_after_reply_loss() {
     // Lose the reply: the client retransmits the request, the server
     // resends the *saved* reply without re-executing.
     let tb = rig(M_RPC_VIP.graph);
-    let hits = Arc::new(Mutex::new(0u32));
-    let h2 = Arc::clone(&hits);
+    let hits = Rc::new(RefCell::new(0u32));
+    let h2 = Rc::clone(&hits);
     xrpc::serve(&tb.server, "mrpc", 5, move |ctx, _| {
-        *h2.lock() += 1;
+        *h2.borrow_mut() += 1;
         Ok(ctx.msg(b"result".to_vec()))
     })
     .unwrap();
@@ -198,16 +198,16 @@ fn mrpc_duplicate_reply_suppressed_after_reply_loss() {
     tb.net
         .set_faults(tb.lan, FaultPlan::drop_exactly([base + 1]));
     let server_ip = tb.server_ip;
-    let out: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-    let o2 = Arc::clone(&out);
+    let out: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
+    let o2 = Rc::clone(&out);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
-        let got = xrpc::call(ctx, &k, "mrpc", server_ip, 5, Vec::new()).unwrap();
-        *o2.lock() = Some(got);
+        let got = xrpc::call(ctx, k, "mrpc", server_ip, 5, Vec::new()).unwrap();
+        *o2.borrow_mut() = Some(got);
     });
     tb.sim.run_until_idle();
-    assert_eq!(out.lock().take().unwrap(), b"result");
-    assert_eq!(*hits.lock(), 1, "saved reply resent; no re-execution");
+    assert_eq!(out.borrow_mut().take().unwrap(), b"result");
+    assert_eq!(*hits.borrow_mut(), 1, "saved reply resent; no re-execution");
 }
 
 // ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ fn vip_opens_both_sessions_for_udp_and_routes_by_size() {
     let mut reg = registry();
     struct Recorder {
         me: ProtoId,
-        got: Mutex<Vec<usize>>,
+        got: RefCell<Vec<usize>>,
     }
     impl Protocol for Recorder {
         fn name(&self) -> &'static str {
@@ -238,7 +238,7 @@ fn vip_opens_both_sessions_for_udp_and_routes_by_size() {
             Ok(())
         }
         fn demux(&self, _ctx: &Ctx, _lls: &SessionRef, msg: Message) -> XResult<()> {
-            self.got.lock().push(msg.len());
+            self.got.borrow_mut().push(msg.len());
             Ok(())
         }
         fn as_any(&self) -> &dyn std::any::Any {
@@ -246,9 +246,9 @@ fn vip_opens_both_sessions_for_udp_and_routes_by_size() {
         }
     }
     reg.add("recorder", |a| {
-        Ok(Arc::new(Recorder {
+        Ok(Rc::new(Recorder {
             me: a.me,
-            got: Mutex::new(Vec::new()),
+            got: RefCell::new(Vec::new()),
         }) as ProtocolRef)
     });
     let graph = "vip -> ip eth arp\n\
@@ -276,9 +276,10 @@ fn vip_opens_both_sessions_for_udp_and_routes_by_size() {
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    let got =
-        inet::with_concrete::<Recorder, _>(&tb.server, "recorder", |rc| rc.got.lock().clone())
-            .unwrap();
+    let got = inet::with_concrete::<Recorder, _>(&tb.server, "recorder", |rc| {
+        rc.got.borrow_mut().clone()
+    })
+    .unwrap();
     assert_eq!(got, vec![100, 6000], "both sizes delivered intact");
     let notes = tb.sim.trace_notes();
     assert!(
@@ -302,18 +303,18 @@ fn forwarding_to_dead_backend_reports_remote_error() {
     })
     .unwrap();
     let server_ip = tb.server_ip;
-    let err: Arc<Mutex<Option<XError>>> = Arc::new(Mutex::new(None));
-    let e2 = Arc::clone(&err);
+    let err: Rc<RefCell<Option<XError>>> = Rc::new(RefCell::new(None));
+    let e2 = Rc::clone(&err);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
-        *e2.lock() = xrpc::call(ctx, &k, "select", server_ip, 9, Vec::new()).err();
+        *e2.borrow_mut() = xrpc::call(ctx, k, "select", server_ip, 9, Vec::new()).err();
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
     assert!(
-        matches!(*err.lock(), Some(XError::Remote(_))),
+        matches!(*err.borrow_mut(), Some(XError::Remote(_))),
         "forward failure surfaces as a remote status, got {:?}",
-        err.lock()
+        err.borrow_mut()
     );
 }
 
@@ -327,18 +328,19 @@ fn messages_beyond_sixteen_fragments_are_rejected_cleanly() {
     xrpc::procs::register_standard(&tb.server, "select").unwrap();
     warm(&tb, "select");
     let server_ip = tb.server_ip;
-    let err: Arc<Mutex<Option<XError>>> = Arc::new(Mutex::new(None));
-    let e2 = Arc::clone(&err);
+    let err: Rc<RefCell<Option<XError>>> = Rc::new(RefCell::new(None));
+    let e2 = Rc::clone(&err);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         // Far beyond 16 fragments of ~1.4k.
-        *e2.lock() = xrpc::call(ctx, &k, "select", server_ip, ECHO_PROC, vec![0u8; 64_000]).err();
+        *e2.borrow_mut() =
+            xrpc::call(ctx, k, "select", server_ip, ECHO_PROC, vec![0u8; 64_000]).err();
     });
     tb.sim.run_until_idle();
     assert!(
-        matches!(*err.lock(), Some(XError::TooBig { .. })),
+        matches!(*err.borrow_mut(), Some(XError::TooBig { .. })),
         "got {:?}",
-        err.lock()
+        err.borrow_mut()
     );
 }
 
@@ -374,8 +376,8 @@ fn set_timeout_and_peer_boot_id_controls() {
     let tb = rig(L_RPC_VIP.graph);
     xrpc::procs::register_standard(&tb.server, "select").unwrap();
     warm(&tb, "select");
-    let done = Arc::new(Mutex::new(false));
-    let d2 = Arc::clone(&done);
+    let done = Rc::new(RefCell::new(false));
+    let d2 = Rc::clone(&done);
     let server = Arc::clone(&tb.server);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
@@ -397,11 +399,11 @@ fn set_timeout_and_peer_boot_id_controls() {
             .u32()
             .unwrap();
         assert_eq!(observed, server_boot, "peer boot id learned from replies");
-        *d2.lock() = true;
+        *d2.borrow_mut() = true;
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    assert!(*done.lock());
+    assert!(*done.borrow_mut());
 }
 
 // ---------------------------------------------------------------------------
@@ -411,10 +413,10 @@ fn set_timeout_and_peer_boot_id_controls() {
 #[test]
 fn channel_resends_saved_reply_without_reexecution() {
     let tb = rig(L_RPC_VIP.graph);
-    let hits = Arc::new(Mutex::new(0u32));
-    let h2 = Arc::clone(&hits);
+    let hits = Rc::new(RefCell::new(0u32));
+    let h2 = Rc::clone(&hits);
     xrpc::serve(&tb.server, "select", 5, move |ctx, _| {
-        *h2.lock() += 1;
+        *h2.borrow_mut() += 1;
         Ok(ctx.msg(b"layered result".to_vec()))
     })
     .unwrap();
@@ -426,16 +428,16 @@ fn channel_resends_saved_reply_without_reexecution() {
     tb.net
         .set_faults(tb.lan, FaultPlan::drop_exactly([base + 1]));
     let server_ip = tb.server_ip;
-    let out: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-    let o2 = Arc::clone(&out);
+    let out: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
+    let o2 = Rc::clone(&out);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
-        let got = xrpc::call(ctx, &k, "select", server_ip, 5, Vec::new()).unwrap();
-        *o2.lock() = Some(got);
+        let got = xrpc::call(ctx, k, "select", server_ip, 5, Vec::new()).unwrap();
+        *o2.borrow_mut() = Some(got);
     });
     tb.sim.run_until_idle();
-    assert_eq!(out.lock().take().unwrap(), b"layered result");
-    assert_eq!(*hits.lock(), 1, "CHANNEL resent its saved reply");
+    assert_eq!(out.borrow_mut().take().unwrap(), b"layered result");
+    assert_eq!(*hits.borrow_mut(), 1, "CHANNEL resent its saved reply");
     // The resend is visible in the robustness counters: the client's timer
     // fired and retransmitted; the server recognised the old sequence
     // number and answered from the saved reply instead of re-executing.
@@ -455,10 +457,10 @@ fn channel_suppresses_duplicate_faulted_requests() {
     // suppression branches — ACK-while-executing, saved-reply resend, or
     // drop — and the procedure still executes exactly once per call.
     let tb = rig(L_RPC_VIP.graph);
-    let hits = Arc::new(Mutex::new(0u32));
-    let h2 = Arc::clone(&hits);
+    let hits = Rc::new(RefCell::new(0u32));
+    let h2 = Rc::clone(&hits);
     xrpc::serve(&tb.server, "select", 5, move |_ctx, msg| {
-        *h2.lock() += 1;
+        *h2.borrow_mut() += 1;
         Ok(msg)
     })
     .unwrap();
@@ -478,14 +480,14 @@ fn channel_suppresses_duplicate_faulted_requests() {
         let k = ctx.kernel();
         for i in 0..calls {
             let body = vec![i as u8; 16];
-            let got = xrpc::call(ctx, &k, "select", server_ip, 5, body.clone()).unwrap();
+            let got = xrpc::call(ctx, k, "select", server_ip, 5, body.clone()).unwrap();
             assert_eq!(got, body, "reply matches its request");
         }
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
     assert_eq!(
-        *hits.lock(),
+        *hits.borrow_mut(),
         calls,
         "at-most-once despite duplicated requests"
     );
@@ -563,18 +565,18 @@ fn jittered_wire_is_still_deterministic() {
             },
         );
         let server_ip = tb.server_ip;
-        let done = Arc::new(Mutex::new(0u32));
-        let d2 = Arc::clone(&done);
+        let done = Rc::new(RefCell::new(0u32));
+        let d2 = Rc::clone(&done);
         tb.sim.spawn(tb.client.host(), move |ctx| {
             let k = ctx.kernel();
             for _ in 0..6 {
-                xrpc::call(ctx, &k, "select", server_ip, ECHO_PROC, vec![7u8; 3000]).unwrap();
+                xrpc::call(ctx, k, "select", server_ip, ECHO_PROC, vec![7u8; 3000]).unwrap();
             }
-            *d2.lock() = 6;
+            *d2.borrow_mut() = 6;
         });
         let r = tb.sim.run_until_idle();
         assert_eq!(r.blocked, 0);
-        let count = *done.lock();
+        let count = *done.borrow_mut();
         (r.ended_at, count)
     }
     assert_eq!(run(1234), run(1234), "same seed, same jittered schedule");

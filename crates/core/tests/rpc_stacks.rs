@@ -5,9 +5,9 @@
 //! blocking, forwarding SELECT, reliable datagrams, and the virtual
 //! protocols' routing decisions.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use inet::testbed::{base_registry, lan_hosts, routed_pair, two_hosts, TwoHosts};
 use inet::with_concrete;
@@ -41,7 +41,7 @@ fn rpc_rig(stack: &StackDef, mode: Mode) -> TwoHosts {
 }
 
 /// Runs `f` as a client process and waits for the simulation to drain.
-fn run_client(tb: &TwoHosts, f: impl FnOnce(&Ctx) + Send + 'static) {
+fn run_client(tb: &TwoHosts, f: impl FnOnce(&Ctx) + 'static) {
     match tb.sim.mode() {
         Mode::Inline => f(&tb.sim.ctx(tb.client.host())),
         Mode::Scheduled => {
@@ -64,16 +64,16 @@ fn null_and_echo(stack: &'static StackDef, mode: Mode) {
     let tb = rpc_rig(stack, mode);
     let server_ip = tb.server_ip;
     let entry = stack.entry;
-    let results: Arc<Mutex<Vec<Vec<u8>>>> = Arc::new(Mutex::new(Vec::new()));
-    let r2 = Arc::clone(&results);
+    let results: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(Vec::new()));
+    let r2 = Rc::clone(&results);
     run_client(&tb, move |ctx| {
         let k = ctx.kernel();
-        let null = xrpc::call(ctx, &k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
-        r2.lock().push(null);
-        let echoed = xrpc::call(ctx, &k, entry, server_ip, ECHO_PROC, pattern(300)).unwrap();
-        r2.lock().push(echoed);
+        let null = xrpc::call(ctx, k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
+        r2.borrow_mut().push(null);
+        let echoed = xrpc::call(ctx, k, entry, server_ip, ECHO_PROC, pattern(300)).unwrap();
+        r2.borrow_mut().push(echoed);
     });
-    let got = results.lock();
+    let got = results.borrow_mut();
     assert_eq!(got[0], Vec::<u8>::new(), "{}: null reply", stack.name);
     assert_eq!(got[1], pattern(300), "{}: echo reply", stack.name);
 }
@@ -100,15 +100,15 @@ fn large_echo(stack: &'static StackDef, size: usize, mode: Mode) {
     let tb = rpc_rig(stack, mode);
     let server_ip = tb.server_ip;
     let entry = stack.entry;
-    let out: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-    let o2 = Arc::clone(&out);
+    let out: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
+    let o2 = Rc::clone(&out);
     run_client(&tb, move |ctx| {
         let k = ctx.kernel();
-        let echoed = xrpc::call(ctx, &k, entry, server_ip, ECHO_PROC, pattern(size)).unwrap();
-        *o2.lock() = Some(echoed);
+        let echoed = xrpc::call(ctx, k, entry, server_ip, ECHO_PROC, pattern(size)).unwrap();
+        *o2.borrow_mut() = Some(echoed);
     });
     assert_eq!(
-        out.lock().take().unwrap(),
+        out.borrow_mut().take().unwrap(),
         pattern(size),
         "{}: {size}-byte echo",
         stack.name
@@ -136,7 +136,7 @@ fn sixteen_k_uses_many_wire_frames() {
     let server_ip = tb.server_ip;
     run_client(&tb, move |ctx| {
         let k = ctx.kernel();
-        xrpc::call(ctx, &k, "select", server_ip, SINK_PROC, pattern(16_000)).unwrap();
+        xrpc::call(ctx, k, "select", server_ip, SINK_PROC, pattern(16_000)).unwrap();
     });
     let stats = tb.net.stats(tb.lan);
     assert!(
@@ -155,32 +155,33 @@ fn at_most_once(stack: &'static StackDef, faults: FaultPlan, calls: usize) {
     let server_ip = tb.server_ip;
     let entry = stack.entry;
     // A procedure with a side effect: increments and returns the count.
-    let counter = Arc::new(Mutex::new(0u32));
-    let c2 = Arc::clone(&counter);
+    let counter = Rc::new(RefCell::new(0u32));
+    let c2 = Rc::clone(&counter);
     xrpc::serve(&tb.server, entry, 7, move |_ctx, _msg| {
-        let mut c = c2.lock();
+        let mut c = c2.borrow_mut();
         *c += 1;
         Ok(Message::from_user(c.to_be_bytes().to_vec()))
     })
     .unwrap();
     tb.net.set_faults(tb.lan, faults);
 
-    let seen: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
-    let s2 = Arc::clone(&seen);
+    let seen: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
+    let s2 = Rc::clone(&seen);
     run_client(&tb, move |ctx| {
         let k = ctx.kernel();
         for _ in 0..calls {
-            let r = xrpc::call(ctx, &k, entry, server_ip, 7, vec![1, 2, 3]).unwrap();
-            s2.lock().push(u32::from_be_bytes([r[0], r[1], r[2], r[3]]));
+            let r = xrpc::call(ctx, k, entry, server_ip, 7, vec![1, 2, 3]).unwrap();
+            s2.borrow_mut()
+                .push(u32::from_be_bytes([r[0], r[1], r[2], r[3]]));
         }
     });
     assert_eq!(
-        *counter.lock(),
+        *counter.borrow_mut(),
         calls as u32,
         "{}: each request executed exactly once despite retransmissions",
         stack.name
     );
-    let replies = seen.lock();
+    let replies = seen.borrow_mut();
     assert_eq!(
         *replies,
         (1..=calls as u32).collect::<Vec<_>>(),
@@ -224,20 +225,20 @@ fn unreachable_server_times_out_cleanly() {
     let tb = rpc_rig(&L_RPC_VIP, Mode::Scheduled);
     let server_ip = tb.server_ip;
     // Warm the path, then black-hole everything.
-    let err: Arc<Mutex<Option<XError>>> = Arc::new(Mutex::new(None));
-    let e2 = Arc::clone(&err);
+    let err: Rc<RefCell<Option<XError>>> = Rc::new(RefCell::new(None));
+    let e2 = Rc::clone(&err);
     let net = tb.net.clone();
     let lan = tb.lan;
     run_client(&tb, move |ctx| {
         let k = ctx.kernel();
-        xrpc::call(ctx, &k, "select", server_ip, NULL_PROC, Vec::new()).unwrap();
+        xrpc::call(ctx, k, "select", server_ip, NULL_PROC, Vec::new()).unwrap();
         net.set_faults(lan, FaultPlan::lossy(1000));
-        *e2.lock() = xrpc::call(ctx, &k, "select", server_ip, NULL_PROC, Vec::new()).err();
+        *e2.borrow_mut() = xrpc::call(ctx, k, "select", server_ip, NULL_PROC, Vec::new()).err();
     });
     assert!(
-        matches!(*err.lock(), Some(XError::Timeout(_))),
+        matches!(*err.borrow_mut(), Some(XError::Timeout(_))),
         "black-holed RPC must time out, got {:?}",
-        err.lock()
+        err.borrow_mut()
     );
 }
 
@@ -245,13 +246,13 @@ fn unreachable_server_times_out_cleanly() {
 fn unknown_procedure_is_a_fast_remote_error() {
     let tb = rpc_rig(&L_RPC_VIP, Mode::Scheduled);
     let server_ip = tb.server_ip;
-    let err: Arc<Mutex<Option<XError>>> = Arc::new(Mutex::new(None));
-    let e2 = Arc::clone(&err);
+    let err: Rc<RefCell<Option<XError>>> = Rc::new(RefCell::new(None));
+    let e2 = Rc::clone(&err);
     run_client(&tb, move |ctx| {
         let k = ctx.kernel();
-        *e2.lock() = xrpc::call(ctx, &k, "select", server_ip, 999, Vec::new()).err();
+        *e2.borrow_mut() = xrpc::call(ctx, k, "select", server_ip, 999, Vec::new()).err();
     });
-    assert!(matches!(*err.lock(), Some(XError::Remote(_))));
+    assert!(matches!(*err.borrow_mut(), Some(XError::Remote(_))));
 }
 
 // ---------------------------------------------------------------------------
@@ -265,24 +266,24 @@ fn fragment_nack_recovers_dropped_fragment() {
     // Warm up (ARP + session creation) with one small call.
     run_client(&tb, move |ctx| {
         let k = ctx.kernel();
-        xrpc::call(ctx, &k, "select", server_ip, NULL_PROC, Vec::new()).unwrap();
+        xrpc::call(ctx, k, "select", server_ip, NULL_PROC, Vec::new()).unwrap();
     });
     let base = tb.net.stats(tb.lan).sent;
     // Drop the 3rd data fragment of the next (multi-fragment) request.
     tb.net
         .set_faults(tb.lan, FaultPlan::drop_exactly([base + 2]));
-    let out: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-    let elapsed: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
-    let o2 = Arc::clone(&out);
-    let e2 = Arc::clone(&elapsed);
+    let out: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
+    let elapsed: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
+    let o2 = Rc::clone(&out);
+    let e2 = Rc::clone(&elapsed);
     run_client(&tb, move |ctx| {
         let k = ctx.kernel();
         let t0 = ctx.now();
-        let r = xrpc::call(ctx, &k, "select", server_ip, ECHO_PROC, pattern(8000)).unwrap();
-        *e2.lock() = ctx.now() - t0;
-        *o2.lock() = Some(r);
+        let r = xrpc::call(ctx, k, "select", server_ip, ECHO_PROC, pattern(8000)).unwrap();
+        *e2.borrow_mut() = ctx.now() - t0;
+        *o2.borrow_mut() = Some(r);
     });
-    assert_eq!(out.lock().take().unwrap(), pattern(8000));
+    assert_eq!(out.borrow_mut().take().unwrap(), pattern(8000));
     // Persistence, not retransmit-everything: the recovery must be a NACK
     // plus one re-sent fragment, not a full 6-fragment resend. Budget:
     // 6 request frags + nack + 1 resend + 6 echo-reply frags + slack.
@@ -300,7 +301,7 @@ fn fragment_nack_recovers_dropped_fragment() {
         assert_eq!(f.stats().nacks_received, 1);
     })
     .unwrap();
-    let elapsed = *elapsed.lock();
+    let elapsed = *elapsed.borrow_mut();
     assert!(
         elapsed < xrpc::channel::ChanConfig::default().base_timeout_ns,
         "FRAGMENT recovered below CHANNEL's timeout ({elapsed} ns)"
@@ -324,9 +325,9 @@ fn fragment_gives_up_after_nack_retries_exhausted() {
         let frag = k.lookup("fragment").unwrap();
         let rec = k
             .register("recorder", |me| {
-                Ok(Arc::new(Recorder {
+                Ok(Rc::new(Recorder {
                     me,
-                    got: Mutex::new(Vec::new()),
+                    got: RefCell::new(Vec::new()),
                 }) as ProtocolRef)
             })
             .unwrap();
@@ -397,17 +398,17 @@ fn select_blocks_when_all_channels_busy() {
         Ok(Message::empty())
     })
     .unwrap();
-    let done = Arc::new(Mutex::new(0usize));
+    let done = Rc::new(RefCell::new(0usize));
     for _ in 0..5 {
-        let d = Arc::clone(&done);
+        let d = Rc::clone(&done);
         tb.sim.spawn(tb.client.host(), move |ctx| {
             let k = ctx.kernel();
-            xrpc::call(ctx, &k, "select", server_ip, 5, Vec::new()).unwrap();
-            *d.lock() += 1;
+            xrpc::call(ctx, k, "select", server_ip, 5, Vec::new()).unwrap();
+            *d.borrow_mut() += 1;
         });
     }
     let r = tb.sim.run_until_idle();
-    assert_eq!(*done.lock(), 5, "all callers eventually complete");
+    assert_eq!(*done.borrow_mut(), 5, "all callers eventually complete");
     assert_eq!(r.blocked, 0);
     with_concrete::<Select, _>(&tb.client, "select", |s| {
         assert_eq!(
@@ -442,17 +443,17 @@ fn forwarding_select_redirects_to_backend() {
     })
     .unwrap();
 
-    let out: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-    let o2 = Arc::clone(&out);
+    let out: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
+    let o2 = Rc::clone(&out);
     let h0 = rig.kernels[0].host();
     rig.sim.spawn(h0, move |ctx| {
         let k = ctx.kernel();
-        let r = xrpc::call(ctx, &k, "select", frontend_ip, 9, b"hi".to_vec()).unwrap();
-        *o2.lock() = Some(r);
+        let r = xrpc::call(ctx, k, "select", frontend_ip, 9, b"hi".to_vec()).unwrap();
+        *o2.borrow_mut() = Some(r);
     });
     let r = rig.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    assert_eq!(out.lock().take().unwrap(), b"hi!".to_vec());
+    assert_eq!(out.borrow_mut().take().unwrap(), b"hi!".to_vec());
     // Traffic crossed both hops of the single LAN: client→frontend→backend.
     assert!(rig.net.stats(rig.lan).sent >= 4);
 }
@@ -464,7 +465,7 @@ fn forwarding_select_redirects_to_backend() {
 /// A demux-only recorder used above RDGRAM.
 struct Recorder {
     me: ProtoId,
-    got: Mutex<Vec<Vec<u8>>>,
+    got: RefCell<Vec<Vec<u8>>>,
 }
 
 impl Protocol for Recorder {
@@ -481,7 +482,7 @@ impl Protocol for Recorder {
         Ok(())
     }
     fn demux(&self, _ctx: &Ctx, _lls: &SessionRef, msg: Message) -> XResult<()> {
-        self.got.lock().push(msg.to_vec());
+        self.got.borrow_mut().push(msg.to_vec());
         Ok(())
     }
     fn as_any(&self) -> &dyn std::any::Any {
@@ -493,9 +494,9 @@ impl Protocol for Recorder {
 fn rdgram_delivers_exactly_once_in_order_under_loss() {
     let mut reg = registry();
     reg.add("recorder", |a| {
-        Ok(Arc::new(Recorder {
+        Ok(Rc::new(Recorder {
             me: a.me,
-            got: Mutex::new(Vec::new()),
+            got: RefCell::new(Vec::new()),
         }) as ProtocolRef)
     });
     let graph = "vip -> ip eth arp\n\
@@ -524,8 +525,8 @@ fn rdgram_delivers_exactly_once_in_order_under_loss() {
             sess.push(ctx, Message::from_user(vec![i; 40])).unwrap();
         }
     });
-    let got =
-        with_concrete::<Recorder, _>(&tb.server, "recorder", |r| r.got.lock().clone()).unwrap();
+    let got = with_concrete::<Recorder, _>(&tb.server, "recorder", |r| r.got.borrow_mut().clone())
+        .unwrap();
     let expect: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i; 40]).collect();
     assert_eq!(got, expect, "reliable, ordered, exactly-once datagrams");
 }
@@ -546,7 +547,7 @@ fn vip_chooses_raw_ethernet_for_local_peer() {
     let server_ip = tb.server_ip;
     run_client(&tb, move |ctx| {
         let k = ctx.kernel();
-        xrpc::call(ctx, &k, "mrpc", server_ip, NULL_PROC, Vec::new()).unwrap();
+        xrpc::call(ctx, k, "mrpc", server_ip, NULL_PROC, Vec::new()).unwrap();
     });
     let notes = tb.sim.trace_notes();
     assert!(
@@ -561,16 +562,16 @@ fn vip_chooses_ip_for_remote_peer_through_router() {
     let rp = routed_pair(SimConfig::scheduled().with_trace(), &reg, M_RPC_VIP.graph).unwrap();
     xrpc::procs::register_standard(&rp.server, "mrpc").unwrap();
     let server_ip = rp.server_ip;
-    let out: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-    let o2 = Arc::clone(&out);
+    let out: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
+    let o2 = Rc::clone(&out);
     rp.sim.spawn(rp.client.host(), move |ctx| {
         let k = ctx.kernel();
-        let r = xrpc::call(ctx, &k, "mrpc", server_ip, ECHO_PROC, pattern(64)).unwrap();
-        *o2.lock() = Some(r);
+        let r = xrpc::call(ctx, k, "mrpc", server_ip, ECHO_PROC, pattern(64)).unwrap();
+        *o2.borrow_mut() = Some(r);
     });
     let r = rp.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    assert_eq!(out.lock().take().unwrap(), pattern(64));
+    assert_eq!(out.borrow_mut().take().unwrap(), pattern(64));
     let notes = rp.sim.trace_notes();
     assert!(
         notes.iter().any(|(_, n)| *n == "open: eth=false ip=true"),
@@ -591,7 +592,7 @@ fn vip_adds_no_header_bytes_for_local_small_messages() {
         let server_ip = tb.server_ip;
         run_client(&tb, move |ctx| {
             let k = ctx.kernel();
-            xrpc::call(ctx, &k, stack.entry, server_ip, NULL_PROC, Vec::new()).unwrap();
+            xrpc::call(ctx, k, stack.entry, server_ip, NULL_PROC, Vec::new()).unwrap();
         });
         tb.net.stats(tb.lan).bytes
     }
@@ -608,7 +609,7 @@ fn vipsize_bypasses_fragment_for_small_messages() {
     let server_ip = tb.server_ip;
     run_client(&tb, move |ctx| {
         let k = ctx.kernel();
-        xrpc::call(ctx, &k, "select", server_ip, NULL_PROC, Vec::new()).unwrap();
+        xrpc::call(ctx, k, "select", server_ip, NULL_PROC, Vec::new()).unwrap();
     });
     // Small request + reply: the client FRAGMENT layer never saw the
     // message at all.
@@ -619,7 +620,7 @@ fn vipsize_bypasses_fragment_for_small_messages() {
     // And a large message *does* engage FRAGMENT.
     run_client(&tb, move |ctx| {
         let k = ctx.kernel();
-        xrpc::call(ctx, &k, "select", server_ip, SINK_PROC, pattern(6000)).unwrap();
+        xrpc::call(ctx, k, "select", server_ip, SINK_PROC, pattern(6000)).unwrap();
     });
     with_concrete::<Fragment, _>(&tb.client, "fragment", |f| {
         let st = f.stats();
@@ -659,19 +660,19 @@ fn table3_partial_stacks_echo() {
             kernels.push(k);
         }
         let server_ip = IpAddr::new(10, 0, 0, 2);
-        let out: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-        let o2 = Arc::clone(&out);
+        let out: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
+        let o2 = Rc::clone(&out);
         let client = Arc::clone(&kernels[0]);
         sim.spawn(client.host(), move |ctx| {
-            with_concrete::<Pinger, _>(&ctx.kernel(), "pinger", |p| {
+            with_concrete::<Pinger, _>(ctx.kernel(), "pinger", |p| {
                 let echoed = p.rtt(ctx, server_ip, pattern(32)).unwrap();
-                *o2.lock() = Some(echoed);
+                *o2.borrow_mut() = Some(echoed);
             })
             .unwrap();
         });
         let r = sim.run_until_idle();
         assert_eq!(r.blocked, 0, "{name}");
-        assert_eq!(out.lock().take().unwrap(), pattern(32), "{name}");
+        assert_eq!(out.borrow_mut().take().unwrap(), pattern(32), "{name}");
     }
 }
 
@@ -683,17 +684,17 @@ fn table3_partial_stacks_echo() {
 fn client_reincarnation_resets_server_state() {
     let tb = rpc_rig(&L_RPC_VIP, Mode::Scheduled);
     let server_ip = tb.server_ip;
-    let counter = Arc::new(Mutex::new(0u32));
-    let c2 = Arc::clone(&counter);
+    let counter = Rc::new(RefCell::new(0u32));
+    let c2 = Rc::clone(&counter);
     xrpc::serve(&tb.server, "select", 7, move |_ctx, _msg| {
-        *c2.lock() += 1;
+        *c2.borrow_mut() += 1;
         Ok(Message::empty())
     })
     .unwrap();
     let client = Arc::clone(&tb.client);
     run_client(&tb, move |ctx| {
         let k = ctx.kernel();
-        xrpc::call(ctx, &k, "select", server_ip, 7, Vec::new()).unwrap();
+        xrpc::call(ctx, k, "select", server_ip, 7, Vec::new()).unwrap();
         // "Reboot" the client: new boot id, sequence numbers restart.
         with_concrete::<xrpc::channel::Channel, _>(&client, "channel", |c| {
             c.set_boot_id(0x4242_4242);
@@ -701,8 +702,8 @@ fn client_reincarnation_resets_server_state() {
         .unwrap();
         // Calls keep working; the server accepts the restarted sequence
         // space rather than treating it as duplicates.
-        xrpc::call(ctx, &k, "select", server_ip, 7, Vec::new()).unwrap();
-        xrpc::call(ctx, &k, "select", server_ip, 7, Vec::new()).unwrap();
+        xrpc::call(ctx, k, "select", server_ip, 7, Vec::new()).unwrap();
+        xrpc::call(ctx, k, "select", server_ip, 7, Vec::new()).unwrap();
     });
-    assert_eq!(*counter.lock(), 3);
+    assert_eq!(*counter.borrow_mut(), 3);
 }

@@ -14,10 +14,9 @@
 //! VIP-speaking hosts) so remote peers do not pay the probe on every open.
 
 use std::any::Any;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use xkernel::prelude::*;
 
@@ -115,35 +114,35 @@ pub struct Arp {
     me: ProtoId,
     eth: ProtoId,
     my_ip: IpAddr,
-    my_eth: OnceLock<EthAddr>,
-    bcast: OnceLock<SessionRef>,
-    cache: Mutex<ArpCache>,
-    waiters: Mutex<HashMap<IpAddr, Vec<SharedSema>>>,
+    my_eth: OnceCell<EthAddr>,
+    bcast: OnceCell<SessionRef>,
+    cache: RefCell<ArpCache>,
+    waiters: RefCell<HashMap<IpAddr, Vec<SharedSema>>>,
 }
 
 impl Arp {
     /// Creates an ARP protocol above `eth`, answering for `my_ip`, with a
     /// translation table bounded to `capacity` entries (LRU replacement).
-    pub fn new(me: ProtoId, eth: ProtoId, my_ip: IpAddr, capacity: usize) -> Arc<Arp> {
-        Arc::new(Arp {
+    pub fn new(me: ProtoId, eth: ProtoId, my_ip: IpAddr, capacity: usize) -> Rc<Arp> {
+        Rc::new(Arp {
             me,
             eth,
             my_ip,
-            my_eth: OnceLock::new(),
-            bcast: OnceLock::new(),
-            cache: Mutex::new(ArpCache::new(capacity)),
-            waiters: Mutex::new(HashMap::new()),
+            my_eth: OnceCell::new(),
+            bcast: OnceCell::new(),
+            cache: RefCell::new(ArpCache::new(capacity)),
+            waiters: RefCell::new(HashMap::new()),
         })
     }
 
     /// Number of entries currently cached.
     pub fn cache_len(&self) -> usize {
-        self.cache.lock().map.len()
+        self.cache.borrow_mut().map.len()
     }
 
     /// Entries evicted by LRU replacement since boot.
     pub fn cache_evictions(&self) -> u64 {
-        self.cache.lock().evictions
+        self.cache.borrow_mut().evictions
     }
 
     /// The internet address this ARP answers for.
@@ -158,8 +157,8 @@ impl Arp {
     }
 
     fn install(&self, ip: IpAddr, eth: EthAddr, ctx: &Ctx) {
-        self.cache.lock().insert(ip, Entry::Known(eth));
-        if let Some(ws) = self.waiters.lock().remove(&ip) {
+        self.cache.borrow_mut().insert(ip, Entry::Known(eth));
+        if let Some(ws) = self.waiters.borrow_mut().remove(&ip) {
             for w in ws {
                 w.v(ctx);
             }
@@ -176,7 +175,7 @@ impl Arp {
             return Ok(EthAddr::BROADCAST);
         }
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup); // Cache lookup.
-        match self.cache.lock().get(ip) {
+        match self.cache.borrow_mut().get(ip) {
             Some(Entry::Known(e)) => return Ok(e),
             Some(Entry::NotLocal(at)) if ctx.now().saturating_sub(at) < ARP_NEGATIVE_TTL_NS => {
                 return Err(XError::Unreachable(format!("{ip} not on local ethernet")))
@@ -191,7 +190,7 @@ impl Arp {
         for _attempt in 0..ARP_RETRIES {
             let sema = SharedSema::new(0);
             self.waiters
-                .lock()
+                .borrow_mut()
                 .entry(ip)
                 .or_default()
                 .push(sema.clone());
@@ -200,14 +199,16 @@ impl Arp {
             // In inline mode a live host has already answered during the
             // push above; p_timeout returns immediately either way.
             let _ = sema.p_timeout(ctx, ARP_TIMEOUT_NS);
-            if let Some(Entry::Known(e)) = self.cache.lock().get(ip) {
+            if let Some(Entry::Known(e)) = self.cache.borrow_mut().get(ip) {
                 return Ok(e);
             }
         }
         // Cache the negative result (with a TTL) so later opens fail fast,
         // as the paper's proposed host table would.
-        self.cache.lock().insert(ip, Entry::NotLocal(ctx.now()));
-        self.waiters.lock().remove(&ip);
+        self.cache
+            .borrow_mut()
+            .insert(ip, Entry::NotLocal(ctx.now()));
+        self.waiters.borrow_mut().remove(&ip);
         Err(XError::Unreachable(format!("{ip} not on local ethernet")))
     }
 }
@@ -289,7 +290,7 @@ impl Protocol for Arp {
             ControlOp::GetMyHost => Ok(ControlRes::Ip(self.my_ip)),
             ControlOp::GetMyEth => Ok(ControlRes::Eth(*self.my_eth.get().expect("arp booted"))),
             ControlOp::Custom("flush", _) => {
-                self.cache.lock().clear();
+                self.cache.borrow_mut().clear();
                 Ok(ControlRes::Done)
             }
             _ => Err(XError::Unsupported("arp control")),
@@ -298,16 +299,16 @@ impl Protocol for Arp {
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         debug_assert!(
-            self.waiters.lock().is_empty(),
+            self.waiters.borrow_mut().is_empty(),
             "arp snapshot with parked resolvers (not quiescent)"
         );
-        Some(Arc::new(self.cache.lock().clone()))
+        Some(Rc::new(self.cache.borrow_mut().clone()))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<ArpCache>(blob, "arp")?;
-        self.waiters.lock().clear();
-        *self.cache.lock() = s.clone();
+        self.waiters.borrow_mut().clear();
+        *self.cache.borrow_mut() = s.clone();
         Ok(())
     }
 

@@ -8,10 +8,9 @@
 //! own.
 
 use std::any::Any;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use xkernel::prelude::*;
 
@@ -36,24 +35,24 @@ pub mod eth_type {
 pub struct Eth {
     me: ProtoId,
     nic: ProtoId,
-    my_eth: OnceLock<EthAddr>,
-    nic_sess: OnceLock<SessionRef>,
-    enables: Mutex<HashMap<u16, ProtoId>>,
+    my_eth: OnceCell<EthAddr>,
+    nic_sess: OnceCell<SessionRef>,
+    enables: RefCell<HashMap<u16, ProtoId>>,
     // Cached sessions for the upward path, keyed (peer, type): the paper's
     // "cache open sessions" efficiency rule.
-    passive: Mutex<HashMap<(EthAddr, u16), SessionRef>>,
+    passive: RefCell<HashMap<(EthAddr, u16), SessionRef>>,
 }
 
 impl Eth {
     /// Creates an ETH protocol above NIC `nic`.
-    pub fn new(me: ProtoId, nic: ProtoId) -> Arc<Eth> {
-        Arc::new(Eth {
+    pub fn new(me: ProtoId, nic: ProtoId) -> Rc<Eth> {
+        Rc::new(Eth {
             me,
             nic,
-            my_eth: OnceLock::new(),
-            nic_sess: OnceLock::new(),
-            enables: Mutex::new(HashMap::new()),
-            passive: Mutex::new(HashMap::new()),
+            my_eth: OnceCell::new(),
+            nic_sess: OnceCell::new(),
+            enables: RefCell::new(HashMap::new()),
+            passive: RefCell::new(HashMap::new()),
         })
     }
 
@@ -77,12 +76,12 @@ impl Eth {
     }
 
     fn make_session(&self, dst: EthAddr, ty: u16) -> XResult<SessionRef> {
-        Ok(Arc::new(EthSession {
+        Ok(Rc::new(EthSession {
             proto: self.me,
             dst,
             src: self.my_eth(),
             ty,
-            nic: Arc::clone(self.nic_session()?),
+            nic: Rc::clone(self.nic_session()?),
         }))
     }
 }
@@ -171,13 +170,13 @@ impl Protocol for Eth {
 
     fn open_enable(&self, _ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<()> {
         let ty = Self::type_of(parts)?;
-        self.enables.lock().insert(ty, upper);
+        self.enables.borrow_mut().insert(ty, upper);
         Ok(())
     }
 
     fn open_disable(&self, _ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<()> {
         let ty = Self::type_of(parts)?;
-        let mut e = self.enables.lock();
+        let mut e = self.enables.borrow_mut();
         if e.get(&ty) == Some(&upper) {
             e.remove(&ty);
         }
@@ -194,18 +193,18 @@ impl Protocol for Eth {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let upper = self
             .enables
-            .lock()
+            .borrow_mut()
             .get(&ty)
             .copied()
             .ok_or_else(|| XError::NoEnable(format!("eth type {ty:#06x}")))?;
         let sess = {
-            let mut cache = self.passive.lock();
+            let mut cache = self.passive.borrow_mut();
             match cache.get(&(src, ty)) {
-                Some(s) => Arc::clone(s),
+                Some(s) => Rc::clone(s),
                 None => {
                     ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
                     let s = self.make_session(src, ty)?;
-                    cache.insert((src, ty), Arc::clone(&s));
+                    cache.insert((src, ty), Rc::clone(&s));
                     s
                 }
             }
@@ -227,16 +226,16 @@ impl Protocol for Eth {
     // The passive-session cache is state, not wiring: a warm entry skips a
     // SessionCreate charge, so restore must rewind it for bit-identity.
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        Some(Arc::new(EthSnap {
-            enables: self.enables.lock().clone(),
-            passive: self.passive.lock().clone(),
+        Some(Rc::new(EthSnap {
+            enables: self.enables.borrow_mut().clone(),
+            passive: self.passive.borrow_mut().clone(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<EthSnap>(blob, "eth")?;
-        *self.enables.lock() = s.enables.clone();
-        *self.passive.lock() = s.passive.clone();
+        *self.enables.borrow_mut() = s.enables.clone();
+        *self.passive.borrow_mut() = s.passive.clone();
         Ok(())
     }
 

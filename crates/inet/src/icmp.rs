@@ -3,10 +3,9 @@
 //! only depends on the *semantics* of IP).
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use xkernel::prelude::*;
 
@@ -22,29 +21,29 @@ const TYPE_ECHO_REQUEST: u8 = 8;
 pub const PING_TIMEOUT_NS: u64 = 1_000_000_000;
 
 /// A parked ping: wake signal plus the slot the echoed payload lands in.
-type EchoWaiter = (SharedSema, Arc<Mutex<Option<Vec<u8>>>>);
+type EchoWaiter = (SharedSema, Rc<RefCell<Option<Vec<u8>>>>);
 
 /// The ICMP protocol object.
 pub struct Icmp {
     me: ProtoId,
     lower: ProtoId,
-    next_seq: Mutex<u16>,
+    next_seq: RefCell<u16>,
     /// Parked pingers keyed by `(peer, id, seq)`. The id must be part of
     /// the key: two concurrent pingers that happen to reuse a sequence
     /// number toward the same peer are distinct conversations, and keying
     /// by `(peer, seq)` alone let one pinger steal (or drop) the other's
     /// reply.
-    waiting: Mutex<HashMap<(u32, u16, u16), EchoWaiter>>,
+    waiting: RefCell<HashMap<(u32, u16, u16), EchoWaiter>>,
 }
 
 impl Icmp {
     /// Creates ICMP above `lower`.
-    pub fn new(me: ProtoId, lower: ProtoId) -> Arc<Icmp> {
-        Arc::new(Icmp {
+    pub fn new(me: ProtoId, lower: ProtoId) -> Rc<Icmp> {
+        Rc::new(Icmp {
             me,
             lower,
-            next_seq: Mutex::new(0),
-            waiting: Mutex::new(HashMap::new()),
+            next_seq: RefCell::new(0),
+            waiting: RefCell::new(HashMap::new()),
         })
     }
 
@@ -60,7 +59,7 @@ impl Icmp {
     /// Pings `dst` with `len` payload bytes; returns the echoed payload.
     pub fn ping(&self, ctx: &Ctx, dst: IpAddr, len: usize) -> XResult<Vec<u8>> {
         let seq = {
-            let mut s = self.next_seq.lock();
+            let mut s = self.next_seq.borrow_mut();
             *s = s.wrapping_add(1);
             *s
         };
@@ -80,10 +79,10 @@ impl Icmp {
     ) -> XResult<Vec<u8>> {
         let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
         let sema = SharedSema::new(0);
-        let slot: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
+        let slot: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
         self.waiting
-            .lock()
-            .insert((dst.0, id, seq), (sema.clone(), Arc::clone(&slot)));
+            .borrow_mut()
+            .insert((dst.0, id, seq), (sema.clone(), Rc::clone(&slot)));
 
         let parts = ParticipantSet::pair(
             Participant::proto(u32::from(ip_proto::ICMP)),
@@ -92,12 +91,12 @@ impl Icmp {
         let sess = ctx.kernel().open(ctx, self.lower, self.me, &parts)?;
         let pkt = Self::encode(TYPE_ECHO_REQUEST, id, seq, &payload);
         sess.push(ctx, ctx.msg(pkt))?;
-        let got = sema.p_timeout(ctx, PING_TIMEOUT_NS) || slot.lock().is_some();
-        self.waiting.lock().remove(&(dst.0, id, seq));
+        let got = sema.p_timeout(ctx, PING_TIMEOUT_NS) || slot.borrow_mut().is_some();
+        self.waiting.borrow_mut().remove(&(dst.0, id, seq));
         if !got {
             return Err(XError::Timeout(format!("ping {dst} seq {seq}")));
         }
-        let data = slot.lock().take();
+        let data = slot.borrow_mut().take();
         data.ok_or_else(|| XError::Timeout(format!("ping {dst} woke without data")))
     }
 }
@@ -159,8 +158,8 @@ impl Protocol for Icmp {
             }
             TYPE_ECHO_REPLY => {
                 let peer = lls.control(ctx, &ControlOp::GetPeerHost)?.ip()?;
-                if let Some((sema, slot)) = self.waiting.lock().get(&(peer.0, id, seq)) {
-                    *slot.lock() = Some(msg.to_vec());
+                if let Some((sema, slot)) = self.waiting.borrow_mut().get(&(peer.0, id, seq)) {
+                    *slot.borrow_mut() = Some(msg.to_vec());
                     sema.v(ctx);
                 }
                 Ok(())
@@ -171,16 +170,16 @@ impl Protocol for Icmp {
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         debug_assert!(
-            self.waiting.lock().is_empty(),
+            self.waiting.borrow_mut().is_empty(),
             "icmp snapshot with parked pingers (not quiescent)"
         );
-        Some(Arc::new(*self.next_seq.lock()))
+        Some(Rc::new(*self.next_seq.borrow_mut()))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<u16>(blob, "icmp")?;
-        self.waiting.lock().clear();
-        *self.next_seq.lock() = *s;
+        self.waiting.borrow_mut().clear();
+        *self.next_seq.borrow_mut() = *s;
         Ok(())
     }
 

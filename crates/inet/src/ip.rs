@@ -8,11 +8,9 @@
 //! 0.37 msec per round trip on the paper's hardware — motivates VIP.
 
 use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-
-use parking_lot::Mutex;
+use std::rc::{Rc, Weak};
 
 use xkernel::prelude::*;
 
@@ -176,12 +174,12 @@ pub struct Ip {
     me: ProtoId,
     ifaces: Vec<Iface>,
     forward: bool,
-    routes: Mutex<Vec<Route>>,
-    next_id: Mutex<u16>,
-    enables: Mutex<HashMap<u8, ProtoId>>,
-    passive: Mutex<HashMap<(IpAddr, u8), SessionRef>>,
-    eth_cache: Mutex<HashMap<(usize, EthAddr), SessionRef>>,
-    reasm: Mutex<HashMap<(u32, u16, u8), Reassembly>>,
+    routes: RefCell<Vec<Route>>,
+    next_id: RefCell<u16>,
+    enables: RefCell<HashMap<u8, ProtoId>>,
+    passive: RefCell<HashMap<(IpAddr, u8), SessionRef>>,
+    eth_cache: RefCell<HashMap<(usize, EthAddr), SessionRef>>,
+    reasm: RefCell<HashMap<(u32, u16, u8), Reassembly>>,
     stats: IpStatsInner,
 }
 
@@ -202,17 +200,17 @@ pub struct IpStats {
 
 #[derive(Default)]
 struct IpStatsInner {
-    forwarded: AtomicU64,
-    fragments_sent: AtomicU64,
-    fragments_received: AtomicU64,
-    reassembled: AtomicU64,
-    reassembly_timeouts: AtomicU64,
+    forwarded: Cell<u64>,
+    fragments_sent: Cell<u64>,
+    fragments_received: Cell<u64>,
+    reassembled: Cell<u64>,
+    reassembly_timeouts: Cell<u64>,
 }
 
 impl Ip {
     /// Creates an IP protocol with the given interfaces; `forward` makes
     /// this host a router. Connected routes are installed automatically.
-    pub fn new(me: ProtoId, ifaces: Vec<Iface>, forward: bool) -> Arc<Ip> {
+    pub fn new(me: ProtoId, ifaces: Vec<Iface>, forward: bool) -> Rc<Ip> {
         let routes = ifaces
             .iter()
             .enumerate()
@@ -223,17 +221,17 @@ impl Ip {
                 iface: i,
             })
             .collect();
-        Arc::new_cyclic(|weak_self| Ip {
+        Rc::new_cyclic(|weak_self| Ip {
             weak_self: weak_self.clone(),
             me,
             ifaces,
             forward,
-            routes: Mutex::new(routes),
-            next_id: Mutex::new(1),
-            enables: Mutex::new(HashMap::new()),
-            passive: Mutex::new(HashMap::new()),
-            eth_cache: Mutex::new(HashMap::new()),
-            reasm: Mutex::new(HashMap::new()),
+            routes: RefCell::new(routes),
+            next_id: RefCell::new(1),
+            enables: RefCell::new(HashMap::new()),
+            passive: RefCell::new(HashMap::new()),
+            eth_cache: RefCell::new(HashMap::new()),
+            reasm: RefCell::new(HashMap::new()),
             stats: IpStatsInner::default(),
         })
     }
@@ -241,17 +239,17 @@ impl Ip {
     /// Counter snapshot (forwarding, fragmentation, reassembly).
     pub fn stats(&self) -> IpStats {
         IpStats {
-            forwarded: self.stats.forwarded.load(Ordering::Relaxed),
-            fragments_sent: self.stats.fragments_sent.load(Ordering::Relaxed),
-            fragments_received: self.stats.fragments_received.load(Ordering::Relaxed),
-            reassembled: self.stats.reassembled.load(Ordering::Relaxed),
-            reassembly_timeouts: self.stats.reassembly_timeouts.load(Ordering::Relaxed),
+            forwarded: self.stats.forwarded.get(),
+            fragments_sent: self.stats.fragments_sent.get(),
+            fragments_received: self.stats.fragments_received.get(),
+            reassembled: self.stats.reassembled.get(),
+            reassembly_timeouts: self.stats.reassembly_timeouts.get(),
         }
     }
 
     /// Adds a static route (e.g. a default route through a gateway).
     pub fn add_route(&self, route: Route) {
-        self.routes.lock().push(route);
+        self.routes.borrow_mut().push(route);
     }
 
     /// Our address on the first interface (the host's primary identity).
@@ -266,7 +264,7 @@ impl Ip {
     /// Longest-prefix route lookup.
     fn route_for(&self, ctx: &Ctx, dst: IpAddr) -> XResult<Route> {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup); // Route table lookup.
-        let routes = self.routes.lock();
+        let routes = self.routes.borrow_mut();
         routes
             .iter()
             .filter(|r| dst.network(r.mask) == r.net)
@@ -281,9 +279,9 @@ impl Ip {
         let f = &self.ifaces[iface];
         let arp = ctx.kernel().proto(f.arp)?;
         let hw = arp.control(ctx, &ControlOp::Resolve(next_hop))?.eth()?;
-        let cache = self.eth_cache.lock();
+        let cache = self.eth_cache.borrow_mut();
         if let Some(s) = cache.get(&(iface, hw)) {
-            return Ok(Arc::clone(s));
+            return Ok(Rc::clone(s));
         }
         drop(cache);
         let parts = ParticipantSet::pair(
@@ -291,7 +289,9 @@ impl Ip {
             Participant::default().with_eth(hw),
         );
         let s = ctx.kernel().open(ctx, f.eth, self.me, &parts)?;
-        self.eth_cache.lock().insert((iface, hw), Arc::clone(&s));
+        self.eth_cache
+            .borrow_mut()
+            .insert((iface, hw), Rc::clone(&s));
         Ok(s)
     }
 
@@ -324,7 +324,9 @@ impl Ip {
             hdr.total_len = (take + IP_HDR_LEN) as u16;
             if hdr.more_frags || hdr.frag_off != 0 {
                 // This wire piece is part of a fragmented datagram.
-                self.stats.fragments_sent.fetch_add(1, Ordering::Relaxed);
+                self.stats
+                    .fragments_sent
+                    .set(self.stats.fragments_sent.get() + 1);
             }
             let bytes = hdr.encode();
             ctx.charge_class(
@@ -350,23 +352,23 @@ impl Ip {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let upper = self
             .enables
-            .lock()
+            .borrow_mut()
             .get(&hdr.proto)
             .copied()
             .ok_or_else(|| XError::NoEnable(format!("ip proto {}", hdr.proto)))?;
         let sess = {
-            let mut cache = self.passive.lock();
+            let mut cache = self.passive.borrow_mut();
             match cache.get(&(hdr.src, hdr.proto)) {
-                Some(s) => Arc::clone(s),
+                Some(s) => Rc::clone(s),
                 None => {
                     ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-                    let s: SessionRef = Arc::new(IpSession {
+                    let s: SessionRef = Rc::new(IpSession {
                         proto_id: self.me,
-                        parent: self.self_arc(),
+                        parent: Weak::clone(&self.weak_self),
                         dst: hdr.src,
                         proto: hdr.proto,
                     });
-                    cache.insert((hdr.src, hdr.proto), Arc::clone(&s));
+                    cache.insert((hdr.src, hdr.proto), Rc::clone(&s));
                     s
                 }
             }
@@ -374,31 +376,28 @@ impl Ip {
         ctx.kernel().demux_to(ctx, upper, &sess, msg)
     }
 
-    fn self_arc(&self) -> Arc<Ip> {
+    fn self_arc(&self) -> Rc<Ip> {
         self.weak_self.upgrade().expect("ip protocol alive")
     }
 
     fn reassemble(&self, ctx: &Ctx, hdr: IpHeader, msg: Message) -> XResult<()> {
         let key = (hdr.src.0, hdr.id, hdr.proto);
-        self.stats
-            .fragments_received
-            .fetch_add(1, Ordering::Relaxed);
-        let fresh = !self.reasm.lock().contains_key(&key);
+        let received = &self.stats.fragments_received;
+        received.set(received.get() + 1);
+        let fresh = !self.reasm.borrow_mut().contains_key(&key);
         if fresh {
             // Arm the give-up timer: incomplete datagrams are discarded.
             let parent = self.self_arc();
             ctx.schedule_after(REASSEMBLY_TIMEOUT_NS, move |tctx| {
-                if parent.reasm.lock().remove(&key).is_some() {
-                    parent
-                        .stats
-                        .reassembly_timeouts
-                        .fetch_add(1, Ordering::Relaxed);
+                if parent.reasm.borrow_mut().remove(&key).is_some() {
+                    let timeouts = &parent.stats.reassembly_timeouts;
+                    timeouts.set(timeouts.get() + 1);
                     tctx.trace_note("reassembly timed out");
                 }
             });
         }
         let complete = {
-            let mut map = self.reasm.lock();
+            let mut map = self.reasm.borrow_mut();
             let ent = map.entry(key).or_insert_with(|| Reassembly {
                 parts: BTreeMap::new(),
                 total_payload: None,
@@ -426,7 +425,7 @@ impl Ip {
             }
             Some(parts) => {
                 let whole = Message::concat(parts.into_values());
-                self.stats.reassembled.fetch_add(1, Ordering::Relaxed);
+                self.stats.reassembled.set(self.stats.reassembled.get() + 1);
                 ctx.charge_class(OpClass::Copy, whole.len() as u64 * ctx.cost().copy_byte / 8);
                 self.deliver_up(ctx, &hdr, whole)
             }
@@ -437,9 +436,17 @@ impl Ip {
 /// An IP session towards one (destination, protocol) pair.
 pub struct IpSession {
     proto_id: ProtoId,
-    parent: Arc<Ip>,
+    parent: Weak<Ip>,
     dst: IpAddr,
     proto: u8,
+}
+
+impl IpSession {
+    fn parent(&self) -> Rc<Ip> {
+        self.parent
+            .upgrade()
+            .expect("a protocol outlives its sessions")
+    }
 }
 
 impl Session for IpSession {
@@ -448,8 +455,9 @@ impl Session for IpSession {
     }
 
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
+        let parent = self.parent();
         let id = {
-            let mut n = self.parent.next_id.lock();
+            let mut n = parent.next_id.borrow_mut();
             *n = n.wrapping_add(1);
             *n
         };
@@ -460,10 +468,10 @@ impl Session for IpSession {
             frag_off: 0,
             ttl: IP_TTL,
             proto: self.proto,
-            src: self.parent.my_ip(),
+            src: parent.my_ip(),
             dst: self.dst,
         };
-        self.parent.send_datagram(ctx, hdr, msg)?;
+        parent.send_datagram(ctx, hdr, msg)?;
         Ok(None)
     }
 
@@ -471,12 +479,12 @@ impl Session for IpSession {
         match op {
             ControlOp::GetMaxPacket => Ok(ControlRes::Size(IP_MAX_PAYLOAD)),
             ControlOp::GetOptPacket => {
-                let route = self.parent.route_for(ctx, self.dst)?;
+                let route = self.parent().route_for(ctx, self.dst)?;
                 Ok(ControlRes::Size(
-                    self.parent.ifaces[route.iface].frag_payload(),
+                    self.parent().ifaces[route.iface].frag_payload(),
                 ))
             }
-            ControlOp::GetMyHost => Ok(ControlRes::Ip(self.parent.my_ip())),
+            ControlOp::GetMyHost => Ok(ControlRes::Ip(self.parent().my_ip())),
             ControlOp::GetPeerHost => Ok(ControlRes::Ip(self.dst)),
             ControlOp::GetMyProto => Ok(ControlRes::U32(u32::from(self.proto))),
             _ => Err(XError::Unsupported("ip session control")),
@@ -513,9 +521,9 @@ impl Protocol for Ip {
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
         // Partial reassemblies and cached sessions do not survive a crash;
         // interfaces, routes, and enables are configuration.
-        self.reasm.lock().clear();
-        self.passive.lock().clear();
-        self.eth_cache.lock().clear();
+        self.reasm.borrow_mut().clear();
+        self.passive.borrow_mut().clear();
+        self.eth_cache.borrow_mut().clear();
         Ok(())
     }
 
@@ -530,9 +538,9 @@ impl Protocol for Ip {
             .and_then(|p| p.host)
             .ok_or_else(|| XError::Config("ip open needs a peer host".into()))?;
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        Ok(Arc::new(IpSession {
+        Ok(Rc::new(IpSession {
             proto_id: self.me,
-            parent: self.self_arc(),
+            parent: Weak::clone(&self.weak_self),
             dst,
             proto,
         }))
@@ -544,7 +552,7 @@ impl Protocol for Ip {
             .and_then(|p| p.proto_num)
             .ok_or_else(|| XError::Config("ip enable needs a protocol number".into()))?
             as u8;
-        self.enables.lock().insert(proto, upper);
+        self.enables.borrow_mut().insert(proto, upper);
         Ok(())
     }
 
@@ -579,7 +587,7 @@ impl Protocol for Ip {
                 }
                 let mut fwd = hdr;
                 fwd.ttl -= 1;
-                self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
+                self.stats.forwarded.set(self.stats.forwarded.get() + 1);
                 return self.send_datagram(ctx, fwd, msg);
             }
             ctx.trace_note("not mine");
@@ -609,42 +617,36 @@ impl Protocol for Ip {
     // counters — is captured.
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         debug_assert!(
-            self.reasm.lock().is_empty(),
+            self.reasm.borrow_mut().is_empty(),
             "ip snapshot with partial reassemblies (not quiescent)"
         );
-        Some(Arc::new(IpSnap {
-            routes: self.routes.lock().clone(),
-            next_id: *self.next_id.lock(),
-            enables: self.enables.lock().clone(),
-            passive: self.passive.lock().clone(),
-            eth_cache: self.eth_cache.lock().clone(),
+        Some(Rc::new(IpSnap {
+            routes: self.routes.borrow_mut().clone(),
+            next_id: *self.next_id.borrow_mut(),
+            enables: self.enables.borrow_mut().clone(),
+            passive: self.passive.borrow_mut().clone(),
+            eth_cache: self.eth_cache.borrow_mut().clone(),
             stats: self.stats(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<IpSnap>(blob, "ip")?;
-        self.reasm.lock().clear();
-        *self.routes.lock() = s.routes.clone();
-        *self.next_id.lock() = s.next_id;
-        *self.enables.lock() = s.enables.clone();
-        *self.passive.lock() = s.passive.clone();
-        *self.eth_cache.lock() = s.eth_cache.clone();
-        self.stats
-            .forwarded
-            .store(s.stats.forwarded, Ordering::Relaxed);
-        self.stats
-            .fragments_sent
-            .store(s.stats.fragments_sent, Ordering::Relaxed);
+        self.reasm.borrow_mut().clear();
+        *self.routes.borrow_mut() = s.routes.clone();
+        *self.next_id.borrow_mut() = s.next_id;
+        *self.enables.borrow_mut() = s.enables.clone();
+        *self.passive.borrow_mut() = s.passive.clone();
+        *self.eth_cache.borrow_mut() = s.eth_cache.clone();
+        self.stats.forwarded.set(s.stats.forwarded);
+        self.stats.fragments_sent.set(s.stats.fragments_sent);
         self.stats
             .fragments_received
-            .store(s.stats.fragments_received, Ordering::Relaxed);
-        self.stats
-            .reassembled
-            .store(s.stats.reassembled, Ordering::Relaxed);
+            .set(s.stats.fragments_received);
+        self.stats.reassembled.set(s.stats.reassembled);
         self.stats
             .reassembly_timeouts
-            .store(s.stats.reassembly_timeouts, Ordering::Relaxed);
+            .set(s.stats.reassembly_timeouts);
         Ok(())
     }
 

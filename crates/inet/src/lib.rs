@@ -28,8 +28,6 @@ pub mod tcp;
 pub mod testbed;
 pub mod udp;
 
-use std::sync::Arc;
-
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
 use xkernel::prelude::*;
 
@@ -179,11 +177,7 @@ pub fn standard_graph(nic: &str, ip_addr: &str) -> String {
 }
 
 /// Runs `f` with a typed view of a registered protocol.
-pub fn with_concrete<T: 'static, R>(
-    k: &Arc<Kernel>,
-    name: &str,
-    f: impl FnOnce(&T) -> R,
-) -> XResult<R> {
+pub fn with_concrete<T: 'static, R>(k: &Kernel, name: &str, f: impl FnOnce(&T) -> R) -> XResult<R> {
     let p = k.get(name)?;
     let t = p
         .as_any()

@@ -21,10 +21,9 @@
 //! cannot be established — reproducing the paper's negative result.
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Weak};
-
-use parking_lot::Mutex;
+use std::rc::{Rc, Weak};
 
 use xkernel::prelude::*;
 
@@ -44,7 +43,7 @@ pub const TCP_MAX_RETRIES: u32 = 8;
 pub const TCP_CONNECT_TIMEOUT_NS: u64 = 2_000_000_000;
 
 /// A listener's pending-connection queue and its wake signal.
-type AcceptQueue = (SharedSema, Arc<Mutex<VecDeque<Arc<TcpConn>>>>);
+type AcceptQueue = (SharedSema, Rc<RefCell<VecDeque<Rc<TcpConn>>>>);
 
 const FLAG_FIN: u8 = 0x01;
 const FLAG_SYN: u8 = 0x02;
@@ -144,14 +143,22 @@ struct ConnState {
 
 /// One TCP connection endpoint.
 pub struct TcpConn {
-    parent: Arc<Tcp>,
+    parent: Weak<Tcp>,
     local_port: Port,
     peer: IpAddr,
     peer_port: Port,
     lower: SessionRef,
-    st: Mutex<ConnState>,
+    st: RefCell<ConnState>,
     established: SharedSema,
     readable: SharedSema,
+}
+
+impl TcpConn {
+    fn parent(&self) -> Rc<Tcp> {
+        self.parent
+            .upgrade()
+            .expect("a protocol outlives its sessions")
+    }
 }
 
 impl TcpConn {
@@ -160,7 +167,7 @@ impl TcpConn {
     }
 
     fn send_segment(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &Ctx,
         flags: u8,
         seq: u32,
@@ -168,7 +175,7 @@ impl TcpConn {
         track: bool,
     ) -> XResult<()> {
         let (ack, window) = {
-            let st = self.st.lock();
+            let st = self.st.borrow_mut();
             (st.rcv_nxt, (TCP_WINDOW_SEGS * TCP_MSS) as u16)
         };
         let src = self.lower.control(ctx, &ControlOp::GetMyHost)?.ip()?;
@@ -194,7 +201,7 @@ impl TcpConn {
         let mut msg = ctx.msg(payload.to_vec());
         ctx.push_header(&mut msg, &bytes);
         if track {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             st.inflight.push_back(SendItem {
                 seq,
                 flags,
@@ -209,19 +216,19 @@ impl TcpConn {
         Ok(())
     }
 
-    fn arm_retransmit(self: &Arc<Self>, ctx: &Ctx) {
-        let mut st = self.st.lock();
+    fn arm_retransmit(self: &Rc<Self>, ctx: &Ctx) {
+        let mut st = self.st.borrow_mut();
         if st.retransmit_timer.is_some() || st.inflight.is_empty() {
             return;
         }
-        let me = Arc::clone(self);
+        let me = Rc::clone(self);
         let h = ctx.schedule_after(TCP_RTO_NS, move |tctx| me.on_retransmit(tctx));
         st.retransmit_timer = Some(h);
     }
 
-    fn on_retransmit(self: Arc<Self>, ctx: &Ctx) {
+    fn on_retransmit(self: Rc<Self>, ctx: &Ctx) {
         let item = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             st.retransmit_timer = None;
             if st.state == State::Closed || st.inflight.is_empty() {
                 return;
@@ -249,7 +256,7 @@ impl TcpConn {
     }
 
     fn handle_ack(&self, ctx: &Ctx, ack: u32) {
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         if ack.wrapping_sub(st.snd_una) as i32 > 0 || ack == st.snd_nxt {
             st.snd_una = ack;
             while let Some(front) = st.inflight.front() {
@@ -272,16 +279,16 @@ impl TcpConn {
 
     /// Sends application bytes (segmenting as needed). Blocks only for
     /// window space indirectly via retransmission; errors if closed.
-    pub fn send(self: &Arc<Self>, ctx: &Ctx, data: &[u8]) -> XResult<()> {
+    pub fn send(self: &Rc<Self>, ctx: &Ctx, data: &[u8]) -> XResult<()> {
         {
-            let st = self.st.lock();
+            let st = self.st.borrow_mut();
             if st.state != State::Established {
                 return Err(st.error.clone().unwrap_or(XError::Closed));
             }
         }
         for chunk in data.chunks(TCP_MSS) {
             let seq = {
-                let mut st = self.st.lock();
+                let mut st = self.st.borrow_mut();
                 let s = st.snd_nxt;
                 st.snd_nxt = st.snd_nxt.wrapping_add(chunk.len() as u32);
                 s
@@ -293,10 +300,10 @@ impl TcpConn {
 
     /// Receives up to `n` bytes, blocking (with `timeout_ns`) until at least
     /// one byte, FIN, or error. Returns an empty vector on orderly EOF.
-    pub fn recv(self: &Arc<Self>, ctx: &Ctx, n: usize, timeout_ns: u64) -> XResult<Vec<u8>> {
+    pub fn recv(self: &Rc<Self>, ctx: &Ctx, n: usize, timeout_ns: u64) -> XResult<Vec<u8>> {
         loop {
             {
-                let mut st = self.st.lock();
+                let mut st = self.st.borrow_mut();
                 if !st.recv_buf.is_empty() {
                     let take = n.min(st.recv_buf.len());
                     let out: Vec<u8> = st.recv_buf.drain(..take).collect();
@@ -319,9 +326,9 @@ impl TcpConn {
     }
 
     /// Closes the connection (sends FIN; simplified teardown).
-    pub fn close(self: &Arc<Self>, ctx: &Ctx) -> XResult<()> {
+    pub fn close(self: &Rc<Self>, ctx: &Ctx) -> XResult<()> {
         let seq = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             if st.state != State::Established {
                 st.state = State::Closed;
                 return Ok(());
@@ -336,7 +343,7 @@ impl TcpConn {
 
     /// Current connection state name (tests).
     pub fn state_name(&self) -> &'static str {
-        match self.st.lock().state {
+        match self.st.borrow_mut().state {
             State::SynSent => "syn-sent",
             State::SynReceived => "syn-received",
             State::Established => "established",
@@ -351,27 +358,23 @@ pub struct Tcp {
     weak_self: Weak<Tcp>,
     me: ProtoId,
     lower: ProtoId,
-    conns: Mutex<HashMap<(Port, u32, Port), Arc<TcpConn>>>,
-    listeners: Mutex<HashMap<Port, AcceptQueue>>,
-    next_port: Mutex<Port>,
+    conns: RefCell<HashMap<(Port, u32, Port), Rc<TcpConn>>>,
+    listeners: RefCell<HashMap<Port, AcceptQueue>>,
+    next_port: RefCell<Port>,
 }
 
 impl Tcp {
     /// Creates TCP above `lower` (meant to be IP; see the module docs for
     /// what happens over anything else).
-    pub fn new(me: ProtoId, lower: ProtoId) -> Arc<Tcp> {
-        Arc::new_cyclic(|weak_self| Tcp {
+    pub fn new(me: ProtoId, lower: ProtoId) -> Rc<Tcp> {
+        Rc::new_cyclic(|weak_self| Tcp {
             weak_self: weak_self.clone(),
             me,
             lower,
-            conns: Mutex::new(HashMap::new()),
-            listeners: Mutex::new(HashMap::new()),
-            next_port: Mutex::new(40_000),
+            conns: RefCell::new(HashMap::new()),
+            listeners: RefCell::new(HashMap::new()),
+            next_port: RefCell::new(40_000),
         })
-    }
-
-    fn self_arc(&self) -> Arc<Tcp> {
-        self.weak_self.upgrade().expect("tcp alive")
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -384,15 +387,15 @@ impl Tcp {
         lower: SessionRef,
         state: State,
         iss: u32,
-    ) -> Arc<TcpConn> {
+    ) -> Rc<TcpConn> {
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        let conn = Arc::new(TcpConn {
-            parent: self.self_arc(),
+        let conn = Rc::new(TcpConn {
+            parent: Weak::clone(&self.weak_self),
             local_port,
             peer,
             peer_port,
             lower,
-            st: Mutex::new(ConnState {
+            st: RefCell::new(ConnState {
                 state,
                 snd_nxt: iss,
                 snd_una: iss,
@@ -407,14 +410,14 @@ impl Tcp {
             established: SharedSema::new(0),
             readable: SharedSema::new(0),
         });
-        self.conns.lock().insert(conn.key(), Arc::clone(&conn));
+        self.conns.borrow_mut().insert(conn.key(), Rc::clone(&conn));
         conn
     }
 
     /// Actively opens a connection; blocks until established or timeout.
-    pub fn connect(&self, ctx: &Ctx, peer: IpAddr, peer_port: Port) -> XResult<Arc<TcpConn>> {
+    pub fn connect(&self, ctx: &Ctx, peer: IpAddr, peer_port: Port) -> XResult<Rc<TcpConn>> {
         let local_port = {
-            let mut p = self.next_port.lock();
+            let mut p = self.next_port.borrow_mut();
             *p += 1;
             *p
         };
@@ -426,28 +429,28 @@ impl Tcp {
         let iss = (ctx.next_u64() & 0xffff) as u32;
         let conn = self.make_conn(ctx, local_port, peer, peer_port, lower, State::SynSent, iss);
         {
-            let mut st = conn.st.lock();
+            let mut st = conn.st.borrow_mut();
             st.snd_nxt = iss.wrapping_add(1);
         }
         conn.send_segment(ctx, FLAG_SYN, iss, &[], true)?;
         if conn.established.p_timeout(ctx, TCP_CONNECT_TIMEOUT_NS) {
-            let st = conn.st.lock();
+            let st = conn.st.borrow_mut();
             if st.state == State::Established {
                 drop(st);
                 return Ok(conn);
             }
         }
-        self.conns.lock().remove(&conn.key());
+        self.conns.borrow_mut().remove(&conn.key());
         Err(XError::Timeout(format!("tcp connect {peer}:{peer_port}")))
     }
 
     /// Passively opens `port`; returned handle accepts connections.
     pub fn listen(&self, port: Port) -> XResult<TcpListener> {
         let sema = SharedSema::new(0);
-        let queue: Arc<Mutex<VecDeque<Arc<TcpConn>>>> = Arc::new(Mutex::new(VecDeque::new()));
+        let queue: Rc<RefCell<VecDeque<Rc<TcpConn>>>> = Rc::new(RefCell::new(VecDeque::new()));
         self.listeners
-            .lock()
-            .insert(port, (sema.clone(), Arc::clone(&queue)));
+            .borrow_mut()
+            .insert(port, (sema.clone(), Rc::clone(&queue)));
         Ok(TcpListener { sema, queue })
     }
 
@@ -473,12 +476,12 @@ impl Tcp {
         let payload = msg.to_vec();
 
         let key = (hdr.dst_port, src.0, hdr.src_port);
-        let existing = self.conns.lock().get(&key).cloned();
+        let existing = self.conns.borrow_mut().get(&key).cloned();
         match existing {
             Some(conn) => self.established_in(ctx, &conn, hdr, payload),
             None if hdr.flags & FLAG_SYN != 0 && hdr.flags & FLAG_ACK == 0 => {
                 // New passive connection.
-                let listener = self.listeners.lock().get(&hdr.dst_port).cloned();
+                let listener = self.listeners.borrow_mut().get(&hdr.dst_port).cloned();
                 let Some((sema, queue)) = listener else {
                     ctx.trace_note("no listener");
                     return Ok(());
@@ -489,17 +492,17 @@ impl Tcp {
                     hdr.dst_port,
                     src,
                     hdr.src_port,
-                    Arc::clone(lls),
+                    Rc::clone(lls),
                     State::SynReceived,
                     iss,
                 );
                 {
-                    let mut st = conn.st.lock();
+                    let mut st = conn.st.borrow_mut();
                     st.rcv_nxt = hdr.seq.wrapping_add(1);
                     st.snd_nxt = iss.wrapping_add(1);
                 }
                 conn.send_segment(ctx, FLAG_SYN, iss, &[], true)?;
-                queue.lock().push_back(conn);
+                queue.borrow_mut().push_back(conn);
                 sema.v(ctx);
                 Ok(())
             }
@@ -510,7 +513,7 @@ impl Tcp {
     fn established_in(
         &self,
         ctx: &Ctx,
-        conn: &Arc<TcpConn>,
+        conn: &Rc<TcpConn>,
         hdr: TcpHeader,
         payload: Vec<u8>,
     ) -> XResult<()> {
@@ -520,7 +523,7 @@ impl Tcp {
         let mut became_established = false;
         let mut need_ack = false;
         {
-            let mut st = conn.st.lock();
+            let mut st = conn.st.borrow_mut();
             match st.state {
                 State::SynSent if hdr.flags & FLAG_SYN != 0 => {
                     st.rcv_nxt = hdr.seq.wrapping_add(1);
@@ -566,7 +569,7 @@ impl Tcp {
         }
         if need_ack {
             // Pure ACK (not tracked, not retransmitted).
-            let seq = conn.st.lock().snd_nxt;
+            let seq = conn.st.borrow_mut().snd_nxt;
             conn.send_segment(ctx, 0, seq, &[], false)?;
         }
         Ok(())
@@ -576,19 +579,19 @@ impl Tcp {
 /// Accept handle returned by [`Tcp::listen`].
 pub struct TcpListener {
     sema: SharedSema,
-    queue: Arc<Mutex<VecDeque<Arc<TcpConn>>>>,
+    queue: Rc<RefCell<VecDeque<Rc<TcpConn>>>>,
 }
 
 impl TcpListener {
     /// Accepts the next connection, waiting until the handshake's SYN has
     /// arrived.
-    pub fn accept(&self, ctx: &Ctx, timeout_ns: u64) -> XResult<Arc<TcpConn>> {
+    pub fn accept(&self, ctx: &Ctx, timeout_ns: u64) -> XResult<Rc<TcpConn>> {
         if self.sema.p_timeout(ctx, timeout_ns) {
-            if let Some(c) = self.queue.lock().pop_front() {
+            if let Some(c) = self.queue.borrow_mut().pop_front() {
                 return Ok(c);
             }
         }
-        if let Some(c) = self.queue.lock().pop_front() {
+        if let Some(c) = self.queue.borrow_mut().pop_front() {
             return Ok(c);
         }
         Err(XError::Timeout("tcp accept".into()))
@@ -626,7 +629,7 @@ impl Protocol for Tcp {
             .port
             .ok_or_else(|| XError::Config("tcp open needs a peer port".into()))?;
         let conn = self.connect(ctx, peer, port)?;
-        Ok(Arc::new(TcpConnSession { conn }))
+        Ok(Rc::new(TcpConnSession { conn }))
     }
 
     fn open_enable(&self, _ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<()> {
@@ -657,12 +660,12 @@ impl Protocol for Tcp {
 
 /// Uniform-interface wrapper for a [`TcpConn`].
 struct TcpConnSession {
-    conn: Arc<TcpConn>,
+    conn: Rc<TcpConn>,
 }
 
 impl Session for TcpConnSession {
     fn protocol_id(&self) -> ProtoId {
-        self.conn.parent.me
+        self.conn.parent().me
     }
 
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {

@@ -13,10 +13,9 @@
 //!   sunrpc/psync crates compose it normally.
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Weak};
-
-use parking_lot::Mutex;
+use std::rc::{Rc, Weak};
 
 use xkernel::prelude::*;
 
@@ -32,29 +31,25 @@ pub struct Udp {
     weak_self: Weak<Udp>,
     me: ProtoId,
     lower: ProtoId,
-    enables: Mutex<HashMap<Port, ProtoId>>,
+    enables: RefCell<HashMap<Port, ProtoId>>,
     // Active sessions keyed (local port, peer ip, peer port); passive
     // sessions created by demux are cached here too.
-    sessions: Mutex<HashMap<(Port, u32, Port), SessionRef>>,
-    next_ephemeral: Mutex<Port>,
+    sessions: RefCell<HashMap<(Port, u32, Port), SessionRef>>,
+    next_ephemeral: RefCell<Port>,
 }
 
 impl Udp {
     /// Creates UDP above `lower` (IP, or any protocol with the same
     /// host-addressed unreliable-delivery semantics).
-    pub fn new(me: ProtoId, lower: ProtoId) -> Arc<Udp> {
-        Arc::new_cyclic(|weak_self| Udp {
+    pub fn new(me: ProtoId, lower: ProtoId) -> Rc<Udp> {
+        Rc::new_cyclic(|weak_self| Udp {
             weak_self: weak_self.clone(),
             me,
             lower,
-            enables: Mutex::new(HashMap::new()),
-            sessions: Mutex::new(HashMap::new()),
-            next_ephemeral: Mutex::new(49_152),
+            enables: RefCell::new(HashMap::new()),
+            sessions: RefCell::new(HashMap::new()),
+            next_ephemeral: RefCell::new(49_152),
         })
-    }
-
-    fn self_arc(&self) -> Arc<Udp> {
-        self.weak_self.upgrade().expect("udp protocol alive")
     }
 
     fn ports_of(&self, parts: &ParticipantSet) -> XResult<(Port, IpAddr, Port)> {
@@ -81,9 +76,9 @@ impl Udp {
     /// traffic outstanding would steer the old conversation's datagrams
     /// into the new session.
     pub fn ephemeral_port(&self) -> Port {
-        let mut p = self.next_ephemeral.lock();
-        let sessions = self.sessions.lock();
-        let enables = self.enables.lock();
+        let mut p = self.next_ephemeral.borrow_mut();
+        let sessions = self.sessions.borrow_mut();
+        let enables = self.enables.borrow_mut();
         for _ in 0..16_384u32 {
             let cand = *p;
             *p = p.checked_add(1).unwrap_or(49_152);
@@ -101,14 +96,14 @@ impl Udp {
     /// Number of live (open) UDP sessions — diagnostic accessor for churn
     /// audits: closed sessions must leave no residue in the demux map.
     pub fn session_count(&self) -> usize {
-        self.sessions.lock().len()
+        self.sessions.borrow_mut().len()
     }
 }
 
 /// A UDP session for one (local port, peer host, peer port) triple.
 pub struct UdpSession {
     proto_id: ProtoId,
-    parent: Arc<Udp>,
+    parent: Weak<Udp>,
     local_port: Port,
     peer: IpAddr,
     peer_port: Port,
@@ -131,6 +126,14 @@ pub fn udp_checksum(src: IpAddr, dst: IpAddr, length: u16, hdr: &[u8], body: &Me
     acc.add(hdr);
     acc.add_message(body);
     acc.finish()
+}
+
+impl UdpSession {
+    fn parent(&self) -> Rc<Udp> {
+        self.parent
+            .upgrade()
+            .expect("a protocol outlives its sessions")
+    }
 }
 
 impl UdpSession {
@@ -190,9 +193,9 @@ impl Session for UdpSession {
     }
 
     fn close(&self, _ctx: &Ctx) -> XResult<()> {
-        self.parent
+        self.parent()
             .sessions
-            .lock()
+            .borrow_mut()
             .remove(&(self.local_port, self.peer.0, self.peer_port));
         Ok(())
     }
@@ -222,8 +225,8 @@ impl Protocol for Udp {
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
         let (local, rip, rport) = self.ports_of(parts)?;
-        if let Some(s) = self.sessions.lock().get(&(local, rip.0, rport)) {
-            return Ok(Arc::clone(s));
+        if let Some(s) = self.sessions.borrow_mut().get(&(local, rip.0, rport)) {
+            return Ok(Rc::clone(s));
         }
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
         let lparts = ParticipantSet::pair(
@@ -231,17 +234,17 @@ impl Protocol for Udp {
             Participant::host(rip),
         );
         let lower = ctx.kernel().open(ctx, self.lower, self.me, &lparts)?;
-        let s: SessionRef = Arc::new(UdpSession {
+        let s: SessionRef = Rc::new(UdpSession {
             proto_id: self.me,
-            parent: self.self_arc(),
+            parent: Weak::clone(&self.weak_self),
             local_port: local,
             peer: rip,
             peer_port: rport,
             lower,
         });
         self.sessions
-            .lock()
-            .insert((local, rip.0, rport), Arc::clone(&s));
+            .borrow_mut()
+            .insert((local, rip.0, rport), Rc::clone(&s));
         Ok(s)
     }
 
@@ -250,7 +253,7 @@ impl Protocol for Udp {
             .local_part()
             .and_then(|p| p.port)
             .ok_or_else(|| XError::Config("udp enable needs a local port".into()))?;
-        self.enables.lock().insert(port, upper);
+        self.enables.borrow_mut().insert(port, upper);
         Ok(())
     }
 
@@ -302,7 +305,7 @@ impl Protocol for Udp {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let upper = self
             .enables
-            .lock()
+            .borrow_mut()
             .get(&dst_port)
             .copied()
             .ok_or_else(|| XError::NoEnable(format!("udp port {dst_port}")))?;
@@ -314,20 +317,20 @@ impl Protocol for Udp {
             .and_then(|r| r.ip())
             .unwrap_or(IpAddr::ANY);
         let sess = {
-            let mut cache = self.sessions.lock();
+            let mut cache = self.sessions.borrow_mut();
             match cache.get(&(dst_port, peer.0, src_port)) {
-                Some(s) => Arc::clone(s),
+                Some(s) => Rc::clone(s),
                 None => {
                     ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-                    let s: SessionRef = Arc::new(UdpSession {
+                    let s: SessionRef = Rc::new(UdpSession {
                         proto_id: self.me,
-                        parent: self.self_arc(),
+                        parent: Weak::clone(&self.weak_self),
                         local_port: dst_port,
                         peer,
                         peer_port: src_port,
-                        lower: Arc::clone(lls),
+                        lower: Rc::clone(lls),
                     });
-                    cache.insert((dst_port, peer.0, src_port), Arc::clone(&s));
+                    cache.insert((dst_port, peer.0, src_port), Rc::clone(&s));
                     s
                 }
             }
@@ -349,18 +352,18 @@ impl Protocol for Udp {
     }
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        Some(Arc::new(UdpSnap {
-            enables: self.enables.lock().clone(),
-            sessions: self.sessions.lock().clone(),
-            next_ephemeral: *self.next_ephemeral.lock(),
+        Some(Rc::new(UdpSnap {
+            enables: self.enables.borrow_mut().clone(),
+            sessions: self.sessions.borrow_mut().clone(),
+            next_ephemeral: *self.next_ephemeral.borrow_mut(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<UdpSnap>(blob, "udp")?;
-        *self.enables.lock() = s.enables.clone();
-        *self.sessions.lock() = s.sessions.clone();
-        *self.next_ephemeral.lock() = s.next_ephemeral;
+        *self.enables.borrow_mut() = s.enables.clone();
+        *self.sessions.borrow_mut() = s.sessions.clone();
+        *self.next_ephemeral.borrow_mut() = s.next_ephemeral;
         Ok(())
     }
 

@@ -3,9 +3,9 @@
 //! past capacity, and keep answering correctly for evicted peers (at the
 //! price of a fresh wire exchange).
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use inet::arp::Arp;
 use inet::testbed::base_registry;
@@ -71,15 +71,15 @@ fn resolve(rig: &ArpRig, ctx: &Ctx, i: usize) -> EthAddr {
 /// (resolved addresses, evictions, final table size, run report).
 fn sweep(seed: u64) -> (Vec<EthAddr>, u64, usize, RunReport) {
     let rig = arp_rig(SimConfig::scheduled().with_seed(seed), CACHE_CAP, N_PEERS);
-    let got: Arc<Mutex<Vec<EthAddr>>> = Arc::new(Mutex::new(Vec::new()));
-    let g2 = Arc::clone(&got);
+    let got: Rc<RefCell<Vec<EthAddr>>> = Rc::new(RefCell::new(Vec::new()));
+    let g2 = Rc::clone(&got);
     let obs = Arc::clone(&rig.observer);
     rig.sim.spawn(rig.observer.host(), move |ctx| {
         for i in 0..N_PEERS {
             let e = with_concrete::<Arp, _>(&obs, "arp", |a| a.resolve(ctx, peer_ip(i)))
                 .expect("arp downcast")
                 .expect("peer resolves");
-            g2.lock().push(e);
+            g2.borrow_mut().push(e);
         }
     });
     let run = rig.sim.run_until_idle();
@@ -88,7 +88,7 @@ fn sweep(seed: u64) -> (Vec<EthAddr>, u64, usize, RunReport) {
         (a.cache_evictions(), a.cache_len())
     })
     .expect("arp downcast");
-    let addrs = Arc::try_unwrap(got).expect("sole owner").into_inner();
+    let addrs = Rc::try_unwrap(got).expect("sole owner").into_inner();
     (addrs, evictions, len, run)
 }
 

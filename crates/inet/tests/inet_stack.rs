@@ -3,9 +3,9 @@
 //! TCP stream transport.
 
 use std::any::Any;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use inet::arp::Arp;
 use inet::icmp::Icmp;
@@ -19,14 +19,14 @@ use xkernel::sim::{Mode, SimConfig};
 /// A demux-only protocol recording datagrams, for parking above UDP.
 struct Recorder {
     me: ProtoId,
-    got: Mutex<Vec<Vec<u8>>>,
+    got: RefCell<Vec<Vec<u8>>>,
 }
 
 impl Recorder {
-    fn new(me: ProtoId) -> Arc<Recorder> {
-        Arc::new(Recorder {
+    fn new(me: ProtoId) -> Rc<Recorder> {
+        Rc::new(Recorder {
             me,
-            got: Mutex::new(Vec::new()),
+            got: RefCell::new(Vec::new()),
         })
     }
 }
@@ -45,7 +45,7 @@ impl Protocol for Recorder {
         Ok(())
     }
     fn demux(&self, _ctx: &Ctx, _lls: &SessionRef, msg: Message) -> XResult<()> {
-        self.got.lock().push(msg.to_vec());
+        self.got.borrow_mut().push(msg.to_vec());
         Ok(())
     }
     fn as_any(&self) -> &dyn Any {
@@ -68,7 +68,7 @@ fn rig(mode: Mode) -> TwoHosts {
 }
 
 fn recorded(k: &Arc<Kernel>) -> Vec<Vec<u8>> {
-    with_concrete::<Recorder, _>(k, "recorder", |r| r.got.lock().clone()).unwrap()
+    with_concrete::<Recorder, _>(k, "recorder", |r| r.got.borrow_mut().clone()).unwrap()
 }
 
 /// Client sends one UDP datagram to the server's port 9; returns recorded.
@@ -204,19 +204,19 @@ fn arp_resolves_local_host_and_caches() {
     let tb = rig(Mode::Scheduled);
     let server_ip = tb.server_ip;
     let stats0 = tb.net.stats(tb.lan).sent;
-    let resolved: Arc<Mutex<Vec<EthAddr>>> = Arc::new(Mutex::new(Vec::new()));
-    let r2 = Arc::clone(&resolved);
+    let resolved: Rc<RefCell<Vec<EthAddr>>> = Rc::new(RefCell::new(Vec::new()));
+    let r2 = Rc::clone(&resolved);
     tb.sim.spawn(tb.client.host(), move |ctx| {
-        let got = with_concrete::<Arp, _>(&ctx.kernel(), "arp", |a| {
+        let got = with_concrete::<Arp, _>(ctx.kernel(), "arp", |a| {
             let e1 = a.resolve(ctx, server_ip).unwrap();
             let e2 = a.resolve(ctx, server_ip).unwrap(); // Cache hit.
-            r2.lock().push(e1);
-            r2.lock().push(e2);
+            r2.borrow_mut().push(e1);
+            r2.borrow_mut().push(e2);
         });
         got.unwrap();
     });
     tb.sim.run_until_idle();
-    let r = resolved.lock();
+    let r = resolved.borrow_mut();
     assert_eq!(r[0], EthAddr::from_index(2));
     assert_eq!(r[0], r[1]);
     // One request + one reply on the wire despite two resolves.
@@ -228,18 +228,18 @@ fn arp_unknown_host_times_out_with_retries() {
     let tb = rig(Mode::Scheduled);
     let ghost = IpAddr::new(10, 0, 0, 77);
     let stats0 = tb.net.stats(tb.lan).sent;
-    let result: Arc<Mutex<Option<XError>>> = Arc::new(Mutex::new(None));
-    let r2 = Arc::clone(&result);
+    let result: Rc<RefCell<Option<XError>>> = Rc::new(RefCell::new(None));
+    let r2 = Rc::clone(&result);
     tb.sim.spawn(tb.client.host(), move |ctx| {
-        with_concrete::<Arp, _>(&ctx.kernel(), "arp", |a| {
-            *r2.lock() = a.resolve(ctx, ghost).err();
+        with_concrete::<Arp, _>(ctx.kernel(), "arp", |a| {
+            *r2.borrow_mut() = a.resolve(ctx, ghost).err();
             // Second attempt hits the negative cache (no extra traffic).
             assert!(a.resolve(ctx, ghost).is_err());
         })
         .unwrap();
     });
     tb.sim.run_until_idle();
-    assert!(matches!(*result.lock(), Some(XError::Unreachable(_))));
+    assert!(matches!(*result.borrow_mut(), Some(XError::Unreachable(_))));
     assert_eq!(
         tb.net.stats(tb.lan).sent - stats0,
         u64::from(inet::arp::ARP_RETRIES),
@@ -251,17 +251,17 @@ fn arp_unknown_host_times_out_with_retries() {
 fn icmp_ping_on_shared_lan() {
     let tb = rig(Mode::Scheduled);
     let server_ip = tb.server_ip;
-    let ok: Arc<Mutex<Option<usize>>> = Arc::new(Mutex::new(None));
-    let ok2 = Arc::clone(&ok);
+    let ok: Rc<RefCell<Option<usize>>> = Rc::new(RefCell::new(None));
+    let ok2 = Rc::clone(&ok);
     tb.sim.spawn(tb.client.host(), move |ctx| {
-        with_concrete::<Icmp, _>(&ctx.kernel(), "icmp", |i| {
+        with_concrete::<Icmp, _>(ctx.kernel(), "icmp", |i| {
             let echoed = i.ping(ctx, server_ip, 56).unwrap();
-            *ok2.lock() = Some(echoed.len());
+            *ok2.borrow_mut() = Some(echoed.len());
         })
         .unwrap();
     });
     let r = tb.sim.run_until_idle();
-    assert_eq!(*ok.lock(), Some(56));
+    assert_eq!(*ok.borrow_mut(), Some(56));
     assert_eq!(r.blocked, 0);
 }
 
@@ -269,17 +269,17 @@ fn icmp_ping_on_shared_lan() {
 fn icmp_ping_through_router() {
     let rp: RoutedPair = routed_pair(SimConfig::scheduled(), &registry(), "").unwrap();
     let server_ip = rp.server_ip;
-    let ok: Arc<Mutex<Option<usize>>> = Arc::new(Mutex::new(None));
-    let ok2 = Arc::clone(&ok);
+    let ok: Rc<RefCell<Option<usize>>> = Rc::new(RefCell::new(None));
+    let ok2 = Rc::clone(&ok);
     rp.sim.spawn(rp.client.host(), move |ctx| {
-        with_concrete::<Icmp, _>(&ctx.kernel(), "icmp", |i| {
+        with_concrete::<Icmp, _>(ctx.kernel(), "icmp", |i| {
             let echoed = i.ping(ctx, server_ip, 32).unwrap();
-            *ok2.lock() = Some(echoed.len());
+            *ok2.borrow_mut() = Some(echoed.len());
         })
         .unwrap();
     });
     rp.sim.run_until_idle();
-    assert_eq!(*ok.lock(), Some(32));
+    assert_eq!(*ok.borrow_mut(), Some(32));
     // Traffic must have crossed both LANs.
     assert!(rp.net.stats(rp.lan_a).sent >= 2);
     assert!(rp.net.stats(rp.lan_b).sent >= 2);
@@ -293,25 +293,25 @@ fn concurrent_pingers_with_distinct_ids_do_not_collide() {
     // loser timed out. Keying by (peer, id, seq) keeps them distinct.
     let tb = rig(Mode::Scheduled);
     let server_ip = tb.server_ip;
-    let got_a: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-    let got_b: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-    let (a2, b2) = (Arc::clone(&got_a), Arc::clone(&got_b));
+    let got_a: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
+    let got_b: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
+    let (a2, b2) = (Rc::clone(&got_a), Rc::clone(&got_b));
     tb.sim.spawn(tb.client.host(), move |ctx| {
-        with_concrete::<Icmp, _>(&ctx.kernel(), "icmp", |i| {
-            *a2.lock() = Some(i.ping_with(ctx, server_ip, 24, 1, 7).unwrap());
+        with_concrete::<Icmp, _>(ctx.kernel(), "icmp", |i| {
+            *a2.borrow_mut() = Some(i.ping_with(ctx, server_ip, 24, 1, 7).unwrap());
         })
         .unwrap();
     });
     tb.sim.spawn(tb.client.host(), move |ctx| {
-        with_concrete::<Icmp, _>(&ctx.kernel(), "icmp", |i| {
-            *b2.lock() = Some(i.ping_with(ctx, server_ip, 48, 2, 7).unwrap());
+        with_concrete::<Icmp, _>(ctx.kernel(), "icmp", |i| {
+            *b2.borrow_mut() = Some(i.ping_with(ctx, server_ip, 48, 2, 7).unwrap());
         })
         .unwrap();
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0, "neither pinger may lose its reply");
-    let a = got_a.lock().take().unwrap();
-    let b = got_b.lock().take().unwrap();
+    let a = got_a.borrow_mut().take().unwrap();
+    let b = got_b.borrow_mut().take().unwrap();
     assert_eq!(a.len(), 24, "pinger id=1 got its own 24-byte echo");
     assert_eq!(b.len(), 48, "pinger id=2 got its own 48-byte echo");
 }
@@ -325,12 +325,12 @@ fn icmp_checksum_rejection_is_accounted() {
     // checksum cannot see; only ICMP's own checksum catches it.
     let tb = rig(Mode::Scheduled);
     let server_ip = tb.server_ip;
-    let errs: Arc<Mutex<Option<XError>>> = Arc::new(Mutex::new(None));
-    let e2 = Arc::clone(&errs);
+    let errs: Rc<RefCell<Option<XError>>> = Rc::new(RefCell::new(None));
+    let e2 = Rc::clone(&errs);
     let net = tb.net.clone();
     let lan = tb.lan;
     tb.sim.spawn(tb.client.host(), move |ctx| {
-        with_concrete::<Icmp, _>(&ctx.kernel(), "icmp", |i| {
+        with_concrete::<Icmp, _>(ctx.kernel(), "icmp", |i| {
             i.ping(ctx, server_ip, 16).unwrap(); // Clean wire: works.
             net.set_faults(
                 lan,
@@ -339,16 +339,16 @@ fn icmp_checksum_rejection_is_accounted() {
                     ..FaultPlan::default()
                 },
             );
-            *e2.lock() = i.ping(ctx, server_ip, 16).err();
+            *e2.borrow_mut() = i.ping(ctx, server_ip, 16).err();
         })
         .unwrap();
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
     assert!(
-        matches!(*errs.lock(), Some(XError::Timeout(_))),
+        matches!(*errs.borrow_mut(), Some(XError::Timeout(_))),
         "the corrupted echo must vanish, got {:?}",
-        errs.lock()
+        errs.borrow_mut()
     );
     let server = tb.sim.host_stats(tb.server.host());
     assert!(
@@ -360,17 +360,17 @@ fn icmp_checksum_rejection_is_accounted() {
 #[test]
 fn ping_fails_cleanly_when_host_absent() {
     let tb = rig(Mode::Scheduled);
-    let err: Arc<Mutex<Option<XError>>> = Arc::new(Mutex::new(None));
-    let e2 = Arc::clone(&err);
+    let err: Rc<RefCell<Option<XError>>> = Rc::new(RefCell::new(None));
+    let e2 = Rc::clone(&err);
     tb.sim.spawn(tb.client.host(), move |ctx| {
-        with_concrete::<Icmp, _>(&ctx.kernel(), "icmp", |i| {
-            *e2.lock() = i.ping(ctx, IpAddr::new(10, 0, 0, 99), 8).err();
+        with_concrete::<Icmp, _>(ctx.kernel(), "icmp", |i| {
+            *e2.borrow_mut() = i.ping(ctx, IpAddr::new(10, 0, 0, 99), 8).err();
         })
         .unwrap();
     });
     tb.sim.run_until_idle();
     // ARP cannot resolve the ghost → Unreachable surfaces from the open.
-    assert!(err.lock().is_some());
+    assert!(err.borrow_mut().is_some());
 }
 
 // ---------------------------------------------------------------------------
@@ -387,11 +387,11 @@ fn tcp_rig() -> TwoHosts {
 fn tcp_connect_send_recv() {
     let tb = tcp_rig();
     let server_ip = tb.server_ip;
-    let received: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-    let r2 = Arc::clone(&received);
+    let received: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
+    let r2 = Rc::clone(&received);
 
     tb.sim.spawn(tb.server.host(), move |ctx| {
-        with_concrete::<Tcp, _>(&ctx.kernel(), "tcp", |t| {
+        with_concrete::<Tcp, _>(ctx.kernel(), "tcp", |t| {
             let listener = t.listen(80).unwrap();
             let conn = listener.accept(ctx, 5_000_000_000).unwrap();
             let mut all = Vec::new();
@@ -405,13 +405,13 @@ fn tcp_connect_send_recv() {
                     break;
                 }
             }
-            *r2.lock() = all;
+            *r2.borrow_mut() = all;
         })
         .unwrap();
     });
 
     tb.sim.spawn(tb.client.host(), move |ctx| {
-        with_concrete::<Tcp, _>(&ctx.kernel(), "tcp", |t| {
+        with_concrete::<Tcp, _>(ctx.kernel(), "tcp", |t| {
             let conn = t.connect(ctx, server_ip, 80).unwrap();
             assert_eq!(conn.state_name(), "established");
             let data: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
@@ -422,7 +422,7 @@ fn tcp_connect_send_recv() {
 
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    let got = received.lock();
+    let got = received.borrow_mut();
     assert_eq!(got.len(), 5000);
     assert_eq!(
         *got,
@@ -436,11 +436,11 @@ fn tcp_survives_segment_loss() {
     let server_ip = tb.server_ip;
     // Drop ~10% of packets; retransmission must still deliver everything.
     tb.net.set_faults(tb.lan, FaultPlan::lossy(100));
-    let received: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-    let r2 = Arc::clone(&received);
+    let received: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
+    let r2 = Rc::clone(&received);
 
     tb.sim.spawn(tb.server.host(), move |ctx| {
-        with_concrete::<Tcp, _>(&ctx.kernel(), "tcp", |t| {
+        with_concrete::<Tcp, _>(ctx.kernel(), "tcp", |t| {
             let listener = t.listen(80).unwrap();
             let conn = listener.accept(ctx, 20_000_000_000).unwrap();
             let mut all = Vec::new();
@@ -451,13 +451,13 @@ fn tcp_survives_segment_loss() {
                     Err(_) => break,
                 }
             }
-            *r2.lock() = all;
+            *r2.borrow_mut() = all;
         })
         .unwrap();
     });
 
     tb.sim.spawn(tb.client.host(), move |ctx| {
-        with_concrete::<Tcp, _>(&ctx.kernel(), "tcp", |t| {
+        with_concrete::<Tcp, _>(ctx.kernel(), "tcp", |t| {
             let conn = t.connect(ctx, server_ip, 80).unwrap();
             let data: Vec<u8> = (0..20_000u32).map(|i| (i % 241) as u8).collect();
             conn.send(ctx, &data).unwrap();
@@ -466,7 +466,7 @@ fn tcp_survives_segment_loss() {
     });
 
     tb.sim.run_until_idle();
-    let got = received.lock();
+    let got = received.borrow_mut();
     assert_eq!(got.len(), 20_000, "all bytes delivered despite loss");
     assert_eq!(
         *got,
@@ -535,12 +535,12 @@ fn corruption_is_caught_by_ip_checksum() {
     let server_ip = tb.server_ip;
     // Warm ARP so the corruption hits the ICMP exchange, then corrupt
     // everything.
-    let errs: Arc<Mutex<Option<XError>>> = Arc::new(Mutex::new(None));
-    let e2 = Arc::clone(&errs);
+    let errs: Rc<RefCell<Option<XError>>> = Rc::new(RefCell::new(None));
+    let e2 = Rc::clone(&errs);
     let net = tb.net.clone();
     let lan = tb.lan;
     tb.sim.spawn(tb.client.host(), move |ctx| {
-        with_concrete::<Icmp, _>(&ctx.kernel(), "icmp", |i| {
+        with_concrete::<Icmp, _>(ctx.kernel(), "icmp", |i| {
             i.ping(ctx, server_ip, 16).unwrap(); // Clean wire: works.
             net.set_faults(
                 lan,
@@ -549,16 +549,16 @@ fn corruption_is_caught_by_ip_checksum() {
                     ..FaultPlan::default()
                 },
             );
-            *e2.lock() = i.ping(ctx, server_ip, 16).err();
+            *e2.borrow_mut() = i.ping(ctx, server_ip, 16).err();
         })
         .unwrap();
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
     assert!(
-        matches!(*errs.lock(), Some(XError::Timeout(_))),
+        matches!(*errs.borrow_mut(), Some(XError::Timeout(_))),
         "corrupted packets must be dropped by the checksum, got {:?}",
-        errs.lock()
+        errs.borrow_mut()
     );
     // The rejection is accounted: some host's IP layer noted it.
     let rejected: u64 = r.hosts.iter().map(|h| h.corrupt_rejected).sum();

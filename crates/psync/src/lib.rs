@@ -25,10 +25,9 @@
 #![warn(missing_docs)]
 
 use std::any::Any;
+use std::cell::{OnceCell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, OnceLock, Weak};
-
-use parking_lot::Mutex;
+use std::rc::{Rc, Weak};
 
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
 use xkernel::prelude::*;
@@ -62,20 +61,28 @@ struct ConvState {
 /// One end of a conversation: send into the context graph, receive in
 /// partial order.
 pub struct Conversation {
-    parent: Arc<Psync>,
+    parent: Weak<Psync>,
     id: u32,
     peers: Vec<IpAddr>,
-    st: Mutex<ConvState>,
+    st: RefCell<ConvState>,
     avail: SharedSema,
+}
+
+impl Conversation {
+    fn parent(&self) -> Rc<Psync> {
+        self.parent
+            .upgrade()
+            .expect("a protocol outlives its sessions")
+    }
 }
 
 impl Conversation {
     /// Sends `data` to every other participant, in the context of all
     /// currently-known leaves. Returns the new message's id.
     pub fn send(&self, ctx: &Ctx, data: Vec<u8>) -> XResult<MsgId> {
-        let my_ip = self.parent.my_ip();
+        let my_ip = self.parent().my_ip();
         let (id, deps) = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             st.next_local += 1;
             let id = (my_ip.0, st.next_local);
             let deps = std::mem::replace(&mut st.leaves, vec![id]);
@@ -84,7 +91,7 @@ impl Conversation {
         };
         let wire = encode(self.id, my_ip, id.1, &deps, &data);
         for peer in &self.peers {
-            let sess = self.parent.lower_for(ctx, *peer)?;
+            let sess = self.parent().lower_for(ctx, *peer)?;
             ctx.charge_layer_call();
             sess.push(ctx, ctx.msg(wire.clone()))?;
         }
@@ -94,7 +101,7 @@ impl Conversation {
     /// Receives the next deliverable message, waiting up to `timeout_ns`.
     pub fn receive(&self, ctx: &Ctx, timeout_ns: u64) -> XResult<PsyncMsg> {
         loop {
-            if let Some(m) = self.st.lock().inbox.pop_front() {
+            if let Some(m) = self.st.borrow_mut().inbox.pop_front() {
                 return Ok(m);
             }
             if !self.avail.p_timeout(ctx, timeout_ns) {
@@ -108,21 +115,21 @@ impl Conversation {
 
     /// Messages delivered so far but not yet received by the application.
     pub fn backlog(&self) -> usize {
-        self.st.lock().inbox.len()
+        self.st.borrow_mut().inbox.len()
     }
 
     /// Messages stuck waiting for their context (tests).
     pub fn waiting_on_context(&self) -> usize {
-        self.st.lock().pending.len()
+        self.st.borrow_mut().pending.len()
     }
 
     /// The current context leaves (tests).
     pub fn leaves(&self) -> Vec<MsgId> {
-        self.st.lock().leaves.clone()
+        self.st.borrow_mut().leaves.clone()
     }
 
     fn message_in(&self, ctx: &Ctx, msg: PsyncMsg) {
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         if st.delivered.contains(&msg.id) {
             return; // Duplicate (FRAGMENT may duplicate; that's fine).
         }
@@ -143,7 +150,7 @@ impl Conversation {
                     delivered_any = true;
                     drop(st);
                     self.avail.v(ctx);
-                    st = self.st.lock();
+                    st = self.st.borrow_mut();
                 } else {
                     i += 1;
                 }
@@ -170,28 +177,24 @@ pub struct Psync {
     weak_self: Weak<Psync>,
     me: ProtoId,
     lower: ProtoId,
-    lower_name: OnceLock<&'static str>,
-    my_ip: OnceLock<IpAddr>,
-    convs: Mutex<HashMap<u32, Arc<Conversation>>>,
-    lowers: Mutex<HashMap<u32, SessionRef>>,
+    lower_name: OnceCell<&'static str>,
+    my_ip: OnceCell<IpAddr>,
+    convs: RefCell<HashMap<u32, Rc<Conversation>>>,
+    lowers: RefCell<HashMap<u32, SessionRef>>,
 }
 
 impl Psync {
     /// Creates Psync above `lower` (FRAGMENT, VIP, or IP).
-    pub fn new(me: ProtoId, lower: ProtoId) -> Arc<Psync> {
-        Arc::new_cyclic(|weak_self| Psync {
+    pub fn new(me: ProtoId, lower: ProtoId) -> Rc<Psync> {
+        Rc::new_cyclic(|weak_self| Psync {
             weak_self: weak_self.clone(),
             me,
             lower,
-            lower_name: OnceLock::new(),
-            my_ip: OnceLock::new(),
-            convs: Mutex::new(HashMap::new()),
-            lowers: Mutex::new(HashMap::new()),
+            lower_name: OnceCell::new(),
+            my_ip: OnceCell::new(),
+            convs: RefCell::new(HashMap::new()),
+            lowers: RefCell::new(HashMap::new()),
         })
-    }
-
-    fn self_arc(&self) -> Arc<Psync> {
-        self.weak_self.upgrade().expect("psync alive")
     }
 
     fn my_ip(&self) -> IpAddr {
@@ -199,8 +202,8 @@ impl Psync {
     }
 
     fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<SessionRef> {
-        if let Some(s) = self.lowers.lock().get(&peer.0) {
-            return Ok(Arc::clone(s));
+        if let Some(s) = self.lowers.borrow_mut().get(&peer.0) {
+            return Ok(Rc::clone(s));
         }
         let lname = self.lower_name.get().expect("psync booted");
         let parts = ParticipantSet::pair(
@@ -208,20 +211,20 @@ impl Psync {
             Participant::host(peer),
         );
         let s = ctx.kernel().open(ctx, self.lower, self.me, &parts)?;
-        self.lowers.lock().insert(peer.0, Arc::clone(&s));
+        self.lowers.borrow_mut().insert(peer.0, Rc::clone(&s));
         Ok(s)
     }
 
     /// Opens (or joins) conversation `id` with the given other
     /// participants. Every participant must open the same id.
-    pub fn open_conv(&self, _ctx: &Ctx, id: u32, peers: Vec<IpAddr>) -> Arc<Conversation> {
-        let mut convs = self.convs.lock();
-        Arc::clone(convs.entry(id).or_insert_with(|| {
-            Arc::new(Conversation {
-                parent: self.self_arc(),
+    pub fn open_conv(&self, _ctx: &Ctx, id: u32, peers: Vec<IpAddr>) -> Rc<Conversation> {
+        let mut convs = self.convs.borrow_mut();
+        Rc::clone(convs.entry(id).or_insert_with(|| {
+            Rc::new(Conversation {
+                parent: Weak::clone(&self.weak_self),
                 id,
                 peers,
-                st: Mutex::new(ConvState {
+                st: RefCell::new(ConvState {
                     next_local: 0,
                     delivered: HashSet::new(),
                     leaves: Vec::new(),
@@ -286,7 +289,7 @@ impl Protocol for Psync {
         }
         drop(deps_bytes);
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let conversation = self.convs.lock().get(&conv).cloned();
+        let conversation = self.convs.borrow_mut().get(&conv).cloned();
         match conversation {
             Some(c) => {
                 c.message_in(
@@ -323,37 +326,37 @@ impl Protocol for Psync {
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         let convs = self
             .convs
-            .lock()
+            .borrow_mut()
             .iter()
             .map(|(k, c)| {
                 (
                     *k,
                     ConvSnap {
-                        conv: Arc::clone(c),
-                        st: c.st.lock().clone(),
+                        conv: Rc::clone(c),
+                        st: c.st.borrow_mut().clone(),
                         avail: c.avail.snap_state(),
                     },
                 )
             })
             .collect();
-        Some(Arc::new(PsyncSnap {
+        Some(Rc::new(PsyncSnap {
             convs,
-            lowers: self.lowers.lock().clone(),
+            lowers: self.lowers.borrow_mut().clone(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<PsyncSnap>(blob, "psync")?;
         {
-            let mut convs = self.convs.lock();
+            let mut convs = self.convs.borrow_mut();
             convs.clear();
             for (k, cs) in &s.convs {
-                *cs.conv.st.lock() = cs.st.clone();
+                *cs.conv.st.borrow_mut() = cs.st.clone();
                 cs.conv.avail.restore_state(cs.avail);
-                convs.insert(*k, Arc::clone(&cs.conv));
+                convs.insert(*k, Rc::clone(&cs.conv));
             }
         }
-        *self.lowers.lock() = s.lowers.clone();
+        *self.lowers.borrow_mut() = s.lowers.clone();
         Ok(())
     }
 
@@ -363,7 +366,7 @@ impl Protocol for Psync {
 }
 
 struct ConvSnap {
-    conv: Arc<Conversation>,
+    conv: Rc<Conversation>,
     st: ConvState,
     avail: (i64, u64),
 }

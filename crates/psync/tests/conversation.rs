@@ -2,9 +2,9 @@
 //! suppression, and — the paper's point — reuse of FRAGMENT for large
 //! conversation messages.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use inet::testbed::{base_registry, lan_hosts, Lan};
 use inet::with_concrete;
@@ -23,7 +23,7 @@ fn registry() -> ProtocolRegistry {
     reg
 }
 
-fn conv_of(rig: &Lan, host: usize, id: u32, peers: Vec<IpAddr>) -> Arc<Conversation> {
+fn conv_of(rig: &Lan, host: usize, id: u32, peers: Vec<IpAddr>) -> Rc<Conversation> {
     let ctx = rig.sim.ctx(rig.kernels[host].host());
     with_concrete::<Psync, _>(&rig.kernels[host], "psync", |p| {
         p.open_conv(&ctx, id, peers)
@@ -44,7 +44,7 @@ fn two_party_exchange_with_context() {
     let conv_a = conv_of(&rig, 0, 1, vec![b_ip]);
     let conv_b = conv_of(&rig, 1, 1, vec![a_ip]);
 
-    let ca = Arc::clone(&conv_a);
+    let ca = Rc::clone(&conv_a);
     let h0 = rig.kernels[0].host();
     rig.sim.spawn(h0, move |ctx| {
         let m1 = ca.send(ctx, b"question".to_vec()).unwrap();
@@ -53,7 +53,7 @@ fn two_party_exchange_with_context() {
         assert_eq!(reply.data, b"answer");
         assert_eq!(reply.deps, vec![m1], "reply sent in the question's context");
     });
-    let cb = Arc::clone(&conv_b);
+    let cb = Rc::clone(&conv_b);
     let h1 = rig.kernels[1].host();
     rig.sim.spawn(h1, move |ctx| {
         let q = cb.receive(ctx, RECV_TIMEOUT).unwrap();
@@ -98,31 +98,31 @@ fn partial_order_survives_reordering() {
         },
     );
 
-    let delivered: Arc<Mutex<Vec<Vec<u8>>>> = Arc::new(Mutex::new(Vec::new()));
+    let delivered: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(Vec::new()));
 
-    let ca = Arc::clone(&conv_a);
+    let ca = Rc::clone(&conv_a);
     rig.sim.spawn(rig.kernels[0].host(), move |ctx| {
         ca.send(ctx, b"m1".to_vec()).unwrap();
     });
-    let cb = Arc::clone(&conv_b);
+    let cb = Rc::clone(&conv_b);
     rig.sim.spawn(rig.kernels[1].host(), move |ctx| {
         let m1 = cb.receive(ctx, RECV_TIMEOUT).unwrap();
         assert_eq!(m1.data, b"m1");
         cb.send(ctx, b"m2".to_vec()).unwrap();
     });
-    let cc = Arc::clone(&conv_c);
-    let d2 = Arc::clone(&delivered);
+    let cc = Rc::clone(&conv_c);
+    let d2 = Rc::clone(&delivered);
     rig.sim.spawn(rig.kernels[2].host(), move |ctx| {
         let first = cc.receive(ctx, RECV_TIMEOUT).unwrap();
         let second = cc.receive(ctx, RECV_TIMEOUT).unwrap();
-        d2.lock().push(first.data);
-        d2.lock().push(second.data);
+        d2.borrow_mut().push(first.data);
+        d2.borrow_mut().push(second.data);
         assert_eq!(second.deps, vec![first.id], "context chain intact");
     });
     let r = rig.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
     assert_eq!(
-        *delivered.lock(),
+        *delivered.borrow_mut(),
         vec![b"m1".to_vec(), b"m2".to_vec()],
         "m1 delivered before the message sent in its context"
     );
@@ -160,16 +160,16 @@ fn message_blocks_until_context_arrives() {
         },
     );
 
-    let ca = Arc::clone(&conv_a);
+    let ca = Rc::clone(&conv_a);
     rig.sim.spawn(rig.kernels[0].host(), move |ctx| {
         ca.send(ctx, b"m1".to_vec()).unwrap();
     });
-    let cb = Arc::clone(&conv_b);
+    let cb = Rc::clone(&conv_b);
     rig.sim.spawn(rig.kernels[1].host(), move |ctx| {
         cb.receive(ctx, RECV_TIMEOUT).unwrap();
         cb.send(ctx, b"m2".to_vec()).unwrap();
     });
-    let cc = Arc::clone(&conv_c);
+    let cc = Rc::clone(&conv_c);
     rig.sim.spawn(rig.kernels[2].host(), move |ctx| {
         // m2 arrives but must never be delivered without m1.
         let r = cc.receive(ctx, 500_000_000);
@@ -200,18 +200,18 @@ fn large_messages_reuse_fragment() {
     let conv_b = conv_of(&rig, 1, 2, vec![a_ip]);
     let big: Vec<u8> = (0..12_000).map(|i| (i % 251) as u8).collect();
     let payload = big.clone();
-    let ca = Arc::clone(&conv_a);
+    let ca = Rc::clone(&conv_a);
     rig.sim.spawn(rig.kernels[0].host(), move |ctx| {
         ca.send(ctx, payload).unwrap();
     });
-    let got: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-    let g2 = Arc::clone(&got);
-    let cb = Arc::clone(&conv_b);
+    let got: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
+    let g2 = Rc::clone(&got);
+    let cb = Rc::clone(&conv_b);
     rig.sim.spawn(rig.kernels[1].host(), move |ctx| {
-        *g2.lock() = cb.receive(ctx, RECV_TIMEOUT).unwrap().data;
+        *g2.borrow_mut() = cb.receive(ctx, RECV_TIMEOUT).unwrap().data;
     });
     rig.sim.run_until_idle();
-    assert_eq!(*got.lock(), big);
+    assert_eq!(*got.borrow_mut(), big);
     // The sender's FRAGMENT layer really carried it.
     with_concrete::<xrpc::fragment::Fragment, _>(&rig.kernels[0], "fragment", |f| {
         let st = f.stats();
@@ -234,14 +234,14 @@ fn oversized_message_without_fragment_is_rejected() {
     .unwrap();
     let b_ip = rig.ip_of(1);
     let conv_a = conv_of(&rig, 0, 3, vec![b_ip]);
-    let err: Arc<Mutex<Option<XError>>> = Arc::new(Mutex::new(None));
-    let e2 = Arc::clone(&err);
-    let ca = Arc::clone(&conv_a);
+    let err: Rc<RefCell<Option<XError>>> = Rc::new(RefCell::new(None));
+    let e2 = Rc::clone(&err);
+    let ca = Rc::clone(&conv_a);
     rig.sim.spawn(rig.kernels[0].host(), move |ctx| {
-        *e2.lock() = ca.send(ctx, vec![0u8; 12_000]).err();
+        *e2.borrow_mut() = ca.send(ctx, vec![0u8; 12_000]).err();
     });
     rig.sim.run_until_idle();
-    assert!(matches!(*err.lock(), Some(XError::TooBig { .. })));
+    assert!(matches!(*err.borrow_mut(), Some(XError::TooBig { .. })));
 }
 
 #[test]
@@ -263,18 +263,18 @@ fn duplicates_are_suppressed() {
     let (a_ip, b_ip) = (rig.ip_of(0), rig.ip_of(1));
     let conv_a = conv_of(&rig, 0, 4, vec![b_ip]);
     let conv_b = conv_of(&rig, 1, 4, vec![a_ip]);
-    let ca = Arc::clone(&conv_a);
+    let ca = Rc::clone(&conv_a);
     rig.sim.spawn(rig.kernels[0].host(), move |ctx| {
         for i in 0..5u8 {
             ca.send(ctx, vec![i]).unwrap();
         }
     });
-    let seen: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-    let s2 = Arc::clone(&seen);
-    let cb = Arc::clone(&conv_b);
+    let seen: Rc<RefCell<Vec<u8>>> = Rc::new(RefCell::new(Vec::new()));
+    let s2 = Rc::clone(&seen);
+    let cb = Rc::clone(&conv_b);
     rig.sim.spawn(rig.kernels[1].host(), move |ctx| {
         for _ in 0..5 {
-            s2.lock()
+            s2.borrow_mut()
                 .push(cb.receive(ctx, RECV_TIMEOUT).unwrap().data[0]);
         }
         // No sixth message may ever be delivered.
@@ -282,5 +282,5 @@ fn duplicates_are_suppressed() {
     });
     let r = rig.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    assert_eq!(*seen.lock(), vec![0, 1, 2, 3, 4]);
+    assert_eq!(*seen.borrow_mut(), vec![0, 1, 2, 3, 4]);
 }

@@ -22,9 +22,8 @@
 
 pub mod fault;
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
+use std::rc::{Rc, Weak};
 
 use fault::{FaultDecision, FaultPlan, FaultSchedule};
 use xkernel::prelude::*;
@@ -101,10 +100,13 @@ pub struct LanStats {
     pub busy_ns: u64,
 }
 
+/// A NIC's place on its LAN. The NIC is owned by its kernel (as one of the
+/// kernel's protocols) and holds the network; the LAN refers back to it
+/// weakly, so a dropped simulation frees both.
 struct Attachment {
     host: HostId,
     eth: EthAddr,
-    nic: Arc<Nic>,
+    nic: Weak<Nic>,
 }
 
 /// One realized, *suppressible* fault (drop / duplicate / corrupt — not a
@@ -152,30 +154,29 @@ struct LanSnap {
 }
 
 struct NetInner {
-    sim: Sim,
-    lans: Mutex<Vec<Lan>>,
+    lans: RefCell<Vec<Lan>>,
 }
 
 /// The simulated network: LAN segments plus host attachments.
 #[derive(Clone)]
 pub struct SimNet {
-    inner: Arc<NetInner>,
+    inner: Rc<NetInner>,
 }
 
 impl SimNet {
-    /// Creates an empty network on `sim`.
-    pub fn new(sim: &Sim) -> SimNet {
+    /// Creates an empty network on `sim`. The network keeps no handle to
+    /// the simulator: each frame reaches it through the sender's context.
+    pub fn new(_sim: &Sim) -> SimNet {
         SimNet {
-            inner: Arc::new(NetInner {
-                sim: sim.clone(),
-                lans: Mutex::new(Vec::new()),
+            inner: Rc::new(NetInner {
+                lans: RefCell::new(Vec::new()),
             }),
         }
     }
 
     /// Adds a LAN segment.
     pub fn add_lan(&self, cfg: LanConfig) -> LanId {
-        let mut lans = self.inner.lans.lock();
+        let mut lans = self.inner.lans.borrow_mut();
         let id = LanId(lans.len());
         lans.push(Lan {
             cfg,
@@ -197,25 +198,25 @@ impl SimNet {
 
     /// Installs a full time-varying fault schedule on a LAN.
     pub fn set_fault_schedule(&self, lan: LanId, schedule: FaultSchedule) {
-        self.inner.lans.lock()[lan.0].faults = schedule;
+        self.inner.lans.borrow_mut()[lan.0].faults = schedule;
     }
 
     /// Reads a LAN's traffic counters.
     pub fn stats(&self, lan: LanId) -> LanStats {
-        self.inner.lans.lock()[lan.0].stats
+        self.inner.lans.borrow_mut()[lan.0].stats
     }
 
     /// Starts recording realized suppressible faults (drop / duplicate /
     /// corrupt — not delays) on `lan`, clearing any previous recording.
     /// The timeline is read back with [`SimNet::recorded_faults`].
     pub fn record_faults(&self, lan: LanId) {
-        self.inner.lans.lock()[lan.0].record = Some(Vec::new());
+        self.inner.lans.borrow_mut()[lan.0].record = Some(Vec::new());
     }
 
     /// The faults recorded on `lan` since [`SimNet::record_faults`], in
     /// transmission order. Empty if recording was never enabled.
     pub fn recorded_faults(&self, lan: LanId) -> Vec<FaultEvent> {
-        self.inner.lans.lock()[lan.0]
+        self.inner.lans.borrow_mut()[lan.0]
             .record
             .clone()
             .unwrap_or_default()
@@ -231,14 +232,14 @@ impl SimNet {
     /// suppression. This prefix semantics is what the chaos bisect driver
     /// binary-searches.
     pub fn suppress_faults_from(&self, lan: LanId, cutoff: Option<u64>) {
-        self.inner.lans.lock()[lan.0].suppress_from = cutoff;
+        self.inner.lans.borrow_mut()[lan.0].suppress_from = cutoff;
     }
 
     /// Captures every LAN's wire position, packet index, traffic counters,
     /// and installed fault schedule. Pairs with [`xkernel::sim::Sim::snapshot`]
     /// — take both at the same quiescent instant.
     pub fn snapshot(&self) -> NetSnapshot {
-        let lans = self.inner.lans.lock();
+        let lans = self.inner.lans.borrow_mut();
         NetSnapshot {
             lans: lans
                 .iter()
@@ -256,7 +257,7 @@ impl SimNet {
     /// wiring, not state, and are untouched; recording/suppression controls
     /// are harness knobs and are also left alone.
     pub fn restore(&self, snap: &NetSnapshot) {
-        let mut lans = self.inner.lans.lock();
+        let mut lans = self.inner.lans.borrow_mut();
         assert_eq!(
             lans.len(),
             snap.lans.len(),
@@ -272,7 +273,7 @@ impl SimNet {
 
     /// A LAN's configuration.
     pub fn lan_config(&self, lan: LanId) -> LanConfig {
-        self.inner.lans.lock()[lan.0].cfg
+        self.inner.lans.borrow_mut()[lan.0].cfg
     }
 
     /// Attaches `kernel` to `lan` with hardware address `eth`, registering
@@ -280,28 +281,33 @@ impl SimNet {
     /// `eth -> nic0`). Returns the NIC's protocol id.
     pub fn attach(
         &self,
-        kernel: &Arc<Kernel>,
+        kernel: &Kernel,
         lan: LanId,
         name: &str,
         eth: EthAddr,
     ) -> XResult<ProtoId> {
-        let net = self.clone();
         let host = kernel.host();
-        let mut created: Option<Arc<Nic>> = None;
+        let mut created: Option<Weak<Nic>> = None;
         let id = kernel.register(name, |me| {
-            let nic = Arc::new(Nic {
+            let nic = Rc::new(Nic {
                 me,
-                net,
+                net: self.clone(),
                 lan,
                 host,
                 eth,
-                upper: Mutex::new(None),
+                upper: Cell::new(None),
+                sess: Rc::new(NicSession {
+                    proto: me,
+                    net: self.clone(),
+                    lan,
+                    eth,
+                }),
             });
-            created = Some(Arc::clone(&nic));
+            created = Some(Rc::downgrade(&nic));
             Ok(nic as ProtocolRef)
         })?;
         let nic = created.expect("constructor ran");
-        self.inner.lans.lock()[lan.0]
+        self.inner.lans.borrow_mut()[lan.0]
             .attached
             .push(Attachment { host, eth, nic });
         Ok(id)
@@ -311,14 +317,13 @@ impl SimNet {
     /// frame are the destination hardware address (standard Ethernet
     /// framing), which the LAN uses for delivery filtering.
     fn transmit(&self, ctx: &Ctx, lan: LanId, src: EthAddr, frame: Message) -> XResult<()> {
-        let dst_bytes = frame.peek(6)?;
         let mut dst = [0u8; 6];
-        dst.copy_from_slice(&dst_bytes);
+        frame.peek_into(&mut dst)?;
         let dst = EthAddr(dst);
 
         ctx.charge_class(OpClass::Device, ctx.cost().device_op);
 
-        let mut lans = self.inner.lans.lock();
+        let mut lans = self.inner.lans.borrow_mut();
         let l = &mut lans[lan.0];
         if frame.len() > l.cfg.mtu + 14 {
             return Err(XError::TooBig {
@@ -346,7 +351,6 @@ impl SimNet {
         let mut decision = if l.faults.is_none() {
             FaultDecision::Deliver
         } else {
-            let sim = self.inner.sim.clone();
             if l.faults.wants_frame_bytes() {
                 frame_bytes = Some(frame.to_vec());
             }
@@ -356,7 +360,7 @@ impl SimNet {
                 src,
                 dst,
                 frame_bytes.as_deref().unwrap_or(&[]),
-                move || sim.next_u64(),
+                || ctx.next_u64(),
             )
         };
 
@@ -387,28 +391,16 @@ impl SimNet {
         match decision {
             FaultDecision::Deliver => {}
             FaultDecision::Drop => {
-                self.inner
-                    .sim
-                    .journal_fault(lan.0 as u32, index, xkernel::journal::FAULT_DROP, 0);
+                ctx.journal_fault(lan.0 as u32, index, xkernel::journal::FAULT_DROP, 0);
             }
             FaultDecision::Duplicate => {
-                self.inner.sim.journal_fault(
-                    lan.0 as u32,
-                    index,
-                    xkernel::journal::FAULT_DUPLICATE,
-                    0,
-                );
+                ctx.journal_fault(lan.0 as u32, index, xkernel::journal::FAULT_DUPLICATE, 0);
             }
             FaultDecision::Corrupt => {
-                self.inner.sim.journal_fault(
-                    lan.0 as u32,
-                    index,
-                    xkernel::journal::FAULT_CORRUPT,
-                    14,
-                );
+                ctx.journal_fault(lan.0 as u32, index, xkernel::journal::FAULT_CORRUPT, 14);
             }
             FaultDecision::CorruptAt(at) => {
-                self.inner.sim.journal_fault(
+                ctx.journal_fault(
                     lan.0 as u32,
                     index,
                     xkernel::journal::FAULT_CORRUPT,
@@ -416,9 +408,7 @@ impl SimNet {
                 );
             }
             FaultDecision::Delay(d) => {
-                self.inner
-                    .sim
-                    .journal_fault(lan.0 as u32, index, xkernel::journal::FAULT_DELAY, d);
+                ctx.journal_fault(lan.0 as u32, index, xkernel::journal::FAULT_DELAY, d);
             }
         }
 
@@ -465,23 +455,18 @@ impl SimNet {
         l.stats.busy_ns += tx * copies as u64;
 
         // Receivers: everyone but the sender whose address filter matches.
-        let receivers: Vec<(HostId, Arc<Nic>)> = l
-            .attached
-            .iter()
-            .filter(|a| a.eth != src && (dst.is_broadcast() || a.eth == dst))
-            .map(|a| (a.host, Arc::clone(&a.nic)))
-            .collect();
-        if !receivers.is_empty() {
+        let receivers = l.attached.iter().filter(|a| a.receives(src, dst)).count();
+        if receivers > 0 {
             l.stats.delivered += copies as u64;
         }
 
         // One frame, possibly many deliveries. With real fan-out (broadcast
         // or duplication) the payload's front buffer is frozen into an
-        // Arc-shared segment first, so per-receiver clones bump a refcount
+        // Rc-shared segment first, so per-receiver clones bump a refcount
         // instead of copying header bytes. The single-delivery common case
         // skips the freeze and *moves* the message — zero copies either way.
         let mut pending = Some(payload);
-        let total = copies * receivers.len();
+        let total = copies * receivers;
         if total > 1 {
             pending.as_mut().expect("payload present").share();
         }
@@ -497,10 +482,14 @@ impl SimNet {
 
         match ctx.mode() {
             Mode::Inline => {
+                // Each delivery runs the receiving stack, which may transmit
+                // in turn, so the LAN is looked up afresh for every receiver
+                // instead of being borrowed across the deliveries.
                 drop(lans);
                 for _ in 0..copies {
-                    for (host, nic) in &receivers {
-                        let rctx = ctx.with_host(*host);
+                    let mut at = 0;
+                    while let Some(nic) = self.next_receiver(lan, &mut at, src, dst) {
+                        let rctx = ctx.with_host(nic.host);
                         nic.deliver_up(&rctx, next_copy())?;
                     }
                 }
@@ -511,15 +500,16 @@ impl SimNet {
                 let start = now.max(l.wire_free);
                 l.wire_free = start + tx * copies as u64;
                 let arrival = start + tx + prop + extra_delay;
-                drop(lans);
+                // Scheduling runs no protocol code, so the LAN stays
+                // borrowed while the deliveries are queued.
                 for copy in 0..copies {
                     let at = arrival + copy as u64 * tx;
-                    for (host, nic) in &receivers {
-                        let nic = Arc::clone(nic);
+                    for a in l.attached.iter().filter(|a| a.receives(src, dst)) {
+                        let nic = a.nic();
                         let m = next_copy();
                         ctx.schedule_run_at(
                             at,
-                            *host,
+                            a.host,
                             Box::new(move |rctx: &Ctx| {
                                 rctx.charge_class(OpClass::Dispatch, rctx.cost().dispatch);
                                 if nic.deliver_up(rctx, m).is_err() {
@@ -533,6 +523,40 @@ impl SimNet {
         }
         Ok(())
     }
+
+    /// The first NIC at or after attachment `*at` of `lan` that receives a
+    /// frame from `src` to `dst`; advances `*at` past it.
+    fn next_receiver(
+        &self,
+        lan: LanId,
+        at: &mut usize,
+        src: EthAddr,
+        dst: EthAddr,
+    ) -> Option<Rc<Nic>> {
+        let lans = self.inner.lans.borrow();
+        let attached = &lans[lan.0].attached;
+        while let Some(a) = attached.get(*at) {
+            *at += 1;
+            if a.receives(src, dst) {
+                return Some(a.nic());
+            }
+        }
+        None
+    }
+}
+
+impl Attachment {
+    /// Whether this NIC's address filter takes a frame from `src` to `dst`
+    /// (a sender never hears itself).
+    fn receives(&self, src: EthAddr, dst: EthAddr) -> bool {
+        self.eth != src && (dst.is_broadcast() || self.eth == dst)
+    }
+
+    fn nic(&self) -> Rc<Nic> {
+        self.nic
+            .upgrade()
+            .expect("a NIC lives as long as the kernel that transmits to it")
+    }
 }
 
 /// The bottom-of-stack device protocol: one per (host, LAN) attachment.
@@ -542,7 +566,10 @@ pub struct Nic {
     lan: LanId,
     host: HostId,
     eth: EthAddr,
-    upper: Mutex<Option<ProtoId>>,
+    upper: Cell<Option<ProtoId>>,
+    /// The NIC's one session: every frame it delivers arrives on it, and
+    /// the protocol above sends through it.
+    sess: SessionRef,
 }
 
 impl Nic {
@@ -557,16 +584,10 @@ impl Nic {
     }
 
     fn deliver_up(&self, ctx: &Ctx, msg: Message) -> XResult<()> {
-        let upper = (*self.upper.lock()).ok_or_else(|| {
+        let upper = self.upper.get().ok_or_else(|| {
             XError::NoEnable(format!("nic on host {:?} has no upper protocol", self.host))
         })?;
-        let sess: SessionRef = Arc::new(NicSession {
-            proto: self.me,
-            net: self.net.clone(),
-            lan: self.lan,
-            eth: self.eth,
-        });
-        ctx.kernel().demux_to(ctx, upper, &sess, msg)
+        ctx.kernel().demux_to(ctx, upper, &self.sess, msg)
     }
 }
 
@@ -620,17 +641,12 @@ impl Protocol for Nic {
 
     fn open(&self, _ctx: &Ctx, upper: ProtoId, _parts: &ParticipantSet) -> XResult<SessionRef> {
         // A NIC has exactly one user (the ETH protocol); opening binds it.
-        *self.upper.lock() = Some(upper);
-        Ok(Arc::new(NicSession {
-            proto: self.me,
-            net: self.net.clone(),
-            lan: self.lan,
-            eth: self.eth,
-        }))
+        self.upper.set(Some(upper));
+        Ok(Rc::clone(&self.sess))
     }
 
     fn open_enable(&self, _ctx: &Ctx, upper: ProtoId, _parts: &ParticipantSet) -> XResult<()> {
-        *self.upper.lock() = Some(upper);
+        self.upper.set(Some(upper));
         Ok(())
     }
 
@@ -657,13 +673,14 @@ impl Protocol for Nic {
 mod tests {
     use super::*;
     use std::any::Any;
+    use std::sync::Arc;
     use xkernel::cost::CostModel;
     use xkernel::sim::SimConfig;
 
     /// Records frames delivered to it.
     struct Recorder {
         me: ProtoId,
-        got: Mutex<Vec<Vec<u8>>>,
+        got: RefCell<Vec<Vec<u8>>>,
     }
 
     impl Protocol for Recorder {
@@ -680,7 +697,7 @@ mod tests {
             Ok(())
         }
         fn demux(&self, _ctx: &Ctx, _lls: &SessionRef, msg: Message) -> XResult<()> {
-            self.got.lock().push(msg.to_vec());
+            self.got.borrow_mut().push(msg.to_vec());
             Ok(())
         }
         fn as_any(&self) -> &dyn Any {
@@ -713,9 +730,9 @@ mod tests {
                 .unwrap();
             let rec_id = k
                 .register("rec", |me| {
-                    Ok(Arc::new(Recorder {
+                    Ok(Rc::new(Recorder {
                         me,
-                        got: Mutex::new(Vec::new()),
+                        got: RefCell::new(Vec::new()),
                     }) as ProtocolRef)
                 })
                 .unwrap();
@@ -749,7 +766,7 @@ mod tests {
             .downcast_ref::<Recorder>()
             .unwrap()
             .got
-            .lock()
+            .borrow_mut()
             .clone()
     }
 
@@ -926,9 +943,9 @@ mod tests {
                 .unwrap();
             let rec_id = k
                 .register("rec", |me| {
-                    Ok(Arc::new(Recorder {
+                    Ok(Rc::new(Recorder {
                         me,
-                        got: Mutex::new(Vec::new()),
+                        got: RefCell::new(Vec::new()),
                     }) as ProtocolRef)
                 })
                 .unwrap();
@@ -950,7 +967,7 @@ mod tests {
             .downcast_ref::<Recorder>()
             .unwrap()
             .got
-            .lock()
+            .borrow_mut()
             .clone();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].len(), 64, "frame padded to min_frame");

@@ -13,10 +13,9 @@
 //! [`AuthNone`] and [`AuthUnix`] are provided.
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashSet;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use xkernel::prelude::*;
 
@@ -24,7 +23,7 @@ use crate::xdr::{XdrReader, XdrWriter};
 use xrpc::protnum::rel_proto_num;
 
 /// An authentication flavor: how credentials are produced and checked.
-pub trait CredScheme: Send + Sync {
+pub trait CredScheme {
     /// The RFC 1057 flavor number (0 = none, 1 = unix).
     fn flavor(&self) -> u32;
     /// Protocol name (keys the protocol-number table).
@@ -132,27 +131,27 @@ fn pop_auth(ctx: &Ctx, msg: &mut Message) -> XResult<(u32, Vec<u8>)> {
 pub struct AuthLayer {
     me: ProtoId,
     lower: ProtoId,
-    scheme: Arc<dyn CredScheme>,
-    lower_name: Mutex<Option<&'static str>>,
-    upper: Mutex<Option<ProtoId>>,
-    sessions: Mutex<Vec<(usize, SessionRef)>>,
+    scheme: Rc<dyn CredScheme>,
+    lower_name: RefCell<Option<&'static str>>,
+    upper: RefCell<Option<ProtoId>>,
+    sessions: RefCell<Vec<(usize, SessionRef)>>,
 }
 
 impl AuthLayer {
     /// Creates an authentication layer above `lower` using `scheme`.
-    pub fn new(me: ProtoId, lower: ProtoId, scheme: Arc<dyn CredScheme>) -> Arc<AuthLayer> {
-        Arc::new(AuthLayer {
+    pub fn new(me: ProtoId, lower: ProtoId, scheme: Rc<dyn CredScheme>) -> Rc<AuthLayer> {
+        Rc::new(AuthLayer {
             me,
             lower,
             scheme,
-            lower_name: Mutex::new(None),
-            upper: Mutex::new(None),
-            sessions: Mutex::new(Vec::new()),
+            lower_name: RefCell::new(None),
+            upper: RefCell::new(None),
+            sessions: RefCell::new(Vec::new()),
         })
     }
 
     /// The scheme in use (tests).
-    pub fn scheme(&self) -> &Arc<dyn CredScheme> {
+    pub fn scheme(&self) -> &Rc<dyn CredScheme> {
         &self.scheme
     }
 }
@@ -161,7 +160,7 @@ impl AuthLayer {
 /// replies.
 struct AuthClientSession {
     proto: ProtoId,
-    scheme: Arc<dyn CredScheme>,
+    scheme: Rc<dyn CredScheme>,
     lower: SessionRef,
 }
 
@@ -203,7 +202,7 @@ impl Session for AuthClientSession {
 /// Server session wrapper: stamps replies with the verifier.
 struct AuthServerSession {
     proto: ProtoId,
-    scheme: Arc<dyn CredScheme>,
+    scheme: Rc<dyn CredScheme>,
     lls: SessionRef,
 }
 
@@ -243,7 +242,7 @@ impl Protocol for AuthLayer {
 
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let lower = ctx.kernel().proto(self.lower)?;
-        *self.lower_name.lock() = Some(lower.name());
+        *self.lower_name.borrow_mut() = Some(lower.name());
         Ok(())
     }
 
@@ -254,7 +253,7 @@ impl Protocol for AuthLayer {
             .ok_or_else(|| XError::Config("auth open needs a peer host".into()))?;
         let lname = self
             .lower_name
-            .lock()
+            .borrow_mut()
             .ok_or_else(|| XError::Config("auth layer used before boot".into()))?;
         let lparts = ParticipantSet::pair(
             Participant::proto(rel_proto_num(lname, self.scheme.name())?),
@@ -262,18 +261,18 @@ impl Protocol for AuthLayer {
         );
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
         let lower = ctx.kernel().open(ctx, self.lower, self.me, &lparts)?;
-        Ok(Arc::new(AuthClientSession {
+        Ok(Rc::new(AuthClientSession {
             proto: self.me,
-            scheme: Arc::clone(&self.scheme),
+            scheme: Rc::clone(&self.scheme),
             lower,
         }))
     }
 
     fn open_enable(&self, ctx: &Ctx, upper: ProtoId, _parts: &ParticipantSet) -> XResult<()> {
-        *self.upper.lock() = Some(upper);
+        *self.upper.borrow_mut() = Some(upper);
         let lname = self
             .lower_name
-            .lock()
+            .borrow_mut()
             .ok_or_else(|| XError::Config("auth layer used before boot".into()))?;
         let parts = ParticipantSet::local(Participant::proto(rel_proto_num(
             lname,
@@ -295,26 +294,26 @@ impl Protocol for AuthLayer {
             return Ok(());
         }
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let upper = (*self.upper.lock())
+        let upper = (*self.upper.borrow_mut())
             .ok_or_else(|| XError::NoEnable("auth layer has no upper".into()))?;
         // Wrap the reply path so the verifier is added (cached per lls).
-        let key = Arc::as_ptr(lls) as *const () as usize;
+        let key = Rc::as_ptr(lls) as *const () as usize;
         let sess = {
-            let mut cache = self.sessions.lock();
+            let mut cache = self.sessions.borrow_mut();
             match cache.iter().find(|(k, _)| *k == key) {
-                Some((_, s)) => Arc::clone(s),
+                Some((_, s)) => Rc::clone(s),
                 None => {
-                    let s: SessionRef = Arc::new(AuthServerSession {
+                    let s: SessionRef = Rc::new(AuthServerSession {
                         proto: self.me,
-                        scheme: Arc::clone(&self.scheme),
-                        lls: Arc::clone(lls),
+                        scheme: Rc::clone(&self.scheme),
+                        lls: Rc::clone(lls),
                     });
                     // Per-request server sessions (REQUEST_REPLY) would grow
                     // this cache unboundedly; cap it.
                     if cache.len() > 64 {
                         cache.clear();
                     }
-                    cache.push((key, Arc::clone(&s)));
+                    cache.push((key, Rc::clone(&s)));
                     s
                 }
             }

@@ -35,7 +35,7 @@ pub mod rr;
 pub mod sunselect;
 pub mod xdr;
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
 use xkernel::prelude::*;
@@ -63,7 +63,7 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
         Ok(rr::RequestReply::new(a.me, a.down(0)?, cfg) as ProtocolRef)
     });
     reg.add("auth_none", |a: &GraphArgs<'_>| {
-        Ok(auth::AuthLayer::new(a.me, a.down(0)?, Arc::new(auth::AuthNone)) as ProtocolRef)
+        Ok(auth::AuthLayer::new(a.me, a.down(0)?, Rc::new(auth::AuthNone)) as ProtocolRef)
     });
     reg.add("auth_unix", |a: &GraphArgs<'_>| {
         let allowed = match a.params.get("allow") {
@@ -88,7 +88,7 @@ pub fn register_ctors(reg: &mut ProtocolRegistry) {
                 .unwrap_or_else(|| "xkernel".to_string()),
             allowed_uids: allowed,
         };
-        Ok(auth::AuthLayer::new(a.me, a.down(0)?, Arc::new(scheme)) as ProtocolRef)
+        Ok(auth::AuthLayer::new(a.me, a.down(0)?, Rc::new(scheme)) as ProtocolRef)
     });
     reg.add("sunselect", |a: &GraphArgs<'_>| {
         Ok(sunselect::SunSelect::new(a.me, a.down(0)?) as ProtocolRef)

@@ -14,11 +14,9 @@
 //! Header (XDR): xid, message type (0 = call, 1 = reply), protocol number.
 
 use std::any::Any;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
-
-use parking_lot::Mutex;
+use std::rc::{Rc, Weak};
 
 use xkernel::prelude::*;
 use xkernel::shepherd::{ShepherdConfig, ShepherdStats, Shepherds, Submitted};
@@ -87,9 +85,9 @@ const DEFAULT_MAX_BACKOFF: u32 = 6;
 
 /// Run-time-tunable knobs (`SetTimeout` / `SetBackoff` control ops).
 struct Tunables {
-    timeout_ns: AtomicU64,
-    adaptive: AtomicBool,
-    max_backoff: AtomicU32,
+    timeout_ns: Cell<u64>,
+    adaptive: Cell<bool>,
+    max_backoff: Cell<u32>,
 }
 
 /// The REQUEST_REPLY protocol object.
@@ -99,46 +97,42 @@ pub struct RequestReply {
     lower: ProtoId,
     cfg: RrConfig,
     tunables: Tunables,
-    lower_name: OnceLock<&'static str>,
-    next_xid: Mutex<u32>,
-    estimator: Mutex<RtoEstimator>,
-    enables: Mutex<HashMap<u32, ProtoId>>,
-    outstanding: Mutex<HashMap<u32, Out>>,
-    sessions: Mutex<HashMap<(u32, u32), SessionRef>>,
-    lowers: Mutex<HashMap<u32, SessionRef>>,
-    shepherds: Arc<Shepherds>,
+    lower_name: OnceCell<&'static str>,
+    next_xid: RefCell<u32>,
+    estimator: RefCell<RtoEstimator>,
+    enables: RefCell<HashMap<u32, ProtoId>>,
+    outstanding: RefCell<HashMap<u32, Out>>,
+    sessions: RefCell<HashMap<(u32, u32), SessionRef>>,
+    lowers: RefCell<HashMap<u32, SessionRef>>,
+    shepherds: Rc<Shepherds>,
 }
 
 impl RequestReply {
     /// Creates REQUEST_REPLY above `lower` (UDP, IP, VIP, or FRAGMENT).
-    pub fn new(me: ProtoId, lower: ProtoId, cfg: RrConfig) -> Arc<RequestReply> {
-        Arc::new_cyclic(|weak_self| RequestReply {
+    pub fn new(me: ProtoId, lower: ProtoId, cfg: RrConfig) -> Rc<RequestReply> {
+        Rc::new_cyclic(|weak_self| RequestReply {
             weak_self: weak_self.clone(),
             me,
             lower,
             tunables: Tunables {
-                timeout_ns: AtomicU64::new(cfg.timeout_ns),
-                adaptive: AtomicBool::new(cfg.adaptive),
-                max_backoff: AtomicU32::new(DEFAULT_MAX_BACKOFF),
+                timeout_ns: Cell::new(cfg.timeout_ns),
+                adaptive: Cell::new(cfg.adaptive),
+                max_backoff: Cell::new(DEFAULT_MAX_BACKOFF),
             },
             cfg,
-            lower_name: OnceLock::new(),
-            next_xid: Mutex::new(0),
-            estimator: Mutex::new(RtoEstimator::new(
+            lower_name: OnceCell::new(),
+            next_xid: RefCell::new(0),
+            estimator: RefCell::new(RtoEstimator::new(
                 cfg.timeout_ns,
                 cfg.min_rto_ns,
                 cfg.max_rto_ns,
             )),
-            enables: Mutex::new(HashMap::new()),
-            outstanding: Mutex::new(HashMap::new()),
-            sessions: Mutex::new(HashMap::new()),
-            lowers: Mutex::new(HashMap::new()),
+            enables: RefCell::new(HashMap::new()),
+            outstanding: RefCell::new(HashMap::new()),
+            sessions: RefCell::new(HashMap::new()),
+            lowers: RefCell::new(HashMap::new()),
             shepherds: Shepherds::new(cfg.shepherds),
         })
-    }
-
-    fn self_arc(&self) -> Arc<RequestReply> {
-        self.weak_self.upgrade().expect("request_reply alive")
     }
 
     /// Shepherd-pool counters (zeros while the pool is disabled).
@@ -148,24 +142,24 @@ impl RequestReply {
 
     /// Switches between the adaptive RTO and the fixed timeout at run time.
     pub fn set_adaptive(&self, on: bool) {
-        self.tunables.adaptive.store(on, Ordering::Relaxed);
+        self.tunables.adaptive.set(on);
     }
 
     /// Current backoff-doubling cap, as `SetBackoff` last left it (resets
     /// to the default on reboot).
     pub fn max_backoff(&self) -> u32 {
-        self.tunables.max_backoff.load(Ordering::Relaxed)
+        self.tunables.max_backoff.get()
     }
 
     /// Whether the adaptive RTO is currently in effect (resets to the
     /// configured value on reboot).
     pub fn adaptive(&self) -> bool {
-        self.tunables.adaptive.load(Ordering::Relaxed)
+        self.tunables.adaptive.get()
     }
 
     /// Smoothed round-trip estimate (virtual ns; 0 until the first reply).
     pub fn rtt_estimate(&self) -> u64 {
-        let e = self.estimator.lock();
+        let e = self.estimator.borrow_mut();
         if e.is_cold() {
             0
         } else {
@@ -190,12 +184,12 @@ impl RequestReply {
     }
 
     fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<SessionRef> {
-        if let Some(s) = self.lowers.lock().get(&peer.0) {
-            return Ok(Arc::clone(s));
+        if let Some(s) = self.lowers.borrow_mut().get(&peer.0) {
+            return Ok(Rc::clone(s));
         }
         let parts = self.lower_parts(Some(peer))?;
         let s = ctx.kernel().open(ctx, self.lower, self.me, &parts)?;
-        self.lowers.lock().insert(peer.0, Arc::clone(&s));
+        self.lowers.borrow_mut().insert(peer.0, Rc::clone(&s));
         Ok(s)
     }
 
@@ -204,12 +198,12 @@ impl RequestReply {
     fn transact(&self, ctx: &Ctx, peer: IpAddr, proto_num: u32, msg: Message) -> XResult<Message> {
         let lower = self.lower_for(ctx, peer)?;
         let xid = {
-            let mut x = self.next_xid.lock();
+            let mut x = self.next_xid.borrow_mut();
             *x = x.wrapping_add(1);
             *x
         };
         let sema = SharedSema::new(0);
-        self.outstanding.lock().insert(
+        self.outstanding.borrow_mut().insert(
             xid,
             Out {
                 sema: sema.clone(),
@@ -217,9 +211,9 @@ impl RequestReply {
             },
         );
         let hdr = encode_hdr(xid, MSG_CALL, proto_num);
-        let fixed = self.tunables.timeout_ns.load(Ordering::Relaxed);
-        let adaptive = self.tunables.adaptive.load(Ordering::Relaxed);
-        let max_backoff = self.tunables.max_backoff.load(Ordering::Relaxed);
+        let fixed = self.tunables.timeout_ns.get();
+        let adaptive = self.tunables.adaptive.get();
+        let max_backoff = self.tunables.max_backoff.get();
         let sent_at = ctx.now();
         let mut attempts = 0u32;
         loop {
@@ -229,7 +223,7 @@ impl RequestReply {
             // retransmissions, preserving the fault-free PRNG stream).
             let timeout = if adaptive {
                 let base = {
-                    let e = self.estimator.lock();
+                    let e = self.estimator.borrow_mut();
                     if e.is_cold() {
                         fixed
                     } else {
@@ -247,12 +241,12 @@ impl RequestReply {
             if let Err(e) = lower.push(ctx, wire) {
                 // Drop the transaction record on a synchronous send
                 // failure; a late reply for this xid must find nothing.
-                self.outstanding.lock().remove(&xid);
+                self.outstanding.borrow_mut().remove(&xid);
                 return Err(e);
             }
             let _ = sema.p_timeout(ctx, timeout);
             {
-                let mut out = self.outstanding.lock();
+                let mut out = self.outstanding.borrow_mut();
                 if let Some(o) = out.get_mut(&xid) {
                     if let Some(reply) = o.reply.take() {
                         out.remove(&xid);
@@ -261,7 +255,7 @@ impl RequestReply {
                         // yield an attributable RTT sample.
                         if attempts == 0 {
                             self.estimator
-                                .lock()
+                                .borrow_mut()
                                 .observe(ctx.now().saturating_sub(sent_at));
                         }
                         return Ok(reply);
@@ -271,7 +265,7 @@ impl RequestReply {
             ctx.note(RobustEvent::TimeoutFired);
             attempts += 1;
             if attempts > self.cfg.max_retries || ctx.mode() == Mode::Inline {
-                self.outstanding.lock().remove(&xid);
+                self.outstanding.borrow_mut().remove(&xid);
                 return Err(XError::Timeout(format!(
                     "request_reply xid {xid} to {peer} after {attempts} attempts"
                 )));
@@ -284,18 +278,26 @@ impl RequestReply {
 /// A client session towards one (peer, high-level protocol); stateless, so
 /// concurrent pushes are fine (each gets its own xid).
 pub struct RrClientSession {
-    parent: Arc<RequestReply>,
+    parent: Weak<RequestReply>,
     peer: IpAddr,
     proto_num: u32,
 }
 
+impl RrClientSession {
+    fn parent(&self) -> Rc<RequestReply> {
+        self.parent
+            .upgrade()
+            .expect("a protocol outlives its sessions")
+    }
+}
+
 impl Session for RrClientSession {
     fn protocol_id(&self) -> ProtoId {
-        self.parent.me
+        self.parent().me
     }
 
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
-        self.parent
+        self.parent()
             .transact(ctx, self.peer, self.proto_num, msg)
             .map(Some)
     }
@@ -303,23 +305,17 @@ impl Session for RrClientSession {
     fn control(&self, ctx: &Ctx, op: &ControlOp) -> XResult<ControlRes> {
         match op {
             ControlOp::GetPeerHost => Ok(ControlRes::Ip(self.peer)),
-            ControlOp::GetRtt => Ok(ControlRes::U64(self.parent.rtt_estimate())),
+            ControlOp::GetRtt => Ok(ControlRes::U64(self.parent().rtt_estimate())),
             ControlOp::SetTimeout(ns) => {
-                self.parent
-                    .tunables
-                    .timeout_ns
-                    .store(*ns, Ordering::Relaxed);
+                self.parent().tunables.timeout_ns.set(*ns);
                 Ok(ControlRes::Done)
             }
             ControlOp::SetBackoff(n) => {
-                self.parent
-                    .tunables
-                    .max_backoff
-                    .store(*n, Ordering::Relaxed);
+                self.parent().tunables.max_backoff.set(*n);
                 Ok(ControlRes::Done)
             }
             other => {
-                let lower = self.parent.lower_for(ctx, self.peer)?;
+                let lower = self.parent().lower_for(ctx, self.peer)?;
                 lower.control(ctx, other)
             }
         }
@@ -333,15 +329,23 @@ impl Session for RrClientSession {
 /// A per-request server session: pushing into it sends the reply for the
 /// request it was created for.
 pub struct RrServerSession {
-    parent: Arc<RequestReply>,
+    parent: Weak<RequestReply>,
     xid: u32,
     proto_num: u32,
     lls: SessionRef,
 }
 
+impl RrServerSession {
+    fn parent(&self) -> Rc<RequestReply> {
+        self.parent
+            .upgrade()
+            .expect("a protocol outlives its sessions")
+    }
+}
+
 impl Session for RrServerSession {
     fn protocol_id(&self) -> ProtoId {
-        self.parent.me
+        self.parent().me
     }
 
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
@@ -388,22 +392,16 @@ impl Protocol for RequestReply {
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
         // Stateless semantics make this easy: forget in-flight transactions
         // and cached sessions; xid counter and enables survive.
-        self.outstanding.lock().clear();
-        self.sessions.lock().clear();
-        self.lowers.lock().clear();
-        self.tunables
-            .timeout_ns
-            .store(self.cfg.timeout_ns, Ordering::Relaxed);
+        self.outstanding.borrow_mut().clear();
+        self.sessions.borrow_mut().clear();
+        self.lowers.borrow_mut().clear();
+        self.tunables.timeout_ns.set(self.cfg.timeout_ns);
         // Every RTO knob re-cold-seeds, including the run-time overrides
         // (`SetBackoff` / `set_adaptive`): a fresh incarnation must not
         // inherit policy its config never specified.
-        self.tunables
-            .max_backoff
-            .store(DEFAULT_MAX_BACKOFF, Ordering::Relaxed);
-        self.tunables
-            .adaptive
-            .store(self.cfg.adaptive, Ordering::Relaxed);
-        self.estimator.lock().reset(self.cfg.timeout_ns);
+        self.tunables.max_backoff.set(DEFAULT_MAX_BACKOFF);
+        self.tunables.adaptive.set(self.cfg.adaptive);
+        self.estimator.borrow_mut().reset(self.cfg.timeout_ns);
         Ok(())
     }
 
@@ -416,18 +414,18 @@ impl Protocol for RequestReply {
             .remote_part()
             .and_then(|p| p.host)
             .ok_or_else(|| XError::Config("request_reply open needs a peer host".into()))?;
-        if let Some(s) = self.sessions.lock().get(&(peer.0, proto_num)) {
-            return Ok(Arc::clone(s));
+        if let Some(s) = self.sessions.borrow_mut().get(&(peer.0, proto_num)) {
+            return Ok(Rc::clone(s));
         }
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        let s: SessionRef = Arc::new(RrClientSession {
-            parent: self.self_arc(),
+        let s: SessionRef = Rc::new(RrClientSession {
+            parent: Weak::clone(&self.weak_self),
             peer,
             proto_num,
         });
         self.sessions
-            .lock()
-            .insert((peer.0, proto_num), Arc::clone(&s));
+            .borrow_mut()
+            .insert((peer.0, proto_num), Rc::clone(&s));
         Ok(s)
     }
 
@@ -436,7 +434,7 @@ impl Protocol for RequestReply {
             .local_part()
             .and_then(|p| p.proto_num)
             .ok_or_else(|| XError::Config("request_reply enable needs a protocol number".into()))?;
-        self.enables.lock().insert(proto_num, upper);
+        self.enables.borrow_mut().insert(proto_num, upper);
         Ok(())
     }
 
@@ -452,16 +450,16 @@ impl Protocol for RequestReply {
             MSG_CALL => {
                 let upper = self
                     .enables
-                    .lock()
+                    .borrow_mut()
                     .get(&proto_num)
                     .copied()
                     .ok_or_else(|| XError::NoEnable(format!("request_reply proto {proto_num}")))?;
                 ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-                let sess: SessionRef = Arc::new(RrServerSession {
-                    parent: self.self_arc(),
+                let sess: SessionRef = Rc::new(RrServerSession {
+                    parent: Weak::clone(&self.weak_self),
                     xid,
                     proto_num,
-                    lls: Arc::clone(lls),
+                    lls: Rc::clone(lls),
                 });
                 if self.shepherds.config().workers == 0 || ctx.mode() == Mode::Inline {
                     // Synchronous dispatch: the historical (and default) path.
@@ -484,7 +482,7 @@ impl Protocol for RequestReply {
                 }
             }
             MSG_REPLY => {
-                let mut out = self.outstanding.lock();
+                let mut out = self.outstanding.borrow_mut();
                 if let Some(o) = out.get_mut(&xid) {
                     if o.reply.is_none() {
                         o.reply = Some(msg);
@@ -516,11 +514,11 @@ impl Protocol for RequestReply {
             // The RTO knobs are protocol-wide (sessions store into the same
             // tunables), so policy sweeps can set them without a session.
             ControlOp::SetTimeout(ns) => {
-                self.tunables.timeout_ns.store(*ns, Ordering::Relaxed);
+                self.tunables.timeout_ns.set(*ns);
                 Ok(ControlRes::Done)
             }
             ControlOp::SetBackoff(n) => {
-                self.tunables.max_backoff.store(*n, Ordering::Relaxed);
+                self.tunables.max_backoff.set(*n);
                 Ok(ControlRes::Done)
             }
             _ => Err(XError::Unsupported("request_reply control")),
@@ -529,37 +527,33 @@ impl Protocol for RequestReply {
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         debug_assert!(
-            self.outstanding.lock().is_empty(),
+            self.outstanding.borrow_mut().is_empty(),
             "request_reply snapshot with an outstanding transaction (not quiescent)"
         );
-        Some(Arc::new(RrSnap {
-            next_xid: *self.next_xid.lock(),
-            estimator: self.estimator.lock().clone(),
-            timeout_ns: self.tunables.timeout_ns.load(Ordering::Relaxed),
-            adaptive: self.tunables.adaptive.load(Ordering::Relaxed),
-            max_backoff: self.tunables.max_backoff.load(Ordering::Relaxed),
-            enables: self.enables.lock().clone(),
-            sessions: self.sessions.lock().clone(),
-            lowers: self.lowers.lock().clone(),
+        Some(Rc::new(RrSnap {
+            next_xid: *self.next_xid.borrow_mut(),
+            estimator: self.estimator.borrow_mut().clone(),
+            timeout_ns: self.tunables.timeout_ns.get(),
+            adaptive: self.tunables.adaptive.get(),
+            max_backoff: self.tunables.max_backoff.get(),
+            enables: self.enables.borrow_mut().clone(),
+            sessions: self.sessions.borrow_mut().clone(),
+            lowers: self.lowers.borrow_mut().clone(),
             shepherds: self.shepherds.stats(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<RrSnap>(blob, "request_reply")?;
-        *self.next_xid.lock() = s.next_xid;
-        *self.estimator.lock() = s.estimator.clone();
-        self.tunables
-            .timeout_ns
-            .store(s.timeout_ns, Ordering::Relaxed);
-        self.tunables.adaptive.store(s.adaptive, Ordering::Relaxed);
-        self.tunables
-            .max_backoff
-            .store(s.max_backoff, Ordering::Relaxed);
-        self.outstanding.lock().clear();
-        *self.enables.lock() = s.enables.clone();
-        *self.sessions.lock() = s.sessions.clone();
-        *self.lowers.lock() = s.lowers.clone();
+        *self.next_xid.borrow_mut() = s.next_xid;
+        *self.estimator.borrow_mut() = s.estimator.clone();
+        self.tunables.timeout_ns.set(s.timeout_ns);
+        self.tunables.adaptive.set(s.adaptive);
+        self.tunables.max_backoff.set(s.max_backoff);
+        self.outstanding.borrow_mut().clear();
+        *self.enables.borrow_mut() = s.enables.clone();
+        *self.sessions.borrow_mut() = s.sessions.clone();
+        *self.lowers.borrow_mut() = s.lowers.clone();
         self.shepherds.restore_stats(s.shepherds);
         Ok(())
     }

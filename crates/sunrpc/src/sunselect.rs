@@ -7,10 +7,9 @@
 //! layers in between. This is the paper's "mix and match RPCs".
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Weak};
-
-use parking_lot::{Mutex, RwLock};
+use std::rc::{Rc, Weak};
 
 use xkernel::prelude::*;
 
@@ -44,53 +43,49 @@ pub struct SunSelect {
     weak_self: Weak<SunSelect>,
     me: ProtoId,
     lower: ProtoId,
-    lower_name: Mutex<Option<&'static str>>,
-    handlers: RwLock<HashMap<(u32, u32, u32), Handler>>,
-    lowers: Mutex<HashMap<u32, SessionRef>>,
+    lower_name: RefCell<Option<&'static str>>,
+    handlers: RefCell<HashMap<(u32, u32, u32), Handler>>,
+    lowers: RefCell<HashMap<u32, SessionRef>>,
 }
 
 impl SunSelect {
     /// Creates SUN_SELECT above `lower` (a transaction layer, possibly with
     /// auth layers in between).
-    pub fn new(me: ProtoId, lower: ProtoId) -> Arc<SunSelect> {
-        Arc::new_cyclic(|weak_self| SunSelect {
+    pub fn new(me: ProtoId, lower: ProtoId) -> Rc<SunSelect> {
+        Rc::new_cyclic(|weak_self| SunSelect {
             weak_self: weak_self.clone(),
             me,
             lower,
-            lower_name: Mutex::new(None),
-            handlers: RwLock::new(HashMap::new()),
-            lowers: Mutex::new(HashMap::new()),
+            lower_name: RefCell::new(None),
+            handlers: RefCell::new(HashMap::new()),
+            lowers: RefCell::new(HashMap::new()),
         })
-    }
-
-    fn self_arc(&self) -> Arc<SunSelect> {
-        self.weak_self.upgrade().expect("sunselect alive")
     }
 
     /// Registers the procedure for (prog, vers, proc).
     pub fn serve<F>(&self, prog: u32, vers: u32, proc: u32, f: F)
     where
-        F: Fn(&Ctx, Message) -> XResult<Message> + Send + Sync + 'static,
+        F: Fn(&Ctx, Message) -> XResult<Message> + 'static,
     {
         self.handlers
-            .write()
-            .insert((prog, vers, proc), Box::new(f));
+            .borrow_mut()
+            .insert((prog, vers, proc), Rc::new(f));
     }
 
     fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<SessionRef> {
-        if let Some(s) = self.lowers.lock().get(&peer.0) {
-            return Ok(Arc::clone(s));
+        if let Some(s) = self.lowers.borrow_mut().get(&peer.0) {
+            return Ok(Rc::clone(s));
         }
         let lname = self
             .lower_name
-            .lock()
+            .borrow_mut()
             .ok_or_else(|| XError::Config("sunselect used before boot".into()))?;
         let parts = ParticipantSet::pair(
             Participant::proto(rel_proto_num(lname, "sunselect")?),
             Participant::host(peer),
         );
         let s = ctx.kernel().open(ctx, self.lower, self.me, &parts)?;
-        self.lowers.lock().insert(peer.0, Arc::clone(&s));
+        self.lowers.borrow_mut().insert(peer.0, Rc::clone(&s));
         Ok(s)
     }
 
@@ -132,20 +127,28 @@ impl SunSelect {
 
 /// A client session bound to one (peer, prog, vers, proc).
 pub struct SunSelectSession {
-    parent: Arc<SunSelect>,
+    parent: Weak<SunSelect>,
     peer: IpAddr,
     prog: u32,
     vers: u32,
     proc: u32,
 }
 
+impl SunSelectSession {
+    fn parent(&self) -> Rc<SunSelect> {
+        self.parent
+            .upgrade()
+            .expect("a protocol outlives its sessions")
+    }
+}
+
 impl Session for SunSelectSession {
     fn protocol_id(&self) -> ProtoId {
-        self.parent.me
+        self.parent().me
     }
 
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
-        self.parent
+        self.parent()
             .call(
                 ctx,
                 self.peer,
@@ -185,7 +188,7 @@ impl Protocol for SunSelect {
     fn boot(&self, ctx: &Ctx) -> XResult<()> {
         let kernel = ctx.kernel();
         let lower = kernel.proto(self.lower)?;
-        *self.lower_name.lock() = Some(lower.name());
+        *self.lower_name.borrow_mut() = Some(lower.name());
         let parts = ParticipantSet::local(Participant::proto(rel_proto_num(
             lower.name(),
             "sunselect",
@@ -196,7 +199,7 @@ impl Protocol for SunSelect {
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
         // Cached lower sessions referenced the previous incarnation's
         // transaction layer; registered programs survive.
-        self.lowers.lock().clear();
+        self.lowers.borrow_mut().clear();
         Ok(())
     }
 
@@ -214,8 +217,8 @@ impl Protocol for SunSelect {
             .and_then(|p| p.host)
             .ok_or_else(|| XError::Config("sunselect open needs a peer host".into()))?;
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-        Ok(Arc::new(SunSelectSession {
-            parent: self.self_arc(),
+        Ok(Rc::new(SunSelectSession {
+            parent: Weak::clone(&self.weak_self),
             peer,
             prog: packed >> 16,
             vers: (packed >> 8) & 0xff,
@@ -236,22 +239,20 @@ impl Protocol for SunSelect {
         let _st = r.u32()?;
         drop(bytes);
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let (st, body) = {
-            let handlers = self.handlers.read();
-            match handlers.get(&(prog, vers, proc)) {
-                Some(h) => match h(ctx, msg) {
-                    Ok(body) => (status::OK, body),
-                    Err(e) => {
-                        let _ = e;
-                        ctx.trace_note("handler failed");
-                        (status::PROC_ERROR, ctx.empty_msg())
-                    }
-                },
-                None if handlers.keys().any(|(p, _, _)| *p == prog) => {
-                    (status::PROC_UNAVAIL, ctx.empty_msg())
+        let handler = self.handlers.borrow().get(&(prog, vers, proc)).cloned();
+        let (st, body) = match handler {
+            Some(h) => match h(ctx, msg) {
+                Ok(body) => (status::OK, body),
+                Err(e) => {
+                    let _ = e;
+                    ctx.trace_note("handler failed");
+                    (status::PROC_ERROR, ctx.empty_msg())
                 }
-                None => (status::PROG_UNAVAIL, ctx.empty_msg()),
+            },
+            None if self.handlers.borrow().keys().any(|(p, _, _)| *p == prog) => {
+                (status::PROC_UNAVAIL, ctx.empty_msg())
             }
+            None => (status::PROG_UNAVAIL, ctx.empty_msg()),
         };
         let mut wire = body;
         ctx.push_header(&mut wire, &encode_hdr(prog, vers, proc, st));
@@ -270,14 +271,14 @@ impl Protocol for SunSelect {
     // Handlers are config, not state; only the lower-session cache matters
     // for replay (a warm cache skips SessionCreate charges below).
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
-        Some(Arc::new(SunSelectSnap {
-            lowers: self.lowers.lock().clone(),
+        Some(Rc::new(SunSelectSnap {
+            lowers: self.lowers.borrow_mut().clone(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<SunSelectSnap>(blob, "sunselect")?;
-        *self.lowers.lock() = s.lowers.clone();
+        *self.lowers.borrow_mut() = s.lowers.clone();
         Ok(())
     }
 

@@ -8,9 +8,8 @@
 //! * REQUEST_REPLY (zero-or-more) swaps for CHANNEL (at-most-once) — and
 //!   the semantic difference is observable under duplication faults.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use inet::testbed::{base_registry, two_hosts, TwoHosts};
 use inet::with_concrete;
@@ -32,14 +31,14 @@ fn registry() -> ProtocolRegistry {
     reg
 }
 
-fn rig(graph: &str) -> (TwoHosts, Arc<Mutex<u32>>) {
+fn rig(graph: &str) -> (TwoHosts, Rc<RefCell<u32>>) {
     let tb = two_hosts(SimConfig::scheduled(), &registry(), graph).expect("testbed builds");
-    let counter = Arc::new(Mutex::new(0u32));
-    let c2 = Arc::clone(&counter);
+    let counter = Rc::new(RefCell::new(0u32));
+    let c2 = Rc::clone(&counter);
     with_concrete::<SunSelect, _>(&tb.server, "sunselect", |s| {
         s.serve(PROG, VERS, PROC_ECHO, |_ctx, msg| Ok(msg));
         s.serve(PROG, VERS, PROC_COUNT, move |ctx, _msg| {
-            *c2.lock() += 1;
+            *c2.borrow_mut() += 1;
             Ok(ctx.empty_msg())
         });
     })
@@ -49,17 +48,17 @@ fn rig(graph: &str) -> (TwoHosts, Arc<Mutex<u32>>) {
 
 fn call(tb: &TwoHosts, proc: u32, args: Vec<u8>) -> XResult<Vec<u8>> {
     let server_ip = tb.server_ip;
-    let out: Arc<Mutex<Option<XResult<Vec<u8>>>>> = Arc::new(Mutex::new(None));
-    let o2 = Arc::clone(&out);
+    let out: Rc<RefCell<Option<XResult<Vec<u8>>>>> = Rc::new(RefCell::new(None));
+    let o2 = Rc::clone(&out);
     tb.sim.spawn(tb.client.host(), move |ctx| {
-        let r = with_concrete::<SunSelect, _>(&ctx.kernel(), "sunselect", |s| {
+        let r = with_concrete::<SunSelect, _>(ctx.kernel(), "sunselect", |s| {
             s.call(ctx, server_ip, PROG, VERS, proc, args)
         })
         .unwrap();
-        *o2.lock() = Some(r);
+        *o2.borrow_mut() = Some(r);
     });
     tb.sim.run_until_idle();
-    let got = out.lock().take().expect("client ran");
+    let got = out.borrow_mut().take().expect("client ran");
     got
 }
 
@@ -103,7 +102,7 @@ fn auth_unix_identifies_and_allowlists() {
         matches!(err, XError::Timeout(_)),
         "denied → timeout, got {err:?}"
     );
-    assert_eq!(*counter.lock(), 0, "the procedure never executed");
+    assert_eq!(*counter.borrow_mut(), 0, "the procedure never executed");
 }
 
 #[test]
@@ -143,7 +142,7 @@ fn zero_or_more_versus_at_most_once_under_duplication() {
     for _ in 0..calls {
         call(&tb, PROC_COUNT, Vec::new()).unwrap();
     }
-    let rr_count = *counter.lock();
+    let rr_count = *counter.borrow_mut();
     assert!(
         rr_count > calls,
         "zero-or-more: duplicated requests re-execute (got {rr_count} for {calls} calls)"
@@ -159,7 +158,7 @@ fn zero_or_more_versus_at_most_once_under_duplication() {
         call(&tb, PROC_COUNT, Vec::new()).unwrap();
     }
     assert_eq!(
-        *counter.lock(),
+        *counter.borrow_mut(),
         calls,
         "at-most-once: duplicates suppressed"
     );
@@ -176,28 +175,28 @@ fn request_reply_retransmits_through_loss() {
     }
     // Every call completed; with zero-or-more semantics the server-side
     // count is at *least* the number of calls.
-    assert!(*counter.lock() >= 15);
+    assert!(*counter.borrow_mut() >= 15);
 }
 
 #[test]
 fn unknown_program_and_procedure_report_remote_errors() {
     let (tb, _) = rig("request_reply -> udp\nsunselect -> request_reply\n");
     let server_ip = tb.server_ip;
-    let out: Arc<Mutex<Vec<XError>>> = Arc::new(Mutex::new(Vec::new()));
-    let o2 = Arc::clone(&out);
+    let out: Rc<RefCell<Vec<XError>>> = Rc::new(RefCell::new(Vec::new()));
+    let o2 = Rc::clone(&out);
     tb.sim.spawn(tb.client.host(), move |ctx| {
-        with_concrete::<SunSelect, _>(&ctx.kernel(), "sunselect", |s| {
+        with_concrete::<SunSelect, _>(ctx.kernel(), "sunselect", |s| {
             let e1 = s.call(ctx, server_ip, 999, 1, 1, Vec::new()).unwrap_err();
             let e2 = s
                 .call(ctx, server_ip, PROG, VERS, 77, Vec::new())
                 .unwrap_err();
-            o2.lock().push(e1);
-            o2.lock().push(e2);
+            o2.borrow_mut().push(e1);
+            o2.borrow_mut().push(e2);
         })
         .unwrap();
     });
     tb.sim.run_until_idle();
-    let errs = out.lock();
+    let errs = out.borrow_mut();
     assert!(errs[0].to_string().contains("program 999 unavailable"));
     assert!(errs[1].to_string().contains("unavailable"));
 }
@@ -254,20 +253,20 @@ fn sun_rpc_reaches_across_a_router() {
     })
     .unwrap();
     let server_ip = rp.server_ip;
-    let out: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-    let o2 = Arc::clone(&out);
+    let out: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
+    let o2 = Rc::clone(&out);
     rp.sim.spawn(rp.client.host(), move |ctx| {
-        with_concrete::<SunSelect, _>(&ctx.kernel(), "sunselect", |s| {
+        with_concrete::<SunSelect, _>(ctx.kernel(), "sunselect", |s| {
             let r = s
                 .call(ctx, server_ip, PROG, VERS, PROC_ECHO, b"far away".to_vec())
                 .unwrap();
-            *o2.lock() = Some(r);
+            *o2.borrow_mut() = Some(r);
         })
         .unwrap();
     });
     let r = rp.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    assert_eq!(out.lock().take().unwrap(), b"far away");
+    assert_eq!(out.borrow_mut().take().unwrap(), b"far away");
     assert!(
         rp.net.stats(rp.lan_b).sent >= 2,
         "traffic crossed the router"

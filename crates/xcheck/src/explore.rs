@@ -11,9 +11,9 @@
 //! the exact run that recorded it, which is also how xcheck repro strings
 //! replay: same seed, same decisions, same `sched_hash`.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use xkernel::sim::ScheduleChooser;
 
 /// What one run's chooser saw and did: the branch taken and the branch
@@ -31,12 +31,12 @@ pub struct Recording {
 pub struct ReplayChooser {
     prefix: Vec<usize>,
     depth: usize,
-    rec: Arc<Mutex<Recording>>,
+    rec: Rc<RefCell<Recording>>,
 }
 
 impl ReplayChooser {
     /// A chooser replaying `prefix`, recording into `rec`.
-    pub fn new(prefix: Vec<usize>, rec: Arc<Mutex<Recording>>) -> ReplayChooser {
+    pub fn new(prefix: Vec<usize>, rec: Rc<RefCell<Recording>>) -> ReplayChooser {
         ReplayChooser {
             prefix,
             depth: 0,
@@ -49,7 +49,7 @@ impl ScheduleChooser for ReplayChooser {
     fn choose(&mut self, n: usize) -> usize {
         let pick = self.prefix.get(self.depth).copied().unwrap_or(0).min(n - 1);
         self.depth += 1;
-        let mut r = self.rec.lock();
+        let mut r = self.rec.borrow_mut();
         r.choices.push(pick);
         r.branches.push(n);
         pick
@@ -82,10 +82,10 @@ pub fn explore<T>(limit: usize, mut run: impl FnMut(Box<ReplayChooser>) -> T) ->
     let mut prefix: Vec<usize> = Vec::new();
     let mut outcomes = Vec::new();
     loop {
-        let rec = Arc::new(Mutex::new(Recording::default()));
-        let chooser = Box::new(ReplayChooser::new(prefix.clone(), Arc::clone(&rec)));
+        let rec = Rc::new(RefCell::new(Recording::default()));
+        let chooser = Box::new(ReplayChooser::new(prefix.clone(), Rc::clone(&rec)));
         outcomes.push(run(chooser));
-        let r = rec.lock();
+        let r = rec.borrow_mut();
         // Deepest decision with an untaken branch; bump it and rerun.
         let next = (0..r.choices.len())
             .rev()

@@ -37,7 +37,6 @@
 //! downgrades enforcement registry-wide.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 use crate::error::{XError, XResult};
 use crate::kernel::Kernel;
@@ -62,7 +61,7 @@ pub struct GraphArgs<'a> {
     /// The simulator.
     pub sim: &'a Sim,
     /// The kernel being configured.
-    pub kernel: &'a Arc<Kernel>,
+    pub kernel: &'a Kernel,
     /// The instance name from the spec line.
     pub instance: &'a str,
     /// The id reserved for the protocol under construction.
@@ -170,7 +169,7 @@ impl ProtocolRegistry {
     /// Lints `spec` in the context of `kernel` — every protocol already
     /// registered there (NICs, earlier builds) counts as an external whose
     /// contract comes from [`crate::proto::Protocol::contract`].
-    pub fn lint_for_kernel(&self, kernel: &Arc<Kernel>, spec: &str) -> Vec<Diagnostic> {
+    pub fn lint_for_kernel(&self, kernel: &Kernel, spec: &str) -> Vec<Diagnostic> {
         let mut externals = HashMap::new();
         for name in kernel.protocol_names() {
             if let Ok(p) = kernel.get(&name) {
@@ -187,7 +186,7 @@ impl ProtocolRegistry {
     /// with [`XError::Lint`] unless the registry's [`LintMode`] says
     /// otherwise. Use [`ProtocolRegistry::build_unchecked`] to bypass the
     /// linter for a single deliberately ill-formed spec.
-    pub fn build(&self, sim: &Sim, kernel: &Arc<Kernel>, spec: &str) -> XResult<Vec<ProtoId>> {
+    pub fn build(&self, sim: &Sim, kernel: &Kernel, spec: &str) -> XResult<Vec<ProtoId>> {
         match self.lint_mode {
             LintMode::Off => {}
             mode => {
@@ -206,12 +205,7 @@ impl ProtocolRegistry {
     }
 
     /// [`ProtocolRegistry::build`] without the lint pass.
-    pub fn build_unchecked(
-        &self,
-        sim: &Sim,
-        kernel: &Arc<Kernel>,
-        spec: &str,
-    ) -> XResult<Vec<ProtoId>> {
+    pub fn build_unchecked(&self, sim: &Sim, kernel: &Kernel, spec: &str) -> XResult<Vec<ProtoId>> {
         let mut built = Vec::new();
         for (lineno, raw) in spec.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();

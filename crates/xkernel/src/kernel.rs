@@ -11,10 +11,9 @@
 //! procedure call to pass a message from a high-level protocol to a
 //! low-level protocol, and vice versa".
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::RwLock;
+use std::sync::Arc;
 
 use crate::addr::ParticipantSet;
 use crate::error::{XError, XResult};
@@ -23,38 +22,41 @@ use crate::proto::{ControlOp, ControlRes, ProtoId, ProtocolRef, SessionRef, Trac
 use crate::sim::{Ctx, HostId, Sim};
 
 /// A host's kernel: protocol registry plus identity.
+///
+/// The simulator holds every kernel, and a kernel holds no pointer back to
+/// the simulator, so dropping the last handle to a simulation frees its
+/// kernels and their protocol graphs.
 pub struct Kernel {
-    sim: Sim,
     name: String,
-    host: OnceLock<HostId>,
-    protocols: RwLock<Vec<Option<ProtocolRef>>>,
-    by_name: RwLock<HashMap<String, ProtoId>>,
+    host: HostId,
+    protocols: RefCell<Vec<Option<ProtocolRef>>>,
+    by_name: RefCell<HashMap<String, ProtoId>>,
 }
 
 impl Kernel {
     /// Creates a kernel and registers it with the simulator, allocating its
     /// host id.
+    ///
+    /// The handle is an `Arc` for the sake of existing callers, although a
+    /// kernel, like the rest of a simulation, never leaves its thread.
+    #[expect(
+        clippy::arc_with_non_send_sync,
+        reason = "Arc<Kernel> is the public kernel handle; the simulation it belongs to is !Send"
+    )]
     pub fn new(sim: &Sim, name: &str) -> Arc<Kernel> {
         let k = Arc::new(Kernel {
-            sim: sim.clone(),
             name: name.to_string(),
-            host: OnceLock::new(),
-            protocols: RwLock::new(Vec::new()),
-            by_name: RwLock::new(HashMap::new()),
+            host: sim.next_host(),
+            protocols: RefCell::new(Vec::new()),
+            by_name: RefCell::new(HashMap::new()),
         });
-        let host = sim.add_kernel(&k);
-        k.host.set(host).expect("host id set exactly once");
+        sim.add_kernel(&k);
         k
-    }
-
-    /// The simulator this kernel belongs to.
-    pub fn sim(&self) -> &Sim {
-        &self.sim
     }
 
     /// This kernel's host id.
     pub fn host(&self) -> HostId {
-        *self.host.get().expect("host id assigned at construction")
+        self.host
     }
 
     /// The kernel's configured name (e.g. `"client"`).
@@ -65,14 +67,14 @@ impl Kernel {
     /// Reserves a protocol id under `name` so the protocol can be
     /// constructed knowing its own capability, then installed.
     pub fn reserve(&self, name: &str) -> XResult<ProtoId> {
-        let mut names = self.by_name.write();
+        let mut names = self.by_name.borrow_mut();
         if names.contains_key(name) {
             return Err(XError::Config(format!(
                 "protocol '{name}' already configured on {}",
                 self.name
             )));
         }
-        let mut ps = self.protocols.write();
+        let mut ps = self.protocols.borrow_mut();
         let id = ProtoId(ps.len());
         ps.push(None);
         names.insert(name.to_string(), id);
@@ -81,7 +83,7 @@ impl Kernel {
 
     /// Installs a constructed protocol into its reserved slot.
     pub fn install(&self, id: ProtoId, proto: ProtocolRef) -> XResult<()> {
-        let mut ps = self.protocols.write();
+        let mut ps = self.protocols.borrow_mut();
         let slot = ps
             .get_mut(id.0)
             .ok_or_else(|| XError::Config(format!("install of unreserved id {id:?}")))?;
@@ -107,7 +109,7 @@ impl Kernel {
     /// [`Kernel::lookup`]); used by the trace layer to label span frames.
     pub fn name_of(&self, id: ProtoId) -> Option<String> {
         self.by_name
-            .read()
+            .borrow()
             .iter()
             .find(|(_, v)| **v == id)
             .map(|(n, _)| n.clone())
@@ -116,7 +118,7 @@ impl Kernel {
     /// Resolves a configured protocol name to its id.
     pub fn lookup(&self, name: &str) -> XResult<ProtoId> {
         self.by_name
-            .read()
+            .borrow()
             .get(name)
             .copied()
             .ok_or_else(|| XError::Config(format!("no protocol '{name}' on {}", self.name)))
@@ -125,7 +127,7 @@ impl Kernel {
     /// The protocol object behind an id.
     pub fn proto(&self, id: ProtoId) -> XResult<ProtocolRef> {
         self.protocols
-            .read()
+            .borrow()
             .get(id.0)
             .and_then(|p| p.clone())
             .ok_or_else(|| XError::Config(format!("protocol id {id:?} not installed")))
@@ -141,7 +143,7 @@ impl Kernel {
     /// Invoked by the simulator after [`Sim::restart`] brings the host
     /// back up.
     pub fn reboot_protocols(&self, ctx: &Ctx) -> XResult<()> {
-        let ps: Vec<ProtocolRef> = self.protocols.read().iter().flatten().cloned().collect();
+        let ps: Vec<ProtocolRef> = self.protocols.borrow().iter().flatten().cloned().collect();
         for p in ps {
             p.reboot(ctx)?;
         }
@@ -152,12 +154,12 @@ impl Kernel {
     /// but never installed). The snapshot machinery aligns per-protocol
     /// state blobs to these slots; see [`crate::sim::Sim::snapshot`].
     pub fn protocol_slots(&self) -> Vec<Option<ProtocolRef>> {
-        self.protocols.read().clone()
+        self.protocols.borrow().clone()
     }
 
     /// Names of all configured protocols, in configuration order.
     pub fn protocol_names(&self) -> Vec<String> {
-        let names = self.by_name.read();
+        let names = self.by_name.borrow();
         let mut v: Vec<(ProtoId, String)> = names.iter().map(|(n, id)| (*id, n.clone())).collect();
         v.sort();
         v.into_iter().map(|(_, n)| n).collect()
@@ -226,7 +228,7 @@ impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Kernel")
             .field("name", &self.name)
-            .field("host", &self.host.get())
+            .field("host", &self.host)
             .field("protocols", &self.protocol_names())
             .finish()
     }

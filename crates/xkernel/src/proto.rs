@@ -16,7 +16,7 @@
 //!   suffice — see [`ControlOp`]).
 
 use std::any::Any;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::addr::{EthAddr, IpAddr, ParticipantSet, Port};
 use crate::error::{XError, XResult};
@@ -33,16 +33,16 @@ use crate::trace::EventKind;
 pub struct ProtoId(pub usize);
 
 /// Shared handle to a session object.
-pub type SessionRef = Arc<dyn Session>;
+pub type SessionRef = Rc<dyn Session>;
 
 /// Shared handle to a protocol object.
-pub type ProtocolRef = Arc<dyn Protocol>;
+pub type ProtocolRef = Rc<dyn Protocol>;
 
 /// Opaque, protocol-private snapshot state: what [`Protocol::snap`]
 /// captures and [`Protocol::restore_snap`] consumes. Each protocol
 /// downcasts to its own concrete type; the snapshot machinery only
 /// transports the blobs.
-pub type SnapBlob = Arc<dyn Any + Send + Sync>;
+pub type SnapBlob = Rc<dyn Any>;
 
 /// Downcasts a snapshot blob to the concrete type `T` the protocol stored,
 /// failing with a labeled error when handed some other protocol's blob
@@ -178,7 +178,7 @@ impl ControlRes {
 }
 
 /// A protocol object: creates sessions and demultiplexes incoming messages.
-pub trait Protocol: Send + Sync {
+pub trait Protocol {
     /// Short protocol name, e.g. `"ip"`.
     fn name(&self) -> &'static str;
 
@@ -271,13 +271,13 @@ pub trait Protocol: Send + Sync {
     }
 
     /// Downcast support (e.g. registering server procedures on a concrete
-    /// SELECT protocol held behind `Arc<dyn Protocol>`).
+    /// SELECT protocol held behind `Rc<dyn Protocol>`).
     fn as_any(&self) -> &dyn Any;
 }
 
 /// Span-entering wrapper for [`Session`] handles.
 ///
-/// Implemented for [`SessionRef`] (the `Arc` layer), where method
+/// Implemented for [`SessionRef`] (the `Rc` layer), where method
 /// resolution finds it one autoderef step *before* the trait methods on
 /// `dyn Session` — so every existing `lower.push(ctx, msg)` call site
 /// through a `SessionRef` transparently enters the layer's xtrace span,
@@ -318,7 +318,7 @@ impl TracedProtocol for ProtocolRef {
 }
 
 /// A session object: one end-point of a network connection.
-pub trait Session: Send + Sync {
+pub trait Session {
     /// The protocol this session belongs to.
     fn protocol_id(&self) -> ProtoId;
 

@@ -11,10 +11,9 @@
 //!   no bytes.
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use crate::addr::ParticipantSet;
 use crate::cost::Handicap;
@@ -32,19 +31,19 @@ pub struct NullLayer {
     me: ProtoId,
     name: &'static str,
     down: ProtoId,
-    enables: Mutex<HashMap<u16, ProtoId>>,
-    passive: Mutex<HashMap<u16, SessionRef>>,
+    enables: RefCell<HashMap<u16, ProtoId>>,
+    passive: RefCell<HashMap<u16, SessionRef>>,
 }
 
 impl NullLayer {
     /// Creates a null layer above `down`.
-    pub fn new(me: ProtoId, down: ProtoId) -> Arc<NullLayer> {
-        Arc::new(NullLayer {
+    pub fn new(me: ProtoId, down: ProtoId) -> Rc<NullLayer> {
+        Rc::new(NullLayer {
             me,
             name: "null",
             down,
-            enables: Mutex::new(HashMap::new()),
-            passive: Mutex::new(HashMap::new()),
+            enables: RefCell::new(HashMap::new()),
+            passive: RefCell::new(HashMap::new()),
         })
     }
 
@@ -116,7 +115,7 @@ impl Protocol for NullLayer {
         let num = Self::num_of(parts)?;
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
         let lower = ctx.kernel().open(ctx, self.down, self.me, parts)?;
-        Ok(Arc::new(NullSession {
+        Ok(Rc::new(NullSession {
             proto: self.me,
             num,
             lower,
@@ -125,7 +124,7 @@ impl Protocol for NullLayer {
 
     fn open_enable(&self, ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<()> {
         let num = Self::num_of(parts)?;
-        self.enables.lock().insert(num, upper);
+        self.enables.borrow_mut().insert(num, upper);
         // Propagate the enable downward under the same number so messages
         // reach us in the first place.
         ctx.kernel().open_enable(ctx, self.down, self.me, parts)
@@ -138,24 +137,24 @@ impl Protocol for NullLayer {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let upper = self
             .enables
-            .lock()
+            .borrow_mut()
             .get(&num)
             .copied()
             .ok_or_else(|| XError::NoEnable(format!("null layer num {num}")))?;
         // Reuse (or passively create) the session replies travel down on —
         // the paper's "cache open sessions at all levels" rule.
         let sess = {
-            let mut cache = self.passive.lock();
+            let mut cache = self.passive.borrow_mut();
             match cache.get(&num) {
-                Some(s) => Arc::clone(s),
+                Some(s) => Rc::clone(s),
                 None => {
-                    let s: SessionRef = Arc::new(NullSession {
+                    let s: SessionRef = Rc::new(NullSession {
                         proto: self.me,
                         num,
-                        lower: Arc::clone(lls),
+                        lower: Rc::clone(lls),
                     });
                     ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
-                    cache.insert(num, Arc::clone(&s));
+                    cache.insert(num, Rc::clone(&s));
                     s
                 }
             }
@@ -188,10 +187,10 @@ pub struct HandicapLayer {
     /// the lower protocol's name).
     name: &'static str,
     handicap: Handicap,
-    upper: Mutex<Option<ProtoId>>,
+    upper: RefCell<Option<ProtoId>>,
     // Wrapped lower sessions for the upward path, keyed by the identity of
     // the underlying session, so server-side reply pushes are charged too.
-    wrapped: Mutex<Vec<(usize, SessionRef)>>,
+    wrapped: RefCell<Vec<(usize, SessionRef)>>,
 }
 
 // Charged once per message *sent* (each host pays for the messages it
@@ -208,7 +207,7 @@ fn charge_msg(handicap: &Handicap, ctx: &Ctx, len: usize) {
 
 impl HandicapLayer {
     /// Creates a handicap layer above `down` charging `handicap`.
-    pub fn new(me: ProtoId, down: ProtoId, handicap: Handicap) -> Arc<HandicapLayer> {
+    pub fn new(me: ProtoId, down: ProtoId, handicap: Handicap) -> Rc<HandicapLayer> {
         HandicapLayer::with_name(me, down, handicap, "handicap")
     }
 
@@ -219,14 +218,14 @@ impl HandicapLayer {
         down: ProtoId,
         handicap: Handicap,
         name: &'static str,
-    ) -> Arc<HandicapLayer> {
-        Arc::new(HandicapLayer {
+    ) -> Rc<HandicapLayer> {
+        Rc::new(HandicapLayer {
             me,
             down,
             name,
             handicap,
-            upper: Mutex::new(None),
-            wrapped: Mutex::new(Vec::new()),
+            upper: RefCell::new(None),
+            wrapped: RefCell::new(Vec::new()),
         })
     }
 }
@@ -271,9 +270,9 @@ impl Protocol for HandicapLayer {
     }
 
     fn open(&self, ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
-        *self.upper.lock() = Some(upper);
+        *self.upper.borrow_mut() = Some(upper);
         let lower = ctx.kernel().open(ctx, self.down, self.me, parts)?;
-        Ok(Arc::new(HandicapSession {
+        Ok(Rc::new(HandicapSession {
             proto: self.me,
             handicap: self.handicap,
             lower,
@@ -281,25 +280,25 @@ impl Protocol for HandicapLayer {
     }
 
     fn open_enable(&self, ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<()> {
-        *self.upper.lock() = Some(upper);
+        *self.upper.borrow_mut() = Some(upper);
         ctx.kernel().open_enable(ctx, self.down, self.me, parts)
     }
 
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, msg: Message) -> XResult<()> {
-        let upper = (*self.upper.lock())
+        let upper = (*self.upper.borrow_mut())
             .ok_or_else(|| XError::NoEnable("handicap layer has no upper".into()))?;
-        let key = Arc::as_ptr(lls) as *const () as usize;
+        let key = Rc::as_ptr(lls) as *const () as usize;
         let sess = {
-            let mut cache = self.wrapped.lock();
+            let mut cache = self.wrapped.borrow_mut();
             match cache.iter().find(|(k, _)| *k == key) {
-                Some((_, s)) => Arc::clone(s),
+                Some((_, s)) => Rc::clone(s),
                 None => {
-                    let s: SessionRef = Arc::new(HandicapSession {
+                    let s: SessionRef = Rc::new(HandicapSession {
                         proto: self.me,
                         handicap: self.handicap,
-                        lower: Arc::clone(lls),
+                        lower: Rc::clone(lls),
                     });
-                    cache.push((key, Arc::clone(&s)));
+                    cache.push((key, Rc::clone(&s)));
                     s
                 }
             }

@@ -21,18 +21,25 @@
 //! * [`Mode::Inline`] — a synchronous zero-latency network: pushing a packet
 //!   invokes the destination kernel's demux on the *same* thread, so an
 //!   entire RPC round trip is one call chain with no blocking and no
-//!   scheduling. Criterion uses this mode to measure the real CPU cost of
-//!   each protocol path on today's hardware. It doubles as a lock-discipline
-//!   check: holding a session lock across a lower `push` deadlocks here.
+//!   scheduling. The host-time benchmarks use this mode to measure the real
+//!   CPU cost of each protocol path on today's hardware. It doubles as a
+//!   borrow-discipline check: holding a `RefCell` borrow of session state
+//!   across a lower `push` panics here.
+//!
+//! A simulation lives on one thread (it is `!Send`), so its state sits in
+//! `RefCell`s and `Cell`s rather than locks. The borrow rule, for the engine
+//! and every protocol: no `RefCell` borrow is held across a protocol call, a
+//! yield (semaphore wait, sleep) or a user closure. Each borrow is a short
+//! critical section over plain data, so it can never be re-entered.
 //!
 //! The same protocol code runs unmodified in both modes.
 
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-use parking_lot::{Mutex, RwLock};
 
 pub use crate::cost::Nanos;
 pub use crate::vproc::{VProc, VStep};
@@ -247,7 +254,7 @@ pub enum RobustEvent {
 }
 
 /// A boxed shepherd-process body.
-pub type Thunk = Box<dyn FnOnce(&Ctx) + Send + 'static>;
+pub type Thunk = Box<dyn FnOnce(&Ctx) + 'static>;
 
 /// A scheduling-decision oracle for xcheck's bounded schedule exploration.
 ///
@@ -257,7 +264,7 @@ pub type Thunk = Box<dyn FnOnce(&Ctx) + Send + 'static>;
 /// the chooser is handed the number of tied live events (in insertion
 /// order) and picks which runs first. Enumerating chooser decisions
 /// enumerates schedules; see `crates/xcheck`.
-pub trait ScheduleChooser: Send {
+pub trait ScheduleChooser {
     /// Picks which of `n` (≥ 2) same-time events to process next; returns
     /// an index in `0..n` (out-of-range values are clamped).
     fn choose(&mut self, n: usize) -> usize;
@@ -359,9 +366,10 @@ struct Sched {
 }
 
 /// Per-host clocks and counters, split out of [`Sched`] so the hot charging
-/// path ([`Ctx::charge`], [`Ctx::now`], [`Ctx::note`]) never contends with
-/// the event queue. Lock order where both are needed: `sched` before
-/// `hosts`.
+/// path ([`Ctx::charge`], [`Ctx::now`], [`Ctx::note`]) borrows only these,
+/// never the event queue. Both may be borrowed at once (the scheduler does
+/// while processing an event); neither borrow is held across a protocol
+/// call, a yield or a user closure.
 struct Hosts {
     cpu: Vec<Time>,
     down: Vec<bool>,
@@ -377,32 +385,33 @@ pub struct SimCore {
     mode: Mode,
     cost: CostModel,
     policy: HeaderPolicy,
-    sched: Mutex<Sched>,
+    sched: RefCell<Sched>,
     /// Per-process fuel budget, from [`SimConfig::fuel`].
     fuel_limit: Option<u64>,
     /// Pool of reusable coroutine stacks (bounded; see `STACK_POOL_CAP`).
-    stacks: Mutex<Vec<vproc::Stack>>,
-    hosts: Mutex<Hosts>,
-    kernels: RwLock<Vec<Arc<Kernel>>>,
-    rng: Mutex<u64>,
+    stacks: RefCell<Vec<vproc::Stack>>,
+    hosts: RefCell<Hosts>,
+    kernels: RefCell<Vec<Arc<Kernel>>>,
+    rng: Cell<u64>,
     /// Plain flag checked before any trace work; when false the trace
-    /// mutex is never touched (the zero-overhead-when-disabled guarantee).
+    /// state is never touched (the zero-overhead-when-disabled guarantee).
     trace_on: bool,
-    /// Structured trace state; a leaf lock (never held while taking any
-    /// other simulator lock).
-    trace: Mutex<TraceCore>,
+    /// Structured trace state; a leaf borrow (never held while borrowing
+    /// any other simulator state).
+    trace: RefCell<TraceCore>,
     /// Plain flag checked before any checker work; when false the check
-    /// mutex is never touched (same guarantee as `trace_on`).
+    /// state is never touched (same guarantee as `trace_on`).
     check_on: bool,
-    /// Concurrency-checker state; a leaf lock like `trace`.
-    check: Mutex<CheckCore>,
+    /// Concurrency-checker state; a leaf borrow like `trace`.
+    check: RefCell<CheckCore>,
     /// Whether journal recording is on. Toggleable at run time (unlike
     /// `trace_on`/`check_on`) so recording can be scoped to a window; a
-    /// relaxed load guards every journal touch, so recording costs nothing
+    /// flag read guards every journal touch, so recording costs nothing
     /// when off.
-    journal_on: AtomicBool,
-    /// Recorded nondeterminism-relevant decisions; a leaf lock like `trace`.
-    journal: Mutex<Vec<JournalRecord>>,
+    journal_on: Cell<bool>,
+    /// Recorded nondeterminism-relevant decisions; a leaf borrow like
+    /// `trace`.
+    journal: RefCell<Vec<JournalRecord>>,
     /// The configured seed, kept for repro strings.
     seed: u64,
 }
@@ -410,7 +419,7 @@ pub struct SimCore {
 /// The simulator: owns hosts, time, and shepherd processes.
 #[derive(Clone)]
 pub struct Sim {
-    core: Arc<SimCore>,
+    core: Rc<SimCore>,
 }
 
 impl Sim {
@@ -422,11 +431,11 @@ impl Sim {
             install_crash_hook();
         }
         Sim {
-            core: Arc::new(SimCore {
+            core: Rc::new(SimCore {
                 mode: cfg.mode,
                 cost: cfg.cost,
                 policy: cfg.policy,
-                sched: Mutex::new(Sched {
+                sched: RefCell::new(Sched {
                     now: 0,
                     seq: 0,
                     heap: BinaryHeap::new(),
@@ -443,22 +452,22 @@ impl Sim {
                     sched_hash: FNV_OFFSET,
                 }),
                 fuel_limit: cfg.fuel,
-                stacks: Mutex::new(Vec::new()),
-                hosts: Mutex::new(Hosts {
+                stacks: RefCell::new(Vec::new()),
+                hosts: RefCell::new(Hosts {
                     cpu: Vec::new(),
                     down: Vec::new(),
                     epoch: Vec::new(),
                     stats: Vec::new(),
                     fuel: Vec::new(),
                 }),
-                kernels: RwLock::new(Vec::new()),
-                rng: Mutex::new(cfg.seed | 1),
+                kernels: RefCell::new(Vec::new()),
+                rng: Cell::new(cfg.seed | 1),
                 trace_on: cfg.trace,
-                trace: Mutex::new(TraceCore::new(DEFAULT_RING_CAP)),
+                trace: RefCell::new(TraceCore::new(DEFAULT_RING_CAP)),
                 check_on: cfg.check,
-                check: Mutex::new(CheckCore::default()),
-                journal_on: AtomicBool::new(false),
-                journal: Mutex::new(Vec::new()),
+                check: RefCell::new(CheckCore::default()),
+                journal_on: Cell::new(false),
+                journal: RefCell::new(Vec::new()),
                 seed: cfg.seed,
             }),
         }
@@ -474,50 +483,51 @@ impl Sim {
         &self.core.cost
     }
 
-    /// Registers a kernel, allocating its host id. Called by `Kernel::new`.
-    pub(crate) fn add_kernel(&self, k: &Arc<Kernel>) -> HostId {
-        let mut ks = self.core.kernels.write();
-        let id = HostId(ks.len());
+    /// The host id the next [`Sim::add_kernel`] will allocate.
+    pub(crate) fn next_host(&self) -> HostId {
+        HostId(self.core.kernels.borrow().len())
+    }
+
+    /// Registers a kernel under the host id [`Sim::next_host`] named.
+    /// Called by `Kernel::new`.
+    pub(crate) fn add_kernel(&self, k: &Arc<Kernel>) {
+        let mut ks = self.core.kernels.borrow_mut();
+        debug_assert_eq!(k.host(), HostId(ks.len()), "host ids allocated in order");
         ks.push(Arc::clone(k));
-        let mut h = self.core.hosts.lock();
+        let mut h = self.core.hosts.borrow_mut();
         h.cpu.push(0);
         h.down.push(false);
         h.epoch.push(0);
         h.stats.push(HostStats::default());
         h.fuel.push(0);
-        id
     }
 
     /// The kernel running on `host`.
     pub fn kernel_of(&self, host: HostId) -> Arc<Kernel> {
-        Arc::clone(&self.core.kernels.read()[host.0])
+        Arc::clone(&self.core.kernels.borrow()[host.0])
     }
 
     /// All registered kernels.
     pub fn kernels(&self) -> Vec<Arc<Kernel>> {
-        self.core.kernels.read().clone()
+        self.core.kernels.borrow().clone()
     }
 
     /// A context bound to `host` but to no logical process. Suitable for
     /// setup (graph building, enables) and for everything in inline mode;
     /// blocking from it panics.
     pub fn ctx(&self, host: HostId) -> Ctx {
-        Ctx {
-            core: Arc::clone(&self.core),
-            host,
-            lp: None,
-        }
+        Ctx::new(&self.core, host, None)
     }
 
     /// Spawns a shepherd process on `host`. In scheduled mode it is queued
     /// at the current virtual time and run by [`Sim::run_until_idle`]; in
     /// inline mode it executes immediately on the calling thread.
-    pub fn spawn(&self, host: HostId, f: impl FnOnce(&Ctx) + Send + 'static) {
+    pub fn spawn(&self, host: HostId, f: impl FnOnce(&Ctx) + 'static) {
         self.ctx(host).spawn_on(host, f);
     }
 
     fn push_event(&self, t: Time, kind: EvKind) {
-        let mut g = self.core.sched.lock();
+        let mut g = self.core.sched.borrow_mut();
         let seq = g.seq;
         g.seq += 1;
         g.events.insert(seq, kind);
@@ -566,17 +576,17 @@ impl Sim {
 
     /// Robustness counters for `host` (also in [`RunReport::hosts`]).
     pub fn host_stats(&self, host: HostId) -> HostStats {
-        self.core.hosts.lock().stats[host.0]
+        self.core.hosts.borrow().stats[host.0]
     }
 
     /// How many times `host` has restarted (0 until its first restart).
     pub fn boot_epoch(&self, host: HostId) -> u32 {
-        self.core.hosts.lock().epoch[host.0]
+        self.core.hosts.borrow().epoch[host.0]
     }
 
     /// Whether `host` is currently crashed.
     pub fn is_down(&self, host: HostId) -> bool {
-        self.core.hosts.lock().down[host.0]
+        self.core.hosts.borrow().down[host.0]
     }
 
     /// Runs queued events until none remain. Scheduled mode only.
@@ -603,7 +613,7 @@ impl Sim {
             "run_until_time is meaningful only in scheduled mode"
         );
         let core = &self.core;
-        let mut g = core.sched.lock();
+        let mut g = core.sched.borrow_mut();
         loop {
             // Reap crash-killed processes first, in sorted-id order, so
             // their unwinds land at a deterministic point of the schedule.
@@ -612,19 +622,19 @@ impl Sim {
                 let id = g.reap.remove(0);
                 drop(g);
                 reap_lp(core, id);
-                g = core.sched.lock();
+                g = core.sched.borrow_mut();
                 continue;
             }
             match advance(core, &mut g, stop) {
                 Next::Task(task) => {
                     drop(g);
                     run_task(core, task);
-                    g = core.sched.lock();
+                    g = core.sched.borrow_mut();
                 }
                 Next::Resume(lp) => {
                     drop(g);
                     resume_lp(core, lp);
-                    g = core.sched.lock();
+                    g = core.sched.borrow_mut();
                 }
                 Next::Drained => {
                     if !g.reap.is_empty() {
@@ -640,7 +650,7 @@ impl Sim {
             .filter(|l| l.state == RunState::Blocked)
             .count();
         let (hosts, fuel_used) = {
-            let h = core.hosts.lock();
+            let h = core.hosts.borrow();
             let fuel_used = h.fuel.iter().sum();
             let hosts = h
                 .stats
@@ -683,22 +693,17 @@ impl Sim {
 
     /// Virtual CPU time of `host`.
     pub fn now_of(&self, host: HostId) -> Time {
-        self.core.hosts.lock().cpu[host.0]
+        self.core.hosts.borrow().cpu[host.0]
     }
 
     /// Global virtual time (time of the last processed event).
     pub fn virtual_now(&self) -> Time {
-        self.core.sched.lock().now
+        self.core.sched.borrow().now
     }
 
     /// Next value from the simulation-wide deterministic PRNG (SplitMix64).
     pub fn next_u64(&self) -> u64 {
-        let mut s = self.core.rng.lock();
-        *s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        next_u64_of(&self.core)
     }
 
     /// Whether structured tracing is enabled for this simulation.
@@ -713,7 +718,7 @@ impl Sim {
         if !self.core.trace_on {
             return Vec::new();
         }
-        self.core.trace.lock().events()
+        self.core.trace.borrow().events()
     }
 
     /// The protocol-reported annotations among the trace events, with the
@@ -747,7 +752,7 @@ impl Sim {
         if !self.core.trace_on {
             return;
         }
-        self.core.trace.lock().clear();
+        self.core.trace.borrow_mut().clear();
     }
 
     /// Whether the concurrency checker is enabled for this simulation.
@@ -763,14 +768,14 @@ impl Sim {
     /// The schedule fingerprint accumulated so far (see
     /// [`RunReport::sched_hash`]).
     pub fn sched_hash(&self) -> u64 {
-        self.core.sched.lock().sched_hash
+        self.core.sched.borrow().sched_hash
     }
 
     /// Installs a scheduling oracle: every same-time event tie becomes a
     /// forced-choice point decided by `chooser`. Used by xcheck's bounded
     /// schedule exploration; replaces any previous chooser.
     pub fn set_chooser(&self, chooser: Box<dyn ScheduleChooser>) {
-        self.core.sched.lock().chooser = Some(chooser);
+        self.core.sched.borrow_mut().chooser = Some(chooser);
     }
 
     /// The checker's findings. Runs the wait-for-graph scan over processes
@@ -782,7 +787,7 @@ impl Sim {
             return CheckReport::default();
         }
         let mut blocked: Vec<u64> = {
-            let g = self.core.sched.lock();
+            let g = self.core.sched.borrow();
             g.lps
                 .iter()
                 .filter(|(_, s)| s.state == RunState::Blocked)
@@ -790,7 +795,7 @@ impl Sim {
                 .collect()
         };
         blocked.sort_unstable();
-        self.core.check.lock().report(&blocked)
+        self.core.check.borrow_mut().report(&blocked)
     }
 
     /// The replayable repro string for `v` under this run's seed and
@@ -800,24 +805,24 @@ impl Sim {
     }
 
     /// Starts journal recording (see [`crate::journal`]), discarding any
-    /// previously recorded decisions. Costs one relaxed atomic load per
-    /// potential decision when off.
+    /// previously recorded decisions. Costs one flag read per potential
+    /// decision when off.
     pub fn journal_enable(&self) {
-        self.core.journal.lock().clear();
-        self.core.journal_on.store(true, Ordering::Relaxed);
+        self.core.journal.borrow_mut().clear();
+        self.core.journal_on.set(true);
     }
 
     /// Whether journal recording is currently on.
     pub fn journal_enabled(&self) -> bool {
-        self.core.journal_on.load(Ordering::Relaxed)
+        self.core.journal_on.get()
     }
 
     /// Stops recording and returns the journal, stamped with this
     /// simulation's seed and the schedule fingerprint accumulated so far —
     /// the cross-check a replay must reproduce.
     pub fn journal_take(&self) -> Journal {
-        self.core.journal_on.store(false, Ordering::Relaxed);
-        let records = std::mem::take(&mut *self.core.journal.lock());
+        self.core.journal_on.set(false);
+        let records = std::mem::take(&mut *self.core.journal.borrow_mut());
         Journal {
             version: JOURNAL_VERSION,
             seed: self.core.seed,
@@ -831,15 +836,7 @@ impl Sim {
     /// journaling is on. `kind` is one of the `crate::journal::FAULT_*`
     /// tags; `aux` carries the kind-specific detail.
     pub fn journal_fault(&self, lan: u32, index: u64, kind: u8, aux: u64) {
-        if !self.core.journal_on.load(Ordering::Relaxed) {
-            return;
-        }
-        self.core.journal.lock().push(JournalRecord::Fault {
-            lan,
-            index,
-            kind,
-            aux,
-        });
+        journal_fault_of(&self.core, lan, index, kind, aux);
     }
 
     /// Captures the complete mutable state of a *quiescent* simulation: the
@@ -863,7 +860,7 @@ impl Sim {
             return Err(XError::Unsupported("snapshot in inline mode"));
         }
         let (now, seq, next_lp, executed, sched_hash, fuel_exhausted, peak_live, wakes, machines) = {
-            let g = self.core.sched.lock();
+            let g = self.core.sched.borrow();
             self.require_quiescent(&g)?;
             // Every pending event is a Wake (eligibility above); capture
             // each with the time its heap entry carries, sorted by seq so
@@ -910,7 +907,7 @@ impl Sim {
             )
         };
         let (cpu, down, epoch, stats, fuel) = {
-            let h = self.core.hosts.lock();
+            let h = self.core.hosts.borrow();
             (
                 h.cpu.clone(),
                 h.down.clone(),
@@ -919,9 +916,9 @@ impl Sim {
                 h.fuel.clone(),
             )
         };
-        let rng = *self.core.rng.lock();
-        let journal_len = self.core.journal.lock().len();
-        let kernels = self.core.kernels.read().clone();
+        let rng = self.core.rng.get();
+        let journal_len = self.core.journal.borrow().len();
+        let kernels = self.core.kernels.borrow().clone();
         let mut protos = Vec::with_capacity(kernels.len());
         for k in &kernels {
             let ctx = self.ctx(k.host());
@@ -964,7 +961,7 @@ impl Sim {
             return Err(XError::Unsupported("restore in inline mode"));
         }
         {
-            let mut g = self.core.sched.lock();
+            let mut g = self.core.sched.borrow_mut();
             self.require_quiescent(&g)?;
             g.now = snap.now;
             g.seq = snap.seq;
@@ -1011,7 +1008,7 @@ impl Sim {
             }
         }
         {
-            let mut h = self.core.hosts.lock();
+            let mut h = self.core.hosts.borrow_mut();
             if h.cpu.len() != snap.cpu.len() {
                 return Err(XError::Config(format!(
                     "snapshot holds {} hosts but the simulator has {}",
@@ -1025,9 +1022,9 @@ impl Sim {
             h.stats.clone_from(&snap.stats);
             h.fuel.clone_from(&snap.fuel);
         }
-        *self.core.rng.lock() = snap.rng;
-        self.core.journal.lock().truncate(snap.journal_len);
-        let kernels = self.core.kernels.read().clone();
+        self.core.rng.set(snap.rng);
+        self.core.journal.borrow_mut().truncate(snap.journal_len);
+        let kernels = self.core.kernels.borrow().clone();
         if kernels.len() != snap.protos.len() {
             return Err(XError::Config(
                 "snapshot is from a different rig (kernel count mismatch)".into(),
@@ -1141,8 +1138,8 @@ fn breakdown_of(core: &SimCore) -> CostBreakdown {
     if !core.trace_on {
         return CostBreakdown::default();
     }
-    let kernels = core.kernels.read();
-    let tr = core.trace.lock();
+    let kernels = core.kernels.borrow();
+    let tr = core.trace.borrow();
     let mut agg: HashMap<(usize, Option<ProtoId>, OpClass), Nanos> = HashMap::new();
     for (host, frames, class, ns) in tr.rows() {
         *agg.entry((host, frames.last().copied(), class))
@@ -1166,8 +1163,8 @@ fn folded_of(core: &SimCore) -> Vec<FoldedLine> {
     if !core.trace_on {
         return Vec::new();
     }
-    let kernels = core.kernels.read();
-    let tr = core.trace.lock();
+    let kernels = core.kernels.borrow();
+    let tr = core.trace.borrow();
     let mut lines: Vec<FoldedLine> = tr
         .rows()
         .into_iter()
@@ -1205,6 +1202,29 @@ fn proto_frame_name(kernels: &[Arc<Kernel>], host: usize, proto: Option<ProtoId>
     }
 }
 
+/// Records a realized network fault; see [`Sim::journal_fault`].
+fn journal_fault_of(core: &SimCore, lan: u32, index: u64, kind: u8, aux: u64) {
+    if !core.journal_on.get() {
+        return;
+    }
+    core.journal.borrow_mut().push(JournalRecord::Fault {
+        lan,
+        index,
+        kind,
+        aux,
+    });
+}
+
+/// One SplitMix64 step of the simulation-wide PRNG.
+fn next_u64_of(core: &SimCore) -> u64 {
+    let s = core.rng.get().wrapping_add(0x9e37_79b9_7f4a_7c15);
+    core.rng.set(s);
+    let mut z = s;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// What the event loop decided after [`advance`] processed events.
 enum Next {
     /// A fresh shepherd process must run; the run token (`current`) is
@@ -1221,7 +1241,7 @@ enum Next {
 /// and processes them until a process claims the run token or the queue
 /// drains (or passes `stop`). Must be called with the token free
 /// (`current == None`).
-fn advance(core: &Arc<SimCore>, g: &mut parking_lot::MutexGuard<'_, Sched>, stop: Time) -> Next {
+fn advance(core: &Rc<SimCore>, g: &mut RefMut<'_, Sched>, stop: Time) -> Next {
     loop {
         // Pop the next live event.
         let next = loop {
@@ -1263,8 +1283,8 @@ fn advance(core: &Arc<SimCore>, g: &mut parking_lot::MutexGuard<'_, Sched>, stop
                             .expect("chooser checked present")
                             .choose(n)
                             .min(n - 1);
-                        if core.journal_on.load(Ordering::Relaxed) {
-                            core.journal.lock().push(JournalRecord::TiePick {
+                        if core.journal_on.get() {
+                            core.journal.borrow_mut().push(JournalRecord::TiePick {
                                 n: n as u32,
                                 pick: pick as u32,
                             });
@@ -1297,12 +1317,12 @@ fn advance(core: &Arc<SimCore>, g: &mut parking_lot::MutexGuard<'_, Sched>, stop
             },
         );
         if core.check_on {
-            core.check.lock().tick_event(g.executed, t);
+            core.check.borrow_mut().tick_event(g.executed, t);
         }
         match kind {
             EvKind::Run { host, body } => {
                 let jumped = {
-                    let mut h = core.hosts.lock();
+                    let mut h = core.hosts.borrow_mut();
                     if h.down[host.0] {
                         continue; // Scheduled before the crash; dies with it.
                     }
@@ -1314,7 +1334,7 @@ fn advance(core: &Arc<SimCore>, g: &mut parking_lot::MutexGuard<'_, Sched>, stop
                 // The fresh process has no span stack yet; the host sat
                 // idle (wire latency, timer wait) until this event.
                 if core.trace_on && jumped.0 > 0 {
-                    core.trace.lock().attribute_stack(
+                    core.trace.borrow_mut().attribute_stack(
                         host.0,
                         EMPTY_STACK,
                         None,
@@ -1327,21 +1347,21 @@ fn advance(core: &Arc<SimCore>, g: &mut parking_lot::MutexGuard<'_, Sched>, stop
                 if core.check_on {
                     // The new process inherits its spawner's clock via the
                     // deposit keyed by this event's seq (if one was made).
-                    core.check.lock().on_lp_start(task.lp.0, host.0, seq);
+                    core.check.borrow_mut().on_lp_start(task.lp.0, host.0, seq);
                 }
                 return Next::Task(task);
             }
             EvKind::Crash { host } => {
                 {
-                    let mut h = core.hosts.lock();
+                    let mut h = core.hosts.borrow_mut();
                     if h.down[host.0] {
                         continue; // Already down.
                     }
                     h.down[host.0] = true;
                     h.stats[host.0].crashes += 1;
                 }
-                if core.journal_on.load(Ordering::Relaxed) {
-                    core.journal.lock().push(JournalRecord::Boot {
+                if core.journal_on.get() {
+                    core.journal.borrow_mut().push(JournalRecord::Boot {
                         host: host.0 as u32,
                         kind: 0,
                         t,
@@ -1385,7 +1405,7 @@ fn advance(core: &Arc<SimCore>, g: &mut parking_lot::MutexGuard<'_, Sched>, stop
                         .map(|(&id, _)| id)
                         .collect();
                     doomed.sort_unstable();
-                    let mut chk = core.check.lock();
+                    let mut chk = core.check.borrow_mut();
                     for lp in doomed {
                         chk.on_lp_killed(lp);
                     }
@@ -1393,7 +1413,7 @@ fn advance(core: &Arc<SimCore>, g: &mut parking_lot::MutexGuard<'_, Sched>, stop
             }
             EvKind::Restart { host } => {
                 let jumped = {
-                    let mut h = core.hosts.lock();
+                    let mut h = core.hosts.borrow_mut();
                     if !h.down[host.0] {
                         continue; // Not down; nothing to restart.
                     }
@@ -1405,15 +1425,15 @@ fn advance(core: &Arc<SimCore>, g: &mut parking_lot::MutexGuard<'_, Sched>, stop
                     *cpu = (*cpu).max(t);
                     (idle, *cpu)
                 };
-                if core.journal_on.load(Ordering::Relaxed) {
-                    core.journal.lock().push(JournalRecord::Boot {
+                if core.journal_on.get() {
+                    core.journal.borrow_mut().push(JournalRecord::Boot {
                         host: host.0 as u32,
                         kind: 1,
                         t,
                     });
                 }
                 if core.trace_on && jumped.0 > 0 {
-                    core.trace.lock().attribute_stack(
+                    core.trace.borrow_mut().attribute_stack(
                         host.0,
                         EMPTY_STACK,
                         None,
@@ -1436,7 +1456,7 @@ fn advance(core: &Arc<SimCore>, g: &mut parking_lot::MutexGuard<'_, Sched>, stop
                     core.fuel_limit.unwrap_or(u64::MAX),
                 );
                 if core.check_on {
-                    core.check.lock().on_lp_start(task.lp.0, host.0, seq);
+                    core.check.borrow_mut().on_lp_start(task.lp.0, host.0, seq);
                 }
                 return Next::Task(task);
             }
@@ -1444,14 +1464,14 @@ fn advance(core: &Arc<SimCore>, g: &mut parking_lot::MutexGuard<'_, Sched>, stop
                 let Some(st) = g.lps.get_mut(&lp.0) else {
                     // Process already gone; stale wake.
                     if core.check_on {
-                        core.check.lock().on_stale_wake(lp.0);
+                        core.check.borrow_mut().on_stale_wake(lp.0);
                     }
                     continue;
                 };
                 if st.state != RunState::Blocked {
                     // Stale wake; cancellation should prevent this.
                     if core.check_on {
-                        core.check.lock().on_stale_wake(lp.0);
+                        core.check.borrow_mut().on_stale_wake(lp.0);
                     }
                     continue;
                 }
@@ -1461,7 +1481,7 @@ fn advance(core: &Arc<SimCore>, g: &mut parking_lot::MutexGuard<'_, Sched>, stop
                 g.current = Some(lp);
                 let switch = core.cost.proc_switch;
                 let jumped = {
-                    let mut h = core.hosts.lock();
+                    let mut h = core.hosts.borrow_mut();
                     let cpu = &mut h.cpu[host.0];
                     let idle = t.saturating_sub(*cpu);
                     *cpu = (*cpu).max(t) + switch;
@@ -1471,7 +1491,7 @@ fn advance(core: &Arc<SimCore>, g: &mut parking_lot::MutexGuard<'_, Sched>, stop
                 // process's span stack (e.g. CHANNEL blocked for a reply).
                 if core.trace_on {
                     let key = SpanKey::Lp(lp.0);
-                    let mut tr = core.trace.lock();
+                    let mut tr = core.trace.borrow_mut();
                     tr.attribute(host.0, key, OpClass::Idle, jumped.0, jumped.1);
                     tr.attribute(host.0, key, OpClass::Switch, switch, jumped.1);
                 }
@@ -1483,12 +1503,7 @@ fn advance(core: &Arc<SimCore>, g: &mut parking_lot::MutexGuard<'_, Sched>, stop
 
 /// Registers a fresh logical process (ids allocated in event order, which
 /// determinism depends on) and claims the run token for it.
-fn new_lp(
-    g: &mut parking_lot::MutexGuard<'_, Sched>,
-    host: HostId,
-    body: ProcBody,
-    fuel: u64,
-) -> Task {
+fn new_lp(g: &mut RefMut<'_, Sched>, host: HostId, body: ProcBody, fuel: u64) -> Task {
     let lp = LpId(g.next_lp);
     g.next_lp += 1;
     g.lps.insert(
@@ -1529,35 +1544,31 @@ const STACK_POOL_CAP: usize = 256;
 
 /// Starts a fresh process's body. Thunks get a (pooled) stack and run as a
 /// coroutine until they block or finish; machines step on this stack.
-/// Called without the scheduler lock; the run token is already `task.lp`.
-fn run_task(core: &Arc<SimCore>, task: Task) {
+/// Called with no scheduler borrow held; the run token is already `task.lp`.
+fn run_task(core: &Rc<SimCore>, task: Task) {
     match task.body {
         ProcBody::Thunk(f) => {
             let stack = core
                 .stacks
-                .lock()
+                .borrow_mut()
                 .pop()
                 .unwrap_or_else(|| vproc::Stack::new(vproc::STACK_SIZE));
             let fuel = core.fuel_limit.unwrap_or(u64::MAX);
-            let wrapper_core = Arc::clone(core);
+            let wrapper_core = Rc::clone(core);
             let lp = task.lp;
             let host = task.host;
-            let body: Box<dyn FnOnce() + Send> = Box::new(move || {
-                let ctx = Ctx {
-                    core: Arc::clone(&wrapper_core),
-                    host,
-                    lp: Some(lp),
-                };
+            let body: Box<dyn FnOnce()> = Box::new(move || {
+                let ctx = Ctx::new(&wrapper_core, host, Some(lp));
                 let result = catch_unwind(AssertUnwindSafe(move || f(&ctx)));
                 if let Err(p) = result {
                     if p.is::<CrashKill>() {
                         // Normal death of a process whose host crashed.
                     } else if p.is::<FuelKill>() {
-                        wrapper_core.sched.lock().fuel_exhausted += 1;
+                        wrapper_core.sched.borrow_mut().fuel_exhausted += 1;
                         if wrapper_core.check_on {
                             // Killed mid-protocol: late signals to it are
                             // expected, not lost wakeups.
-                            wrapper_core.check.lock().on_lp_killed(lp.0);
+                            wrapper_core.check.borrow_mut().on_lp_killed(lp.0);
                         }
                     } else {
                         let text = p
@@ -1565,7 +1576,7 @@ fn run_task(core: &Arc<SimCore>, task: Task) {
                             .map(|s| s.to_string())
                             .or_else(|| p.downcast_ref::<String>().cloned())
                             .unwrap_or_else(|| "non-string panic payload".into());
-                        wrapper_core.sched.lock().panics.push(text);
+                        wrapper_core.sched.borrow_mut().panics.push(text);
                     }
                 }
             });
@@ -1578,13 +1589,13 @@ fn run_task(core: &Arc<SimCore>, task: Task) {
     }
 }
 
-/// Resumes a coroutine and parks or retires it afterwards. Called without
-/// the scheduler lock.
-fn drive_coro(core: &Arc<SimCore>, lp: LpId, mut coro: vproc::Coro) {
+/// Resumes a coroutine and parks or retires it afterwards. Called with
+/// no scheduler borrow held.
+fn drive_coro(core: &Rc<SimCore>, lp: LpId, mut coro: vproc::Coro) {
     let finished = coro.resume();
     if finished {
         {
-            let mut g = core.sched.lock();
+            let mut g = core.sched.borrow_mut();
             if g.current == Some(lp) {
                 g.current = None;
             }
@@ -1593,17 +1604,17 @@ fn drive_coro(core: &Arc<SimCore>, lp: LpId, mut coro: vproc::Coro) {
         if core.trace_on {
             // The guards unwound with the process; discard its (empty)
             // span stack so the table doesn't grow with process count.
-            core.trace.lock().drop_key(SpanKey::Lp(lp.0));
+            core.trace.borrow_mut().drop_key(SpanKey::Lp(lp.0));
         }
         let stack = coro.into_stack();
-        let mut pool = core.stacks.lock();
+        let mut pool = core.stacks.borrow_mut();
         if pool.len() < STACK_POOL_CAP {
             pool.push(stack);
         }
     } else {
         // Blocked: `block_current` already marked it and released the run
         // token; park the suspended stack with the process.
-        let mut g = core.sched.lock();
+        let mut g = core.sched.borrow_mut();
         let st = g
             .lps
             .get_mut(&lp.0)
@@ -1612,11 +1623,11 @@ fn drive_coro(core: &Arc<SimCore>, lp: LpId, mut coro: vproc::Coro) {
     }
 }
 
-/// Resumes a blocked process the scheduler just woke. Called without the
-/// scheduler lock; the run token is already `lp`.
-fn resume_lp(core: &Arc<SimCore>, lp: LpId) {
+/// Resumes a blocked process the scheduler just woke. Called with no
+/// scheduler borrow held; the run token is already `lp`.
+fn resume_lp(core: &Rc<SimCore>, lp: LpId) {
     let (body, host, reason, waited) = {
-        let mut g = core.sched.lock();
+        let mut g = core.sched.borrow_mut();
         let st = g.lps.get_mut(&lp.0).expect("woken process registered");
         (
             st.body.take().expect("woken process has a continuation"),
@@ -1632,9 +1643,11 @@ fn resume_lp(core: &Arc<SimCore>, lp: LpId) {
                 if let Some(sema_id) = waited {
                     // The scheduler performed the machine's wait; close it
                     // out exactly where `p`/`p_timeout` would have.
-                    core.check
-                        .lock()
-                        .on_wait_end(lp.0, sema_id, reason == WakeReason::Normal);
+                    core.check.borrow_mut().on_wait_end(
+                        lp.0,
+                        sema_id,
+                        reason == WakeReason::Normal,
+                    );
                 }
             }
             step_machine(core, lp, host, m, reason);
@@ -1643,31 +1656,27 @@ fn resume_lp(core: &Arc<SimCore>, lp: LpId) {
 }
 
 /// Runs a machine from one blocking point to the next (or to completion),
-/// performing the returned [`VStep`]s on its behalf. Called without the
-/// scheduler lock; the run token is `lp`.
+/// performing the returned [`VStep`]s on its behalf. Called with no
+/// scheduler borrow held; the run token is `lp`.
 fn step_machine(
-    core: &Arc<SimCore>,
+    core: &Rc<SimCore>,
     lp: LpId,
     host: HostId,
     mut m: Box<dyn VProc>,
     mut reason: WakeReason,
 ) {
-    let ctx = Ctx {
-        core: Arc::clone(core),
-        host,
-        lp: Some(lp),
-    };
+    let ctx = Ctx::new(core, host, Some(lp));
     loop {
         // Machines pay one fuel unit per resume; exhaustion kills the
         // process at this deterministic point, like a coroutine's FuelKill.
         {
-            let mut g = core.sched.lock();
+            let mut g = core.sched.borrow_mut();
             let st = g.lps.get_mut(&lp.0).expect("machine process registered");
             if st.fuel == 0 {
                 g.fuel_exhausted += 1;
                 finalize_lp(core, g, lp);
                 if core.check_on {
-                    core.check.lock().on_lp_killed(lp.0);
+                    core.check.borrow_mut().on_lp_killed(lp.0);
                 }
                 return;
             }
@@ -1675,10 +1684,10 @@ fn step_machine(
                 st.fuel -= 1;
             }
         }
-        core.hosts.lock().fuel[host.0] += 1;
+        core.hosts.borrow_mut().fuel[host.0] += 1;
         match m.resume(&ctx, reason) {
             VStep::Done => {
-                let g = core.sched.lock();
+                let g = core.sched.borrow_mut();
                 finalize_lp(core, g, lp);
                 return;
             }
@@ -1687,7 +1696,7 @@ fn step_machine(
                 // host clock *before* the switch charge lands.
                 let t = ctx.event_time() + dt;
                 {
-                    let mut g = core.sched.lock();
+                    let mut g = core.sched.borrow_mut();
                     let seq = g.seq;
                     g.seq += 1;
                     g.events.insert(
@@ -1700,7 +1709,7 @@ fn step_machine(
                     g.heap.push(std::cmp::Reverse((t, seq)));
                 }
                 ctx.charge_class(OpClass::Switch, core.cost.proc_switch);
-                let mut g = core.sched.lock();
+                let mut g = core.sched.borrow_mut();
                 let st = g.lps.get_mut(&lp.0).expect("machine process registered");
                 st.state = RunState::Blocked;
                 st.wait_sema = None;
@@ -1715,7 +1724,7 @@ fn step_machine(
                     continue;
                 }
                 ctx.charge_class(OpClass::Switch, core.cost.proc_switch);
-                let mut g = core.sched.lock();
+                let mut g = core.sched.borrow_mut();
                 let st = g.lps.get_mut(&lp.0).expect("machine process registered");
                 st.state = RunState::Blocked;
                 st.wait_sema = Some(sema.check_id());
@@ -1729,23 +1738,23 @@ fn step_machine(
 
 /// Retires a finished or killed process: releases the run token if it holds
 /// it, unregisters it, and discards its span stack.
-fn finalize_lp(core: &Arc<SimCore>, mut g: parking_lot::MutexGuard<'_, Sched>, lp: LpId) {
+fn finalize_lp(core: &Rc<SimCore>, mut g: RefMut<'_, Sched>, lp: LpId) {
     if g.current == Some(lp) {
         g.current = None;
     }
     g.lps.remove(&lp.0);
     drop(g);
     if core.trace_on {
-        core.trace.lock().drop_key(SpanKey::Lp(lp.0));
+        core.trace.borrow_mut().drop_key(SpanKey::Lp(lp.0));
     }
 }
 
 /// Reaps one crash-killed process: a coroutine is resumed so it unwinds via
 /// [`CrashKill`] (running its drop guards), a machine is simply dropped.
-/// Called without the scheduler lock, with the run token free.
-fn reap_lp(core: &Arc<SimCore>, id: u64) {
+/// Called with no scheduler borrow held, with the run token free.
+fn reap_lp(core: &Rc<SimCore>, id: u64) {
     let body = {
-        let mut g = core.sched.lock();
+        let mut g = core.sched.borrow_mut();
         match g.lps.get_mut(&id) {
             Some(st) if st.state == RunState::Killed => st.body.take(),
             // Already gone (e.g. reaped via an earlier crash); nothing to do.
@@ -1760,7 +1769,7 @@ fn reap_lp(core: &Arc<SimCore>, id: u64) {
             drive_coro(core, LpId(id), coro);
         }
         Some(LpBody::Machine(_)) | None => {
-            let g = core.sched.lock();
+            let g = core.sched.borrow_mut();
             finalize_lp(core, g, LpId(id));
         }
     }
@@ -1771,12 +1780,24 @@ fn reap_lp(core: &Arc<SimCore>, id: u64) {
 /// provides time, charging, timers, and spawning.
 #[derive(Clone)]
 pub struct Ctx {
-    core: Arc<SimCore>,
+    core: Rc<SimCore>,
+    /// The kernel of `host`, resolved once so that protocol code reaches
+    /// it without a table lookup (`None` for a host with no kernel yet).
+    kernel: Option<Arc<Kernel>>,
     host: HostId,
     lp: Option<LpId>,
 }
 
 impl Ctx {
+    fn new(core: &Rc<SimCore>, host: HostId, lp: Option<LpId>) -> Ctx {
+        Ctx {
+            core: Rc::clone(core),
+            kernel: core.kernels.borrow().get(host.0).cloned(),
+            host,
+            lp,
+        }
+    }
+
     /// The host this context executes on.
     pub fn host(&self) -> HostId {
         self.host
@@ -1793,23 +1814,26 @@ impl Ctx {
     }
 
     /// The kernel of the current host.
-    pub fn kernel(&self) -> Arc<Kernel> {
-        Arc::clone(&self.core.kernels.read()[self.host.0])
+    ///
+    /// # Panics
+    ///
+    /// Panics if no kernel was registered for the host when this context
+    /// was made.
+    pub fn kernel(&self) -> &Arc<Kernel> {
+        self.kernel
+            .as_ref()
+            .expect("context bound to a host with a kernel")
     }
 
     /// The kernel of another host.
     pub fn kernel_of(&self, host: HostId) -> Arc<Kernel> {
-        Arc::clone(&self.core.kernels.read()[host.0])
+        Arc::clone(&self.core.kernels.borrow()[host.0])
     }
 
     /// This context re-bound to another host (used by the inline network to
     /// continue the call chain on the destination kernel).
     pub fn with_host(&self, host: HostId) -> Ctx {
-        Ctx {
-            core: Arc::clone(&self.core),
-            host,
-            lp: self.lp,
-        }
+        Ctx::new(&self.core, host, self.lp)
     }
 
     /// Current virtual time of this host's CPU (0 in inline mode).
@@ -1817,12 +1841,12 @@ impl Ctx {
         if self.core.mode == Mode::Inline {
             return 0;
         }
-        self.core.hosts.lock().cpu[self.host.0]
+        self.core.hosts.borrow().cpu[self.host.0]
     }
 
     /// Charges `ns` of virtual CPU time to this host as unclassified
-    /// protocol work. No-op in inline mode. Touches only the host-clock
-    /// lock, never the event queue.
+    /// protocol work. No-op in inline mode. Borrows only the host clocks,
+    /// never the event queue.
     pub fn charge(&self, ns: Nanos) {
         self.charge_class(OpClass::Compute, ns);
     }
@@ -1836,7 +1860,7 @@ impl Ctx {
             return;
         }
         let t = {
-            let mut h = self.core.hosts.lock();
+            let mut h = self.core.hosts.borrow_mut();
             h.fuel[self.host.0] += 1;
             let cpu = &mut h.cpu[self.host.0];
             *cpu += ns;
@@ -1845,11 +1869,11 @@ impl Ctx {
         if self.core.trace_on {
             self.core
                 .trace
-                .lock()
+                .borrow_mut()
                 .attribute(self.host.0, self.span_key(), class, ns, t);
         }
         // The exhausting tick is raised only after the charge has landed
-        // and every lock is released, so the kill point is clean.
+        // and every borrow is released, so the kill point is clean.
         if vproc::fuel_tick() {
             panic_any(FuelKill);
         }
@@ -1867,7 +1891,7 @@ impl Ctx {
     /// Records a robustness event against this context's host. The per-host
     /// tallies surface in [`RunReport::hosts`].
     pub fn note(&self, ev: RobustEvent) {
-        let mut h = self.core.hosts.lock();
+        let mut h = self.core.hosts.borrow_mut();
         let Some(s) = h.stats.get_mut(self.host.0) else {
             return;
         };
@@ -1884,7 +1908,7 @@ impl Ctx {
     pub fn boot_epoch(&self) -> u32 {
         self.core
             .hosts
-            .lock()
+            .borrow_mut()
             .epoch
             .get(self.host.0)
             .copied()
@@ -1940,7 +1964,7 @@ impl Ctx {
     }
 
     /// Spawns a shepherd process on `host` at the current time.
-    pub fn spawn_on(&self, host: HostId, f: impl FnOnce(&Ctx) + Send + 'static) {
+    pub fn spawn_on(&self, host: HostId, f: impl FnOnce(&Ctx) + 'static) {
         match self.core.mode {
             Mode::Inline => {
                 let ctx = self.with_host(host);
@@ -1958,13 +1982,13 @@ impl Ctx {
     pub fn event_time(&self) -> Time {
         if self.lp.is_some() {
             // Inside a process the host clock alone decides; skip the
-            // scheduler lock entirely (hot path for timers and sends).
-            self.core.hosts.lock().cpu[self.host.0]
+            // scheduler state entirely (hot path for timers and sends).
+            self.core.hosts.borrow().cpu[self.host.0]
         } else {
-            let g = self.core.sched.lock();
+            let g = self.core.sched.borrow();
             let now = g.now;
             drop(g);
-            now.max(self.core.hosts.lock().cpu[self.host.0])
+            now.max(self.core.hosts.borrow().cpu[self.host.0])
         }
     }
 
@@ -1994,11 +2018,11 @@ impl Ctx {
             Mode::Scheduled,
             "absolute scheduling requires virtual time"
         );
-        let mut g = self.core.sched.lock();
+        let mut g = self.core.sched.borrow_mut();
         if self
             .core
             .hosts
-            .lock()
+            .borrow_mut()
             .down
             .get(host.0)
             .copied()
@@ -2016,7 +2040,7 @@ impl Ctx {
             if let Some(lp) = self.lp {
                 // Fork edge: deposit the spawner's clock under the new Run
                 // event's seq; the spawned process joins it at start.
-                self.core.check.lock().on_spawn(lp.0, seq);
+                self.core.check.borrow_mut().on_spawn(lp.0, seq);
             }
         }
         TimerHandle(seq)
@@ -2026,7 +2050,7 @@ impl Ctx {
     /// process on this host. In inline mode timers never fire and the
     /// returned handle is inert — protocols must therefore bound any state
     /// they would otherwise rely on a timer to reclaim.
-    pub fn schedule_after(&self, dt: Nanos, f: impl FnOnce(&Ctx) + Send + 'static) -> TimerHandle {
+    pub fn schedule_after(&self, dt: Nanos, f: impl FnOnce(&Ctx) + 'static) -> TimerHandle {
         if self.core.mode == Mode::Inline {
             return TimerHandle::NONE;
         }
@@ -2041,7 +2065,7 @@ impl Ctx {
             return;
         }
         self.charge_class(OpClass::Timer, self.core.cost.timer_op);
-        self.core.sched.lock().events.remove(&h.0);
+        self.core.sched.borrow_mut().events.remove(&h.0);
     }
 
     /// Blocks the current shepherd process until woken; returns why it woke.
@@ -2049,7 +2073,7 @@ impl Ctx {
     /// # Panics
     ///
     /// Panics in inline mode or outside a shepherd process: blocking there
-    /// indicates either a lock-discipline violation or a workload that
+    /// indicates either a borrow-discipline violation or a workload that
     /// genuinely needs scheduled mode.
     pub(crate) fn block_current(&self) -> WakeReason {
         let lp = match (self.core.mode, self.lp) {
@@ -2062,7 +2086,7 @@ impl Ctx {
         };
         self.charge_class(OpClass::Switch, self.core.cost.proc_switch);
         {
-            let mut g = self.core.sched.lock();
+            let mut g = self.core.sched.borrow_mut();
             let st = g.lps.get_mut(&lp.0).expect("current process registered");
             st.state = RunState::Blocked;
             st.wait_sema = None; // Coroutines run their own wait-end hooks.
@@ -2071,7 +2095,7 @@ impl Ctx {
         // Suspend this coroutine; the scheduler's run loop picks the next
         // event. The next resume lands right here.
         vproc::yield_now();
-        let g = self.core.sched.lock();
+        let g = self.core.sched.borrow();
         let st = g.lps.get(&lp.0).expect("blocked process cannot vanish");
         match st.state {
             RunState::Running => st.wake_reason,
@@ -2090,7 +2114,7 @@ impl Ctx {
     /// cancellation, and ignored defensively by the scheduler.
     pub(crate) fn wake(&self, lp: LpId, reason: WakeReason) {
         let t = self.event_time();
-        let mut g = self.core.sched.lock();
+        let mut g = self.core.sched.borrow_mut();
         let seq = g.seq;
         g.seq += 1;
         g.events.insert(seq, EvKind::Wake { lp, reason });
@@ -2105,7 +2129,7 @@ impl Ctx {
         }
         let lp = self.lp.expect("sleep outside a shepherd process");
         let t = self.event_time() + dt;
-        let mut g = self.core.sched.lock();
+        let mut g = self.core.sched.borrow_mut();
         let seq = g.seq;
         g.seq += 1;
         g.events.insert(
@@ -2127,10 +2151,13 @@ impl Ctx {
 
     /// Next value from the simulation PRNG.
     pub fn next_u64(&self) -> u64 {
-        Sim {
-            core: Arc::clone(&self.core),
-        }
-        .next_u64()
+        next_u64_of(&self.core)
+    }
+
+    /// Records a realized network fault from inside the simulation; see
+    /// [`Sim::journal_fault`].
+    pub fn journal_fault(&self, lan: u32, index: u64, kind: u8, aux: u64) {
+        journal_fault_of(&self.core, lan, index, kind, aux);
     }
 
     /// Whether structured tracing is enabled.
@@ -2152,7 +2179,7 @@ impl Ctx {
             return;
         }
         let t = self.now_for_trace();
-        let mut tr = self.core.trace.lock();
+        let mut tr = self.core.trace.borrow_mut();
         let proto = tr.top(self.span_key());
         tr.record(Event {
             host: self.host,
@@ -2174,7 +2201,7 @@ impl Ctx {
         }
         let t = self.now_for_trace();
         let key = self.span_key();
-        let mut tr = self.core.trace.lock();
+        let mut tr = self.core.trace.borrow_mut();
         tr.span_push(key, proto);
         tr.record(Event {
             host: self.host,
@@ -2185,7 +2212,7 @@ impl Ctx {
             ns: 0,
         });
         LayerSpan {
-            inner: Some((Arc::clone(&self.core), key)),
+            inner: Some((Rc::clone(&self.core), key)),
         }
     }
 
@@ -2201,14 +2228,14 @@ impl Ctx {
         if !self.core.trace_on {
             return;
         }
-        self.core.trace.lock().clear();
+        self.core.trace.borrow_mut().clear();
     }
 
     fn now_for_trace(&self) -> Time {
         if self.core.mode == Mode::Inline {
             0
         } else {
-            self.core.hosts.lock().cpu[self.host.0]
+            self.core.hosts.borrow().cpu[self.host.0]
         }
     }
 }
@@ -2218,13 +2245,13 @@ impl Ctx {
 /// stacks stay balanced under [`Sim::crash_at`]). Inert when tracing is
 /// off — no allocation, no locking.
 pub struct LayerSpan {
-    inner: Option<(Arc<SimCore>, SpanKey)>,
+    inner: Option<(Rc<SimCore>, SpanKey)>,
 }
 
 impl Drop for LayerSpan {
     fn drop(&mut self) {
         if let Some((core, key)) = self.inner.take() {
-            core.trace.lock().span_pop(key);
+            core.trace.borrow_mut().span_pop(key);
         }
     }
 }
@@ -2247,7 +2274,7 @@ struct SemaState {
 /// [`SharedSema::p_timeout`] (the awaited event can never arrive inline, so the
 /// timeout outcome is the truthful one).
 pub struct Sema {
-    st: Mutex<SemaState>,
+    st: RefCell<SemaState>,
     /// Globally unique identity for the checker's holding/wait-for maps.
     id: u64,
     /// Human-readable label for violation reports.
@@ -2268,7 +2295,7 @@ impl Sema {
     /// violation reports (deadlock cycles, double waits) will carry.
     pub fn labeled(initial: i64, label: &'static str) -> Sema {
         Sema {
-            st: Mutex::new(SemaState {
+            st: RefCell::new(SemaState {
                 count: initial,
                 waiters: VecDeque::new(),
                 next_seq: 0,
@@ -2280,14 +2307,14 @@ impl Sema {
 
     /// Current count (tests/introspection).
     pub fn count(&self) -> i64 {
-        self.st.lock().count
+        self.st.borrow().count
     }
 
     /// Captures `(count, next_seq)` for a whole-sim snapshot. Legal only at
     /// a quiescent instant — no process can be parked on the semaphore
     /// then, so losing the (empty) waiter queue is sound.
     pub fn snap_state(&self) -> (i64, u64) {
-        let st = self.st.lock();
+        let st = self.st.borrow();
         debug_assert!(
             st.waiters.is_empty(),
             "sema snapshot with waiters parked (not quiescent)"
@@ -2298,7 +2325,7 @@ impl Sema {
     /// Restores state captured by [`Sema::snap_state`]. Same quiescence
     /// requirement; any stray waiters are dropped.
     pub fn restore_state(&self, (count, next_seq): (i64, u64)) {
-        let mut st = self.st.lock();
+        let mut st = self.st.borrow_mut();
         st.waiters.clear();
         st.count = count;
         st.next_seq = next_seq;
@@ -2309,7 +2336,7 @@ impl Sema {
         ctx.charge_class(OpClass::Sema, ctx.cost().sema_op);
         let waiter_lp;
         {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             if st.count > 0 {
                 st.count -= 1;
                 if ctx.core.check_on {
@@ -2317,7 +2344,7 @@ impl Sema {
                         drop(st);
                         ctx.core
                             .check
-                            .lock()
+                            .borrow_mut()
                             .on_acquire(lp.0, self.id, self.label, ctx.host.0);
                     }
                 }
@@ -2339,7 +2366,7 @@ impl Sema {
                 drop(st);
                 ctx.core
                     .check
-                    .lock()
+                    .borrow_mut()
                     .on_wait_begin(lp.0, self.id, self.label, ctx.host.0);
             }
         }
@@ -2348,7 +2375,7 @@ impl Sema {
         if ctx.core.check_on {
             ctx.core
                 .check
-                .lock()
+                .borrow_mut()
                 .on_wait_end(waiter_lp.0, self.id, true);
         }
     }
@@ -2357,7 +2384,7 @@ impl Sema {
     pub fn v(&self, ctx: &Ctx) {
         ctx.charge_class(OpClass::Sema, ctx.cost().sema_op);
         let woken = {
-            let mut st = self.st.lock();
+            let mut st = self.st.borrow_mut();
             match st.waiters.pop_front() {
                 Some(w) => Some(w),
                 None => {
@@ -2367,7 +2394,7 @@ impl Sema {
             }
         };
         if ctx.core.check_on {
-            ctx.core.check.lock().on_release(
+            ctx.core.check.borrow_mut().on_release(
                 ctx.lp.map(|l| l.0),
                 self.id,
                 self.label,
@@ -2384,21 +2411,21 @@ impl Sema {
     }
 }
 
-/// The shareable semaphore: a thin `Arc` wrapper whose
+/// The shareable semaphore: a thin `Rc` wrapper whose
 /// [`SharedSema::p_timeout`] can safely hand the semaphore to its timeout
 /// closure.
 #[derive(Clone)]
-pub struct SharedSema(Arc<Sema>);
+pub struct SharedSema(Rc<Sema>);
 
 impl SharedSema {
     /// A shareable semaphore with the given initial count.
     pub fn new(initial: i64) -> SharedSema {
-        SharedSema(Arc::new(Sema::new(initial)))
+        SharedSema(Rc::new(Sema::new(initial)))
     }
 
     /// A shareable labeled semaphore (see [`Sema::labeled`]).
     pub fn labeled(initial: i64, label: &'static str) -> SharedSema {
-        SharedSema(Arc::new(Sema::labeled(initial, label)))
+        SharedSema(Rc::new(Sema::labeled(initial, label)))
     }
 
     /// Current count.
@@ -2432,7 +2459,7 @@ impl SharedSema {
         ctx.charge_class(OpClass::Sema, ctx.cost().sema_op);
         let my_seq;
         {
-            let mut st = sema.st.lock();
+            let mut st = sema.st.borrow_mut();
             if st.count > 0 {
                 st.count -= 1;
                 if ctx.core.check_on {
@@ -2440,7 +2467,7 @@ impl SharedSema {
                         drop(st);
                         ctx.core
                             .check
-                            .lock()
+                            .borrow_mut()
                             .on_acquire(lp.0, sema.id, sema.label, ctx.host.0);
                     }
                 }
@@ -2461,14 +2488,14 @@ impl SharedSema {
                 drop(st);
                 ctx.core
                     .check
-                    .lock()
+                    .borrow_mut()
                     .on_wait_begin(lp.0, sema.id, sema.label, ctx.host.0);
             }
         }
-        let me = Arc::clone(sema);
+        let me = Rc::clone(sema);
         let lp = ctx.lp().expect("checked above");
         let timer = ctx.schedule_after(dt, move |tctx| {
-            let mut st = me.st.lock();
+            let mut st = me.st.borrow_mut();
             if let Some(pos) = st.waiters.iter().position(|w| w.seq == my_seq) {
                 st.waiters.remove(pos);
                 drop(st);
@@ -2476,14 +2503,17 @@ impl SharedSema {
             }
         });
         {
-            let mut st = sema.st.lock();
+            let mut st = sema.st.borrow_mut();
             if let Some(w) = st.waiters.iter_mut().find(|w| w.seq == my_seq) {
                 w.timer = Some(timer);
             }
         }
         let acquired = matches!(ctx.block_current(), WakeReason::Normal);
         if ctx.core.check_on {
-            ctx.core.check.lock().on_wait_end(lp.0, sema.id, acquired);
+            ctx.core
+                .check
+                .borrow_mut()
+                .on_wait_end(lp.0, sema.id, acquired);
         }
         acquired
     }
@@ -2505,14 +2535,14 @@ impl SharedSema {
         ctx.charge_class(OpClass::Sema, ctx.cost().sema_op);
         let my_seq;
         {
-            let mut st = sema.st.lock();
+            let mut st = sema.st.borrow_mut();
             if st.count > 0 {
                 st.count -= 1;
                 if ctx.core.check_on {
                     drop(st);
                     ctx.core
                         .check
-                        .lock()
+                        .borrow_mut()
                         .on_acquire(lp.0, sema.id, sema.label, ctx.host.0);
                 }
                 return true;
@@ -2528,21 +2558,21 @@ impl SharedSema {
                 drop(st);
                 ctx.core
                     .check
-                    .lock()
+                    .borrow_mut()
                     .on_wait_begin(lp.0, sema.id, sema.label, ctx.host.0);
             }
         }
         if let Some(dt) = timeout {
-            let me = Arc::clone(sema);
+            let me = Rc::clone(sema);
             let timer = ctx.schedule_after(dt, move |tctx| {
-                let mut st = me.st.lock();
+                let mut st = me.st.borrow_mut();
                 if let Some(pos) = st.waiters.iter().position(|w| w.seq == my_seq) {
                     st.waiters.remove(pos);
                     drop(st);
                     tctx.wake(lp, WakeReason::Timeout);
                 }
             });
-            let mut st = sema.st.lock();
+            let mut st = sema.st.borrow_mut();
             if let Some(w) = st.waiters.iter_mut().find(|w| w.seq == my_seq) {
                 w.timer = Some(timer);
             }

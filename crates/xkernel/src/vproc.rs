@@ -93,10 +93,6 @@ pub struct Stack {
     usable: usize,
 }
 
-// SAFETY: the mapping is plain anonymous memory; whichever thread holds the
-// Stack may use or unmap it.
-unsafe impl Send for Stack {}
-
 impl Stack {
     /// Maps a stack with `usable` bytes (rounded up to whole pages) plus one
     /// guard page.
@@ -278,7 +274,7 @@ struct CoroInner {
     /// Set by the entry shim when the body has returned.
     finished: bool,
     /// The body; taken by the entry shim on first resume.
-    body: Option<Box<dyn FnOnce() + Send>>,
+    body: Option<Box<dyn FnOnce()>>,
     /// Remaining fuel (charged operations); `u64::MAX` means unlimited.
     fuel_left: u64,
     /// The stack this coroutine runs on.
@@ -317,14 +313,10 @@ pub struct Coro {
     inner: Box<CoroInner>,
 }
 
-// SAFETY: a suspended coroutine is inert memory (its own stack plus the
-// boxed state); the simulator resumes it on at most one thread at a time.
-unsafe impl Send for Coro {}
-
 impl Coro {
     /// Crafts a coroutine that will run `body` on `stack` with `fuel`
     /// charged-operation budget (`u64::MAX` = unlimited).
-    pub fn new(stack: Stack, body: Box<dyn FnOnce() + Send>, fuel: u64) -> Coro {
+    pub fn new(stack: Stack, body: Box<dyn FnOnce()>, fuel: u64) -> Coro {
         let mut inner = Box::new(CoroInner {
             coro_sp: std::ptr::null_mut(),
             parent_sp: std::ptr::null_mut(),
@@ -484,7 +476,7 @@ pub enum VStep {
 /// [`crate::sim::Sim::snapshot`]/[`crate::sim::Sim::restore`] by forking its
 /// state. Machines that return `None` (the default) simply make snapshots
 /// at instants where they are alive an error, exactly like coroutines.
-pub trait VProc: Send {
+pub trait VProc {
     /// Runs from the previous blocking point to the next. `why` reports how
     /// the previous [`VStep`] concluded ([`crate::sim::WakeReason::Normal`]
     /// on first entry, after sleeps, and after semaphore grants;
@@ -505,30 +497,29 @@ pub trait VProc: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     #[test]
     fn coroutine_runs_yields_and_resumes() {
-        let log = Arc::new(AtomicU64::new(0));
-        let l2 = Arc::clone(&log);
+        let log = Rc::new(Cell::new(0));
+        let l2 = Rc::clone(&log);
         let mut c = Coro::new(
             Stack::new(64 * 1024),
             Box::new(move || {
-                l2.store(1, Ordering::SeqCst);
+                l2.set(1);
                 yield_now();
-                l2.store(2, Ordering::SeqCst);
+                l2.set(2);
                 yield_now();
-                l2.store(3, Ordering::SeqCst);
+                l2.set(3);
             }),
             u64::MAX,
         );
         assert!(!c.resume());
-        assert_eq!(log.load(Ordering::SeqCst), 1);
+        assert_eq!(log.get(), 1);
         assert!(!c.resume());
-        assert_eq!(log.load(Ordering::SeqCst), 2);
+        assert_eq!(log.get(), 2);
         assert!(c.resume());
-        assert_eq!(log.load(Ordering::SeqCst), 3);
+        assert_eq!(log.get(), 3);
         assert!(c.finished());
         let stack = c.into_stack();
         assert!(stack.usable() >= 64 * 1024);
@@ -580,21 +571,21 @@ mod tests {
     #[test]
     fn fuel_ticks_only_on_a_coroutine_and_exhausts_once() {
         assert!(!fuel_tick(), "no coroutine running: no tick");
-        let hits = Arc::new(AtomicU64::new(0));
-        let h2 = Arc::clone(&hits);
+        let hits = Rc::new(Cell::new(0));
+        let h2 = Rc::clone(&hits);
         let mut c = Coro::new(
             Stack::new(64 * 1024),
             Box::new(move || {
                 for _ in 0..5 {
                     if fuel_tick() {
-                        h2.fetch_add(1, Ordering::SeqCst);
+                        h2.set(h2.get() + 1);
                     }
                 }
             }),
             3,
         );
         assert!(c.resume());
-        assert_eq!(hits.load(Ordering::SeqCst), 1, "exhaustion fires once");
+        assert_eq!(hits.get(), 1, "exhaustion fires once");
     }
 
     #[test]

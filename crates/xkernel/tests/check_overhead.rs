@@ -13,27 +13,30 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use xkernel::prelude::*;
 use xkernel::sim::{Sim, SimConfig};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread: the simulation runs on the test's
+    /// own thread, and tests running in parallel must not count.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|c| c.set(c.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|c| c.set(c.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,8 +50,8 @@ fn allocs_for_sema_loop(cfg: SimConfig) -> (u64, Sim) {
     let sim = Sim::new(cfg);
     let kernel = Kernel::new(&sim, "host-a");
     let host = kernel.host();
-    let out: Arc<Mutex<Option<u64>>> = Arc::new(Mutex::new(None));
-    let o2 = Arc::clone(&out);
+    let out: Rc<RefCell<Option<u64>>> = Rc::new(RefCell::new(None));
+    let o2 = Rc::clone(&out);
     sim.spawn(host, move |ctx| {
         let s = SharedSema::labeled(1, "hot");
         // Warm every lazy path (the checker's first deposit/join on a
@@ -57,17 +60,17 @@ fn allocs_for_sema_loop(cfg: SimConfig) -> (u64, Sim) {
             s.v(ctx);
             s.p(ctx);
         }
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = ALLOCS.with(Cell::get);
         for _ in 0..1_000 {
             s.v(ctx);
             s.p(ctx);
         }
-        let after = ALLOCS.load(Ordering::Relaxed);
-        *o2.lock() = Some(after - before);
+        let after = ALLOCS.with(Cell::get);
+        *o2.borrow_mut() = Some(after - before);
     });
     let r = sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    let n = out.lock().take().expect("loop ran");
+    let n = out.borrow_mut().take().expect("loop ran");
     (n, sim)
 }
 

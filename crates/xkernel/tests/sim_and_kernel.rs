@@ -2,9 +2,8 @@
 //! and shim layers.
 
 use std::any::Any;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use xkernel::cost::CostModel;
 use xkernel::graph::ProtocolRegistry;
@@ -20,14 +19,14 @@ use xkernel::sim::{Mode, Sim, SimConfig};
 /// up through the protocol's demux, as if it had arrived from a wire.
 struct Loopback {
     me: ProtoId,
-    enables: Mutex<Vec<(u32, ProtoId)>>,
+    enables: RefCell<Vec<(u32, ProtoId)>>,
 }
 
 impl Loopback {
-    fn new(me: ProtoId) -> Arc<Loopback> {
-        Arc::new(Loopback {
+    fn new(me: ProtoId) -> Rc<Loopback> {
+        Rc::new(Loopback {
             me,
-            enables: Mutex::new(Vec::new()),
+            enables: RefCell::new(Vec::new()),
         })
     }
 }
@@ -46,7 +45,7 @@ impl Session for LoopSession {
         // Tag with our 4-byte "wire header" carrying the protocol number.
         ctx.push_header(&mut msg, &self.num.to_be_bytes());
         let proto = ctx.kernel().proto(self.proto)?;
-        let me: SessionRef = Arc::new(LoopSession {
+        let me: SessionRef = Rc::new(LoopSession {
             proto: self.proto,
             num: self.num,
         });
@@ -80,7 +79,7 @@ impl Protocol for Loopback {
             .local_part()
             .and_then(|p| p.proto_num)
             .ok_or_else(|| XError::Config("loopback open needs proto num".into()))?;
-        Ok(Arc::new(LoopSession {
+        Ok(Rc::new(LoopSession {
             proto: self.me,
             num,
         }))
@@ -91,7 +90,7 @@ impl Protocol for Loopback {
             .local_part()
             .and_then(|p| p.proto_num)
             .ok_or_else(|| XError::Config("loopback enable needs proto num".into()))?;
-        self.enables.lock().push((num, upper));
+        self.enables.borrow_mut().push((num, upper));
         Ok(())
     }
 
@@ -101,7 +100,7 @@ impl Protocol for Loopback {
         drop(hdr);
         let upper = self
             .enables
-            .lock()
+            .borrow_mut()
             .iter()
             .find(|(n, _)| *n == num)
             .map(|(_, u)| *u)
@@ -117,15 +116,15 @@ impl Protocol for Loopback {
 /// Top protocol that records everything demuxed into it.
 struct Sink {
     me: ProtoId,
-    got: Mutex<Vec<Vec<u8>>>,
+    got: RefCell<Vec<Vec<u8>>>,
     sema: SharedSema,
 }
 
 impl Sink {
-    fn new(me: ProtoId) -> Arc<Sink> {
-        Arc::new(Sink {
+    fn new(me: ProtoId) -> Rc<Sink> {
+        Rc::new(Sink {
             me,
-            got: Mutex::new(Vec::new()),
+            got: RefCell::new(Vec::new()),
             sema: SharedSema::new(0),
         })
     }
@@ -149,7 +148,7 @@ impl Protocol for Sink {
     }
 
     fn demux(&self, ctx: &Ctx, _lls: &SessionRef, msg: Message) -> XResult<()> {
-        self.got.lock().push(msg.to_vec());
+        self.got.borrow_mut().push(msg.to_vec());
         self.sema.v(ctx);
         Ok(())
     }
@@ -167,13 +166,13 @@ impl Protocol for Sink {
 fn scheduled_spawn_runs_and_reports() {
     let sim = Sim::new(SimConfig::scheduled());
     let _k = Kernel::new(&sim, "h0");
-    let hit = Arc::new(Mutex::new(0));
-    let hit2 = Arc::clone(&hit);
+    let hit = Rc::new(RefCell::new(0));
+    let hit2 = Rc::clone(&hit);
     sim.spawn(HostId(0), move |_ctx| {
-        *hit2.lock() += 1;
+        *hit2.borrow_mut() += 1;
     });
     let report = sim.run_until_idle();
-    assert_eq!(*hit.lock(), 1);
+    assert_eq!(*hit.borrow_mut(), 1);
     assert_eq!(report.blocked, 0);
     assert_eq!(report.events, 1);
 }
@@ -207,16 +206,16 @@ fn sleep_advances_virtual_time() {
 fn timers_fire_in_order_and_cancel() {
     let sim = Sim::new(SimConfig::scheduled().with_cost(CostModel::zero()));
     let _k = Kernel::new(&sim, "h");
-    let order: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+    let order: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
     let (o1, o2, o3) = (order.clone(), order.clone(), order.clone());
     sim.spawn(HostId(0), move |ctx| {
-        ctx.schedule_after(300, move |_| o2.lock().push(2));
-        ctx.schedule_after(100, move |_| o1.lock().push(1));
-        let h = ctx.schedule_after(200, move |_| o3.lock().push(99));
+        ctx.schedule_after(300, move |_| o2.borrow_mut().push(2));
+        ctx.schedule_after(100, move |_| o1.borrow_mut().push(1));
+        let h = ctx.schedule_after(200, move |_| o3.borrow_mut().push(99));
         ctx.cancel_timer(h);
     });
     sim.run_until_idle();
-    assert_eq!(*order.lock(), vec![1, 2]);
+    assert_eq!(*order.borrow_mut(), vec![1, 2]);
 }
 
 #[test]
@@ -224,19 +223,19 @@ fn semaphore_rendezvous_between_processes() {
     let sim = Sim::new(SimConfig::scheduled());
     let _k = Kernel::new(&sim, "h");
     let sema = SharedSema::new(0);
-    let done = Arc::new(Mutex::new(false));
+    let done = Rc::new(RefCell::new(false));
     let (s1, s2) = (sema.clone(), sema.clone());
     let d = done.clone();
     sim.spawn(HostId(0), move |ctx| {
         s1.p(ctx); // Blocks until the other process Vs.
-        *d.lock() = true;
+        *d.borrow_mut() = true;
     });
     sim.spawn(HostId(0), move |ctx| {
         ctx.charge(10_000);
         s2.v(ctx);
     });
     let r = sim.run_until_idle();
-    assert!(*done.lock());
+    assert!(*done.borrow_mut());
     assert_eq!(r.blocked, 0);
 }
 
@@ -245,14 +244,14 @@ fn p_timeout_times_out_and_reports_false() {
     let sim = Sim::new(SimConfig::scheduled());
     let _k = Kernel::new(&sim, "h");
     let sema = SharedSema::new(0);
-    let got: Arc<Mutex<Option<bool>>> = Arc::new(Mutex::new(None));
+    let got: Rc<RefCell<Option<bool>>> = Rc::new(RefCell::new(None));
     let g = got.clone();
     sim.spawn(HostId(0), move |ctx| {
         let ok = sema.p_timeout(ctx, 50_000);
-        *g.lock() = Some(ok);
+        *g.borrow_mut() = Some(ok);
     });
     let r = sim.run_until_idle();
-    assert_eq!(*got.lock(), Some(false));
+    assert_eq!(*got.borrow_mut(), Some(false));
     assert_eq!(r.blocked, 0);
 }
 
@@ -261,19 +260,19 @@ fn p_timeout_acquires_when_v_arrives_first() {
     let sim = Sim::new(SimConfig::scheduled().with_cost(CostModel::zero()));
     let _k = Kernel::new(&sim, "h");
     let sema = SharedSema::new(0);
-    let got: Arc<Mutex<Option<bool>>> = Arc::new(Mutex::new(None));
+    let got: Rc<RefCell<Option<bool>>> = Rc::new(RefCell::new(None));
     let g = got.clone();
     let (s1, s2) = (sema.clone(), sema.clone());
     sim.spawn(HostId(0), move |ctx| {
         let ok = s1.p_timeout(ctx, 1_000_000);
-        *g.lock() = Some(ok);
+        *g.borrow_mut() = Some(ok);
     });
     sim.spawn(HostId(0), move |ctx| {
         ctx.sleep(10); // Let the waiter block first.
         s2.v(ctx);
     });
     let r = sim.run_until_idle();
-    assert_eq!(*got.lock(), Some(true));
+    assert_eq!(*got.borrow_mut(), Some(true));
     assert_eq!(r.blocked, 0);
     // The cancelled timeout must not fire later or double-wake anything.
 }
@@ -304,17 +303,17 @@ fn determinism_same_seed_same_trace() {
     fn run() -> (u64, Vec<u64>) {
         let sim = Sim::new(SimConfig::scheduled().with_seed(42));
         let _k = Kernel::new(&sim, "h");
-        let samples: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+        let samples: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
         for i in 0..10u64 {
             let s = samples.clone();
             sim.spawn(HostId(0), move |ctx| {
                 ctx.charge(i * 17 + 1);
                 ctx.sleep(i * 3);
-                s.lock().push(ctx.now());
+                s.borrow_mut().push(ctx.now());
             });
         }
         let r = sim.run_until_idle();
-        (r.ended_at, Arc::try_unwrap(samples).unwrap().into_inner())
+        (r.ended_at, Rc::try_unwrap(samples).unwrap().into_inner())
     }
     assert_eq!(run(), run());
 }
@@ -339,10 +338,13 @@ fn prng_is_deterministic_per_seed() {
 fn inline_spawn_runs_immediately() {
     let sim = Sim::new(SimConfig::inline_mode());
     let _k = Kernel::new(&sim, "h");
-    let hit = Arc::new(Mutex::new(false));
+    let hit = Rc::new(RefCell::new(false));
     let h = hit.clone();
-    sim.spawn(HostId(0), move |_| *h.lock() = true);
-    assert!(*hit.lock(), "inline spawn must run on the calling thread");
+    sim.spawn(HostId(0), move |_| *h.borrow_mut() = true);
+    assert!(
+        *hit.borrow_mut(),
+        "inline spawn must run on the calling thread"
+    );
 }
 
 #[test]
@@ -411,7 +413,7 @@ fn run_stack(mode: Mode) -> Vec<Vec<u8>> {
 
     let sink = sim.kernel_of(HostId(0)).get("sink").unwrap();
     let sink = sink.as_any().downcast_ref::<Sink>().unwrap();
-    let got = sink.got.lock().clone();
+    let got = sink.got.borrow_mut().clone();
     got
 }
 
@@ -531,14 +533,14 @@ fn semaphore_wakes_waiters_in_fifo_order() {
     let sim = Sim::new(SimConfig::scheduled().with_cost(CostModel::zero()));
     let _k = Kernel::new(&sim, "h");
     let sema = SharedSema::new(0);
-    let order: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+    let order: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
     for i in 0..4u32 {
         let s = sema.clone();
-        let o = Arc::clone(&order);
+        let o = Rc::clone(&order);
         sim.spawn(HostId(0), move |ctx| {
             ctx.sleep(u64::from(i)); // Establish arrival order 0,1,2,3.
             s.p(ctx);
-            o.lock().push(i);
+            o.borrow_mut().push(i);
         });
     }
     let sema2 = sema.clone();
@@ -550,7 +552,11 @@ fn semaphore_wakes_waiters_in_fifo_order() {
     });
     let r = sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    assert_eq!(*order.lock(), vec![0, 1, 2, 3], "longest waiter first");
+    assert_eq!(
+        *order.borrow_mut(),
+        vec![0, 1, 2, 3],
+        "longest waiter first"
+    );
 }
 
 #[test]
@@ -575,7 +581,7 @@ fn sema_count_accumulates_when_nobody_waits() {
 /// Protocol that counts how often its reboot hook runs.
 struct RebootProbe {
     me: ProtoId,
-    reboots: Mutex<u32>,
+    reboots: RefCell<u32>,
 }
 
 impl Protocol for RebootProbe {
@@ -600,7 +606,7 @@ impl Protocol for RebootProbe {
     }
 
     fn reboot(&self, _ctx: &Ctx) -> XResult<()> {
-        *self.reboots.lock() += 1;
+        *self.reboots.borrow_mut() += 1;
         Ok(())
     }
 
@@ -614,16 +620,16 @@ fn crash_kills_blocked_processes_and_pending_timers() {
     let sim = Sim::new(SimConfig::scheduled().with_cost(CostModel::zero()));
     let _k = Kernel::new(&sim, "h");
     let sema = SharedSema::new(0);
-    let fired = Arc::new(Mutex::new(false));
+    let fired = Rc::new(RefCell::new(false));
     let f = fired.clone();
     sim.spawn(HostId(0), move |ctx| {
-        ctx.schedule_after(1_000_000, move |_| *f.lock() = true);
+        ctx.schedule_after(1_000_000, move |_| *f.borrow_mut() = true);
         sema.p(ctx); // Nobody will V; the crash reaps us.
     });
     sim.crash_at(500_000, HostId(0));
     let r = sim.run_until_idle();
     assert_eq!(r.blocked, 0, "a killed process is not 'blocked'");
-    assert!(!*fired.lock(), "timers die with their host");
+    assert!(!*fired.borrow_mut(), "timers die with their host");
     assert!(sim.is_down(HostId(0)));
     assert_eq!(sim.host_stats(HostId(0)).crashes, 1);
     assert_eq!(r.hosts[0].crashes, 1);
@@ -634,24 +640,24 @@ fn restart_bumps_epoch_and_runs_reboot_hooks() {
     let sim = Sim::new(SimConfig::scheduled().with_cost(CostModel::zero()));
     let k = Kernel::new(&sim, "h");
     let id = k.reserve("reboot_probe").unwrap();
-    let probe = Arc::new(RebootProbe {
+    let probe = Rc::new(RebootProbe {
         me: id,
-        reboots: Mutex::new(0),
+        reboots: RefCell::new(0),
     });
-    k.install(id, Arc::clone(&probe) as ProtocolRef).unwrap();
+    k.install(id, Rc::clone(&probe) as ProtocolRef).unwrap();
     sim.crash_at(100, HostId(0));
     sim.restart_at(200, HostId(0));
     sim.run_until_idle();
     assert!(!sim.is_down(HostId(0)));
     assert_eq!(sim.boot_epoch(HostId(0)), 1);
-    assert_eq!(*probe.reboots.lock(), 1);
+    assert_eq!(*probe.reboots.borrow_mut(), 1);
     assert_eq!(sim.host_stats(HostId(0)).restarts, 1);
     // The host accepts fresh work after coming back up.
-    let hit = Arc::new(Mutex::new(false));
+    let hit = Rc::new(RefCell::new(false));
     let h = hit.clone();
-    sim.spawn(HostId(0), move |_| *h.lock() = true);
+    sim.spawn(HostId(0), move |_| *h.borrow_mut() = true);
     sim.run_until_idle();
-    assert!(*hit.lock());
+    assert!(*hit.borrow_mut());
 }
 
 #[test]
@@ -660,11 +666,11 @@ fn down_host_silently_drops_scheduled_work() {
     let _k = Kernel::new(&sim, "h");
     sim.crash_at(0, HostId(0));
     sim.run_until_idle();
-    let hit = Arc::new(Mutex::new(false));
+    let hit = Rc::new(RefCell::new(false));
     let h = hit.clone();
-    sim.spawn(HostId(0), move |_| *h.lock() = true);
+    sim.spawn(HostId(0), move |_| *h.borrow_mut() = true);
     sim.run_until_idle();
-    assert!(!*hit.lock(), "work aimed at a down host is dropped");
+    assert!(!*hit.borrow_mut(), "work aimed at a down host is dropped");
 }
 
 #[test]

@@ -6,9 +6,9 @@
 //! sleeps, semaphore waits with and without timeouts, and fuel-exhaustion
 //! kills all go through the generator.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use xkernel::cost::CostModel;
@@ -45,14 +45,14 @@ struct Poller {
     left: u32,
     timeout: u64,
     sema: SharedSema,
-    timeouts: Arc<Mutex<u32>>,
+    timeouts: Rc<RefCell<u32>>,
 }
 
 impl VProc for Poller {
     fn resume(&mut self, ctx: &Ctx, why: WakeReason) -> VStep {
         let _ = ctx;
         if matches!(why, WakeReason::Timeout) {
-            *self.timeouts.lock() += 1;
+            *self.timeouts.borrow_mut() += 1;
         }
         if self.left == 0 {
             return VStep::Done;
@@ -126,18 +126,18 @@ fn run(w: &Workload, fuel: Option<u64>) -> (RunReport, u32) {
             wait_sema.p(ctx);
         }
     });
-    let timeouts = Arc::new(Mutex::new(0u32));
+    let timeouts = Rc::new(RefCell::new(0u32));
     sim.spawn_vproc(
         HostId(1),
         Box::new(Poller {
             left: w.poller_waits,
             timeout: w.poller_timeout,
             sema: SharedSema::labeled(0, "replay.poller"),
-            timeouts: Arc::clone(&timeouts),
+            timeouts: Rc::clone(&timeouts),
         }),
     );
     let report = sim.run_until_idle();
-    let t = *timeouts.lock();
+    let t = *timeouts.borrow_mut();
     (report, t)
 }
 

@@ -4,9 +4,8 @@
 //! uninterrupted run — the continuation state of a [`VProc`] round-trips
 //! through the snapshot as pure data.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use xkernel::cost::CostModel;
 use xkernel::prelude::*;
@@ -18,7 +17,7 @@ use xkernel::sim::{Sim, SimConfig, Time, VProc, VStep, WakeReason};
 struct Ticker {
     left: u32,
     period: u64,
-    log: Arc<Mutex<Vec<(u32, Time)>>>,
+    log: Rc<RefCell<Vec<(u32, Time)>>>,
     id: u32,
 }
 
@@ -27,7 +26,7 @@ impl VProc for Ticker {
         if self.left == 0 {
             return VStep::Done;
         }
-        self.log.lock().push((self.id, ctx.now()));
+        self.log.borrow_mut().push((self.id, ctx.now()));
         self.left -= 1;
         VStep::Sleep(self.period)
     }
@@ -41,7 +40,7 @@ impl VProc for Ticker {
     }
 }
 
-fn build(log: &Arc<Mutex<Vec<(u32, Time)>>>) -> Sim {
+fn build(log: &Rc<RefCell<Vec<(u32, Time)>>>) -> Sim {
     let sim = Sim::new(
         SimConfig::scheduled()
             .with_seed(11)
@@ -58,7 +57,7 @@ fn build(log: &Arc<Mutex<Vec<(u32, Time)>>>) -> Sim {
             Box::new(Ticker {
                 left,
                 period,
-                log: Arc::clone(log),
+                log: Rc::clone(log),
                 id: id as u32,
             }),
         );
@@ -69,28 +68,28 @@ fn build(log: &Arc<Mutex<Vec<(u32, Time)>>>) -> Sim {
 #[test]
 fn restored_tail_is_bit_identical_to_the_uninterrupted_run() {
     // Reference: one uninterrupted run.
-    let ref_log = Arc::new(Mutex::new(Vec::new()));
+    let ref_log = Rc::new(RefCell::new(Vec::new()));
     let ref_report = build(&ref_log).run_until_idle();
     assert_eq!(ref_report.blocked, 0);
-    let ref_ticks = ref_log.lock().clone();
+    let ref_ticks = ref_log.borrow_mut().clone();
     assert_eq!(ref_ticks.len(), 5 + 3 + 4);
 
     // Same workload, paused mid-sleep: every machine is suspended at a
     // timer blocking point, which is exactly the snapshot-eligible state.
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     let sim = build(&log);
     let pause = sim.run_until_time(3_000);
     assert!(pause.events > 0, "the pause point is mid-run");
     let snap = sim
         .snapshot()
         .expect("paused machines are snapshot-eligible");
-    let ticks_at_pause = log.lock().len();
+    let ticks_at_pause = log.borrow_mut().len();
     assert!(ticks_at_pause > 0 && ticks_at_pause < ref_ticks.len());
 
     // Finish the paused run: cumulative report equals the reference.
     let finished = sim.run_until_idle();
     assert_eq!(finished, ref_report, "pausing must not perturb the run");
-    assert_eq!(*log.lock(), ref_ticks);
+    assert_eq!(*log.borrow_mut(), ref_ticks);
 
     // Rewind and replay the tail: the final report — events, ended_at,
     // sched_hash, fuel_used — must land on the same bits again.
@@ -100,7 +99,7 @@ fn restored_tail_is_bit_identical_to_the_uninterrupted_run() {
 
     // The log now holds the full run plus the replayed tail, and the
     // replayed tail is tick-for-tick the suffix of the reference.
-    let all = log.lock().clone();
+    let all = log.borrow_mut().clone();
     assert_eq!(all[..ref_ticks.len()], ref_ticks[..]);
     assert_eq!(all[ref_ticks.len()..], ref_ticks[ticks_at_pause..]);
 }
@@ -130,7 +129,7 @@ fn snapshot_can_fork_a_paused_population_twice() {
     // Restore is not single-shot: the same snapshot replays its tail
     // repeatedly, landing on the same report each time (the fork/bisect
     // workflow of the journal layer depends on this).
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     let sim = build(&log);
     sim.run_until_time(2_500);
     let snap = sim.snapshot().expect("eligible at the pause point");

@@ -106,7 +106,7 @@ fn apply_policy(rig: &LoadRig, stack: &LoadStack, point: &PolicyPoint) {
             let kernel = ctx.kernel();
             match stack {
                 LoadStack::SunRpcUdp => {
-                    with_concrete::<sunrpc::rr::RequestReply, _>(&kernel, instance, |r| {
+                    with_concrete::<sunrpc::rr::RequestReply, _>(kernel, instance, |r| {
                         for op in &ops {
                             r.control(ctx, op).expect("request_reply accepts the knob");
                         }
@@ -114,7 +114,7 @@ fn apply_policy(rig: &LoadRig, stack: &LoadStack, point: &PolicyPoint) {
                     .expect("request_reply registered")
                 }
                 LoadStack::Paper(_) => {
-                    with_concrete::<xrpc::channel::Channel, _>(&kernel, instance, |c| {
+                    with_concrete::<xrpc::channel::Channel, _>(kernel, instance, |c| {
                         for op in &ops {
                             c.control(ctx, op).expect("channel accepts the knob");
                         }

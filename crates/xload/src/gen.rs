@@ -15,9 +15,8 @@
 //! [`LoadReport`] of integers deriving `Eq`, so determinism across seeds,
 //! repeats, and parallel fan-out is a single assert.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use inet::with_concrete;
 use sunrpc::sunselect::SunSelect;
@@ -156,7 +155,7 @@ impl LoadSpec {
         let mut completed = 0u64;
         let mut failed = 0u64;
         for shard in &shards {
-            let s = shard.lock();
+            let s = shard.borrow_mut();
             hist.merge(&s.hist);
             attempted += s.attempted;
             completed += s.completed;
@@ -194,12 +193,12 @@ impl LoadSpec {
     }
 
     /// Closed loop: one process per client, measuring its own window.
-    fn spawn_closed(&self, rig: &LoadRig, clients: u32, think_ns: u64) -> Vec<Arc<Mutex<Shard>>> {
+    fn spawn_closed(&self, rig: &LoadRig, clients: u32, think_ns: u64) -> Vec<Rc<RefCell<Shard>>> {
         let n_hosts = rig.clients.len();
         let mut shards = Vec::with_capacity(clients as usize);
         for j in 0..clients as usize {
-            let shard = Arc::new(Mutex::new(Shard::default()));
-            shards.push(Arc::clone(&shard));
+            let shard = Rc::new(RefCell::new(Shard::default()));
+            shards.push(Rc::clone(&shard));
             let host = rig.clients[j % n_hosts].host();
             let stack = self.stack;
             let (server_ip, payload, duration) = (rig.server_ip, self.payload, self.duration_ns);
@@ -209,7 +208,7 @@ impl LoadSpec {
                     let t0 = ctx.now();
                     let got = do_call(&stack, ctx, server_ip, payload);
                     let dt = ctx.now() - t0;
-                    let mut s = shard.lock();
+                    let mut s = shard.borrow_mut();
                     s.attempted += 1;
                     match got {
                         Ok(r) if r.len() == payload => {
@@ -233,11 +232,11 @@ impl LoadSpec {
     /// against the shared host clock would quietly turn the loop closed).
     /// A call process only exists from its arrival until its reply, so
     /// in-flight calls, not total arrivals, bound the engine's footprint.
-    fn spawn_open(&self, rig: &LoadRig, rate_cps: u64) -> Vec<Arc<Mutex<Shard>>> {
+    fn spawn_open(&self, rig: &LoadRig, rate_cps: u64) -> Vec<Rc<RefCell<Shard>>> {
         let n_hosts = rig.clients.len();
         let offsets = poisson_offsets(self.seed, rate_cps, self.duration_ns);
-        let shards: Vec<Arc<Mutex<Shard>>> = (0..n_hosts)
-            .map(|_| Arc::new(Mutex::new(Shard::default())))
+        let shards: Vec<Rc<RefCell<Shard>>> = (0..n_hosts)
+            .map(|_| Rc::new(RefCell::new(Shard::default())))
             .collect();
         // One common window start: no host may sit in its past.
         let base = rig
@@ -248,7 +247,7 @@ impl LoadSpec {
             .expect("at least one client host");
         for (i, &offset) in offsets.iter().enumerate() {
             let h = i % n_hosts;
-            let shard = Arc::clone(&shards[h]);
+            let shard = Rc::clone(&shards[h]);
             let host = rig.clients[h].host();
             let stack = self.stack;
             let (server_ip, payload) = (rig.server_ip, self.payload);
@@ -259,7 +258,7 @@ impl LoadSpec {
                     let t0 = ctx.now();
                     let got = do_call(&stack, ctx, server_ip, payload);
                     let dt = ctx.now() - t0;
-                    let mut s = shard.lock();
+                    let mut s = shard.borrow_mut();
                     s.attempted += 1;
                     match got {
                         Ok(r) if r.len() == payload => {
@@ -321,7 +320,7 @@ pub struct LoadReport {
 }
 
 /// Registers the echo procedure on the server for `stack`.
-pub(crate) fn serve_echo(stack: &LoadStack, server: &Arc<Kernel>) {
+pub(crate) fn serve_echo(stack: &LoadStack, server: &Kernel) {
     match stack {
         LoadStack::Paper(def) => {
             xrpc::serve(server, def.entry, ECHO_PROC, |_ctx, msg| Ok(msg)).expect("serve echo")
@@ -344,9 +343,9 @@ pub(crate) fn do_call(
     match stack {
         LoadStack::Paper(def) => {
             let k = ctx.kernel();
-            xrpc::call(ctx, &k, def.entry, server_ip, ECHO_PROC, body)
+            xrpc::call(ctx, k, def.entry, server_ip, ECHO_PROC, body)
         }
-        LoadStack::SunRpcUdp => with_concrete::<SunSelect, _>(&ctx.kernel(), "sunselect", |s| {
+        LoadStack::SunRpcUdp => with_concrete::<SunSelect, _>(ctx.kernel(), "sunselect", |s| {
             s.call(ctx, server_ip, SUN_PROG, SUN_VERS, SUN_PROC, body)
         })
         .expect("sunselect registered"),
@@ -373,7 +372,7 @@ pub(crate) fn warm(rig: &LoadRig, stack: &LoadStack) {
 }
 
 /// Reads the server-side shepherd pool counters for `stack`.
-fn shepherd_stats(stack: &LoadStack, server: &Arc<Kernel>) -> ShepherdStats {
+fn shepherd_stats(stack: &LoadStack, server: &Kernel) -> ShepherdStats {
     match stack {
         LoadStack::Paper(def) if def.entry == "mrpc" => {
             with_concrete::<xrpc::mrpc::Mrpc, _>(server, "mrpc", |m| m.shepherd_stats())

@@ -34,9 +34,8 @@
 //! the shared segment) and the in-flight population — i.e. the number of
 //! live stacks — stays O(1). Virtual seconds are free; host stacks are not.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use xkernel::prelude::*;
 use xkernel::sim::{RunReport, SharedSema, VProc, VStep, WakeReason};
@@ -116,8 +115,8 @@ impl MClientSpec {
         warm(&rig, &self.stack);
 
         let n_hosts = rig.clients.len();
-        let shards: Vec<Arc<Mutex<Shard>>> = (0..n_hosts)
-            .map(|_| Arc::new(Mutex::new(Shard::default())))
+        let shards: Vec<Rc<RefCell<Shard>>> = (0..n_hosts)
+            .map(|_| Rc::new(RefCell::new(Shard::default())))
             .collect();
         // Spawning the population is itself work: every machine's first
         // suspension charges a process switch to its host's CPU clock, so
@@ -143,7 +142,7 @@ impl MClientSpec {
                 stack: self.stack,
                 server_ip: rig.server_ip,
                 payload: self.payload,
-                shard: Arc::clone(&shards[h]),
+                shard: Rc::clone(&shards[h]),
                 done: SharedSema::labeled(0, "mclient.done"),
             };
             rig.sim.spawn_vproc(rig.clients[h].host(), Box::new(client));
@@ -156,7 +155,7 @@ impl MClientSpec {
         let mut completed = 0u64;
         let mut failed = 0u64;
         for shard in &shards {
-            let s = shard.lock();
+            let s = shard.borrow_mut();
             hist.merge(&s.hist);
             attempted += s.attempted;
             completed += s.completed;
@@ -228,7 +227,7 @@ struct Client {
     stack: LoadStack,
     server_ip: IpAddr,
     payload: usize,
-    shard: Arc<Mutex<Shard>>,
+    shard: Rc<RefCell<Shard>>,
     done: SharedSema,
 }
 
@@ -247,13 +246,13 @@ impl VProc for Client {
                 // calls own stacks.
                 let stack = self.stack;
                 let (server_ip, payload) = (self.server_ip, self.payload);
-                let shard = Arc::clone(&self.shard);
+                let shard = Rc::clone(&self.shard);
                 let done = self.done.clone();
                 ctx.spawn_on(ctx.host(), move |cctx| {
                     let t0 = cctx.now();
                     let got = do_call(&stack, cctx, server_ip, payload);
                     let dt = cctx.now() - t0;
-                    let mut s = shard.lock();
+                    let mut s = shard.borrow_mut();
                     s.attempted += 1;
                     match got {
                         Ok(r) if r.len() == payload => {

@@ -12,10 +12,9 @@
 //! cargo run --example file_server
 //! ```
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use simnet::fault::FaultPlan;
 use xkernel::prelude::*;
@@ -31,8 +30,8 @@ const CLOSE: u16 = 13;
 const CHUNK: usize = 16_000;
 
 struct FileStore {
-    files: Mutex<HashMap<u32, Vec<u8>>>,
-    next_fd: Mutex<u32>,
+    files: RefCell<HashMap<u32, Vec<u8>>>,
+    next_fd: RefCell<u32>,
 }
 
 fn be32(v: &[u8]) -> u32 {
@@ -74,23 +73,23 @@ fn main() -> XResult<()> {
     registry.build(&sim, &server, &graph("10.0.0.2"))?;
 
     // --- Server: the file store behind four procedures. -------------------
-    let store = Arc::new(FileStore {
-        files: Mutex::new(HashMap::new()),
-        next_fd: Mutex::new(2),
+    let store = Rc::new(FileStore {
+        files: RefCell::new(HashMap::new()),
+        next_fd: RefCell::new(2),
     });
-    let s = Arc::clone(&store);
+    let s = Rc::clone(&store);
     xrpc::serve(&server, "select", OPEN, move |ctx, _name| {
-        let mut fd = s.next_fd.lock();
+        let mut fd = s.next_fd.borrow_mut();
         *fd += 1;
-        s.files.lock().insert(*fd, Vec::new());
+        s.files.borrow_mut().insert(*fd, Vec::new());
         Ok(ctx.msg(fd.to_be_bytes().to_vec()))
     })?;
-    let s = Arc::clone(&store);
+    let s = Rc::clone(&store);
     xrpc::serve(&server, "select", WRITE, move |ctx, msg| {
         // Args: fd(4) ++ data.
         let v = msg.to_vec();
         let fd = be32(&v);
-        match s.files.lock().get_mut(&fd) {
+        match s.files.borrow_mut().get_mut(&fd) {
             Some(f) => {
                 f.extend_from_slice(&v[4..]);
                 Ok(ctx.msg((v.len() as u32 - 4).to_be_bytes().to_vec()))
@@ -98,12 +97,12 @@ fn main() -> XResult<()> {
             None => Err(XError::Remote(format!("bad fd {fd}"))),
         }
     })?;
-    let s = Arc::clone(&store);
+    let s = Rc::clone(&store);
     xrpc::serve(&server, "select", READ, move |ctx, msg| {
         // Args: fd(4) ++ offset(4) ++ len(4). Returns the bytes.
         let v = msg.to_vec();
         let (fd, off, len) = (be32(&v), be32(&v[4..]) as usize, be32(&v[8..]) as usize);
-        match s.files.lock().get(&fd) {
+        match s.files.borrow_mut().get(&fd) {
             Some(f) => {
                 let end = (off + len).min(f.len());
                 let start = off.min(end);
@@ -112,21 +111,21 @@ fn main() -> XResult<()> {
             None => Err(XError::Remote(format!("bad fd {fd}"))),
         }
     })?;
-    let s = Arc::clone(&store);
+    let s = Rc::clone(&store);
     xrpc::serve(&server, "select", CLOSE, move |ctx, msg| {
         let fd = be32(&msg.to_vec());
-        let size = s.files.lock().get(&fd).map(Vec::len).unwrap_or(0);
+        let size = s.files.borrow_mut().get(&fd).map(Vec::len).unwrap_or(0);
         Ok(ctx.msg((size as u32).to_be_bytes().to_vec()))
     })?;
 
     // --- Client: copy out, read back, verify. -----------------------------
     let server_ip = IpAddr::new(10, 0, 0, 2);
-    let outcome: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-    let out = Arc::clone(&outcome);
+    let outcome: Rc<RefCell<Option<String>>> = Rc::new(RefCell::new(None));
+    let out = Rc::clone(&outcome);
     sim.spawn(client.host(), move |ctx| {
         let k = ctx.kernel();
         let call = |ctx: &Ctx, proc_: u16, args: Vec<u8>| {
-            xrpc::call(ctx, &k, "select", server_ip, proc_, args).expect("rpc")
+            xrpc::call(ctx, k, "select", server_ip, proc_, args).expect("rpc")
         };
         // The "file": 100 kB of structured data.
         let file: Vec<u8> = (0..100_000u32).map(|i| (i % 249) as u8).collect();
@@ -152,7 +151,7 @@ fn main() -> XResult<()> {
         assert_eq!(size as usize, file.len());
         assert_eq!(read_back, file, "bytes survived the lossy wire intact");
         let elapsed_ms = (ctx.now() - t0) as f64 / 1e6;
-        *out.lock() = Some(format!(
+        *out.borrow_mut() = Some(format!(
             "copied 100000 bytes out and back in {elapsed_ms:.1} virtual ms \
              ({:.0} kbytes/sec effective)",
             200_000.0 / (elapsed_ms / 1e3) / 1024.0
@@ -161,7 +160,7 @@ fn main() -> XResult<()> {
     let report = sim.run_until_idle();
     assert_eq!(report.blocked, 0);
 
-    println!("{}", outcome.lock().take().unwrap());
+    println!("{}", outcome.borrow_mut().take().unwrap());
     let stats = net.stats(lan);
     println!(
         "wire: {} frames sent, {} dropped by the fault injector, {} duplicated",

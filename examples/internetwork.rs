@@ -11,9 +11,8 @@
 //! cargo run --example internetwork
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use xkernel::prelude::*;
 use xkernel::sim::{Sim, SimConfig};
@@ -75,8 +74,8 @@ fn main() -> XResult<()> {
         })?;
     }
 
-    let results: Arc<Mutex<Vec<(String, String, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-    let r2 = Arc::clone(&results);
+    let results: Rc<RefCell<Vec<(String, String, u64)>>> = Rc::new(RefCell::new(Vec::new()));
+    let r2 = Rc::clone(&results);
     sim.spawn(client.host(), move |ctx| {
         let k = ctx.kernel();
         for (label, ip) in [
@@ -84,13 +83,13 @@ fn main() -> XResult<()> {
             ("across the router", IpAddr::new(10, 0, 1, 1)),
         ] {
             let t0 = ctx.now();
-            let who = xrpc::call(ctx, &k, "mrpc", ip, 1, Vec::new()).unwrap();
+            let who = xrpc::call(ctx, k, "mrpc", ip, 1, Vec::new()).unwrap();
             // Warm call above opened sessions; measure a second one.
             let t0_warm = ctx.now();
-            let _ = xrpc::call(ctx, &k, "mrpc", ip, 1, Vec::new()).unwrap();
+            let _ = xrpc::call(ctx, k, "mrpc", ip, 1, Vec::new()).unwrap();
             let warm_ns = ctx.now() - t0_warm;
             let _ = t0;
-            r2.lock().push((
+            r2.borrow_mut().push((
                 label.to_string(),
                 String::from_utf8_lossy(&who).into_owned(),
                 warm_ns,
@@ -100,7 +99,7 @@ fn main() -> XResult<()> {
     let report = sim.run_until_idle();
     assert_eq!(report.blocked, 0);
 
-    for (label, who, ns) in results.lock().iter() {
+    for (label, who, ns) in results.borrow_mut().iter() {
         println!(
             "{label:>20}: answered by {who:<14} round trip {:.2} ms",
             *ns as f64 / 1e6

@@ -13,9 +13,9 @@
 //! cargo run --example mix_and_match
 //! ```
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use inet::with_concrete;
 use simnet::fault::FaultPlan;
@@ -57,11 +57,11 @@ fn run_stack(title: &str, graph: &str, payload_len: usize, duplicate_everything:
 
     // The "store" procedure has a visible side effect so execution
     // semantics are observable.
-    let executions = Arc::new(Mutex::new(0u32));
-    let e2 = Arc::clone(&executions);
+    let executions = Rc::new(RefCell::new(0u32));
+    let e2 = Rc::clone(&executions);
     with_concrete::<SunSelect, _>(&kernels[1], "sunselect", |s| {
         s.serve(PROG, VERS, PROC_STORE, move |ctx, msg| {
-            *e2.lock() += 1;
+            *e2.borrow_mut() += 1;
             Ok(ctx.msg((msg.len() as u32).to_be_bytes().to_vec()))
         });
     })
@@ -71,7 +71,7 @@ fn run_stack(title: &str, graph: &str, payload_len: usize, duplicate_everything:
     let calls = 5u32;
     let client = Arc::clone(&kernels[0]);
     sim.spawn(client.host(), move |ctx| {
-        with_concrete::<SunSelect, _>(&ctx.kernel(), "sunselect", |s| {
+        with_concrete::<SunSelect, _>(ctx.kernel(), "sunselect", |s| {
             for _ in 0..calls {
                 let stored = s
                     .call(
@@ -95,7 +95,7 @@ fn run_stack(title: &str, graph: &str, payload_len: usize, duplicate_everything:
         "{title}\n    {} calls of {} bytes -> server executed {} time(s); {} frames on the wire",
         calls,
         payload_len,
-        *executions.lock(),
+        *executions.borrow_mut(),
         net.stats(lan).sent
     );
 }

@@ -8,9 +8,8 @@
 //! cargo run --example psync_chat
 //! ```
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use inet::with_concrete;
 use psync::Psync;
@@ -66,11 +65,11 @@ fn main() -> XResult<()> {
         })
         .collect();
 
-    let transcript: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let transcript: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
 
     // Alice opens the conversation — with an 8 kB attachment so FRAGMENT
     // has something to do.
-    let c = Arc::clone(&convs[0]);
+    let c = Rc::clone(&convs[0]);
     sim.spawn(kernels[0].host(), move |ctx| {
         let mut opening = b"shall we reproduce a 1989 paper? [attachment: ".to_vec();
         opening.extend(vec![0u8; 8_000]);
@@ -78,22 +77,22 @@ fn main() -> XResult<()> {
         c.send(ctx, opening).unwrap();
     });
     // Bob replies in Alice's context.
-    let c = Arc::clone(&convs[1]);
-    let t = Arc::clone(&transcript);
+    let c = Rc::clone(&convs[1]);
+    let t = Rc::clone(&transcript);
     sim.spawn(kernels[1].host(), move |ctx| {
         let m = c.receive(ctx, 5_000_000_000).unwrap();
-        t.lock()
+        t.borrow_mut()
             .push(format!("bob heard {} bytes from {}", m.data.len(), m.from));
         c.send(ctx, b"yes - the x-kernel one".to_vec()).unwrap();
         let follow = c.receive(ctx, 5_000_000_000).unwrap();
-        t.lock().push(format!(
+        t.borrow_mut().push(format!(
             "bob heard: {}",
             String::from_utf8_lossy(&follow.data)
         ));
     });
     // Carol sees everything in context order, then closes the thread.
-    let c = Arc::clone(&convs[2]);
-    let t = Arc::clone(&transcript);
+    let c = Rc::clone(&convs[2]);
+    let t = Rc::clone(&transcript);
     sim.spawn(kernels[2].host(), move |ctx| {
         let m1 = c.receive(ctx, 5_000_000_000).unwrap();
         let m2 = c.receive(ctx, 5_000_000_000).unwrap();
@@ -101,7 +100,7 @@ fn main() -> XResult<()> {
             m2.deps.contains(&m1.id),
             "bob's reply is in alice's context"
         );
-        t.lock().push(format!(
+        t.borrow_mut().push(format!(
             "carol saw the {}-byte opener, then: {}",
             m1.data.len(),
             String::from_utf8_lossy(&m2.data)
@@ -111,7 +110,7 @@ fn main() -> XResult<()> {
 
     let report = sim.run_until_idle();
     assert_eq!(report.blocked, 0);
-    for line in transcript.lock().iter() {
+    for line in transcript.borrow_mut().iter() {
         println!("{line}");
     }
     println!(

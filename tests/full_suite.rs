@@ -5,9 +5,8 @@
 //! protocol pieces can be reused", through real demultiplexing on
 //! FRAGMENT's protocol-number field, under a lossy wire.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use inet::testbed::{base_registry, two_hosts};
 use inet::with_concrete;
@@ -61,16 +60,16 @@ fn every_stack_coexists_and_shares_fragment() {
     );
 
     let server_ip = tb.server_ip;
-    let results: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let results: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
 
     // Client 1: layered RPC with a 12 k echo.
-    let r = Arc::clone(&results);
+    let r = Rc::clone(&results);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         let body: Vec<u8> = (0..12_000).map(|i| (i % 251) as u8).collect();
         let echoed = xrpc::call(
             ctx,
-            &k,
+            k,
             "select",
             server_ip,
             xrpc::procs::ECHO_PROC,
@@ -78,16 +77,16 @@ fn every_stack_coexists_and_shares_fragment() {
         )
         .unwrap();
         assert_eq!(echoed, body);
-        r.lock().push("l_rpc".into());
+        r.borrow_mut().push("l_rpc".into());
     });
     // Client 2: monolithic RPC, several small calls.
-    let r = Arc::clone(&results);
+    let r = Rc::clone(&results);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         for i in 0..5u8 {
             let echoed = xrpc::call(
                 ctx,
-                &k,
+                k,
                 "mrpc",
                 server_ip,
                 xrpc::procs::ECHO_PROC,
@@ -96,29 +95,29 @@ fn every_stack_coexists_and_shares_fragment() {
             .unwrap();
             assert_eq!(echoed, vec![i; 100]);
         }
-        r.lock().push("m_rpc".into());
+        r.borrow_mut().push("m_rpc".into());
     });
     // Client 3: Sun RPC over the *same* FRAGMENT instance.
-    let r = Arc::clone(&results);
+    let r = Rc::clone(&results);
     tb.sim.spawn(tb.client.host(), move |ctx| {
-        with_concrete::<SunSelect, _>(&ctx.kernel(), "sunselect", |s| {
+        with_concrete::<SunSelect, _>(ctx.kernel(), "sunselect", |s| {
             let body: Vec<u8> = (0..9_000).map(|i| (i % 97) as u8).collect();
             let echoed = s.call(ctx, server_ip, 100003, 2, 1, body.clone()).unwrap();
             assert_eq!(echoed, body);
         })
         .unwrap();
-        r.lock().push("sun_rpc".into());
+        r.borrow_mut().push("sun_rpc".into());
     });
     // Client 4: a Psync exchange, also over the shared FRAGMENT.
-    let r = Arc::clone(&results);
-    let cc = Arc::clone(&conv_client);
+    let r = Rc::clone(&results);
+    let cc = Rc::clone(&conv_client);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         cc.send(ctx, vec![0xEE; 5_000]).unwrap();
         let reply = cc.receive(ctx, 10_000_000_000).unwrap();
         assert_eq!(reply.data, b"ack".to_vec());
-        r.lock().push("psync".into());
+        r.borrow_mut().push("psync".into());
     });
-    let cs = Arc::clone(&conv_server);
+    let cs = Rc::clone(&conv_server);
     tb.sim.spawn(tb.server.host(), move |ctx| {
         let m = cs.receive(ctx, 10_000_000_000).unwrap();
         assert_eq!(m.data.len(), 5_000);
@@ -127,7 +126,7 @@ fn every_stack_coexists_and_shares_fragment() {
 
     let report = tb.sim.run_until_idle();
     assert_eq!(report.blocked, 0);
-    let mut done = results.lock().clone();
+    let mut done = results.borrow_mut().clone();
     done.sort();
     assert_eq!(done, vec!["l_rpc", "m_rpc", "psync", "sun_rpc"]);
 
@@ -154,10 +153,10 @@ fn concurrent_clients_share_channel_pools_under_loss() {
                  select channels=3 -> channel\n";
     let tb = two_hosts(SimConfig::scheduled(), &reg, graph).expect("testbed builds");
     xrpc::procs::register_standard(&tb.server, "select").unwrap();
-    let hits = Arc::new(Mutex::new(0u32));
-    let h2 = Arc::clone(&hits);
+    let hits = Rc::new(RefCell::new(0u32));
+    let h2 = Rc::clone(&hits);
     xrpc::serve(&tb.server, "select", 9, move |ctx, msg| {
-        *h2.lock() += 1;
+        *h2.borrow_mut() += 1;
         ctx.sleep(2_000_000); // A little service time to force pool pressure.
         Ok(msg)
     })
@@ -168,7 +167,7 @@ fn concurrent_clients_share_channel_pools_under_loss() {
         let k = ctx.kernel();
         xrpc::call(
             ctx,
-            &k,
+            k,
             "select",
             server_ip,
             xrpc::procs::NULL_PROC,
@@ -179,23 +178,27 @@ fn concurrent_clients_share_channel_pools_under_loss() {
     assert_eq!(tb.sim.run_until_idle().blocked, 0);
     tb.net.set_faults(tb.lan, FaultPlan::lossy(60));
 
-    let completed = Arc::new(Mutex::new(0u32));
+    let completed = Rc::new(RefCell::new(0u32));
     for i in 0..10u32 {
-        let c = Arc::clone(&completed);
+        let c = Rc::clone(&completed);
         tb.sim.spawn(tb.client.host(), move |ctx| {
             let k = ctx.kernel();
             let body = vec![i as u8; 200];
-            let echoed = xrpc::call(ctx, &k, "select", server_ip, 9, body.clone()).unwrap();
+            let echoed = xrpc::call(ctx, k, "select", server_ip, 9, body.clone()).unwrap();
             assert_eq!(echoed, body);
-            *c.lock() += 1;
+            *c.borrow_mut() += 1;
         });
     }
     let report = tb.sim.run_until_idle();
     assert_eq!(report.blocked, 0);
     assert_eq!(
-        *completed.lock(),
+        *completed.borrow_mut(),
         10,
         "10 concurrent callers over 3 channels"
     );
-    assert_eq!(*hits.lock(), 10, "at-most-once held under pool contention");
+    assert_eq!(
+        *hits.borrow_mut(),
+        10,
+        "at-most-once held under pool contention"
+    );
 }

@@ -302,15 +302,16 @@ fn rpc_registry() -> xkernel::graph::ProtocolRegistry {
 /// Runs `calls` L_RPC invocations of a counting procedure under the given
 /// seed/loss and returns (server executions, client completions).
 fn run_at_most_once(seed: u64, loss_per_mille: u32, calls: u32) -> (u32, u32) {
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     let cfg = xkernel::sim::SimConfig::scheduled().with_seed(seed);
     let tb = inet::testbed::two_hosts(cfg, &rpc_registry(), xrpc::stacks::L_RPC_VIP.graph)
         .expect("testbed");
     xrpc::procs::register_standard(&tb.server, "select").unwrap();
-    let counter = Arc::new(parking_lot::Mutex::new(0u32));
-    let c2 = Arc::clone(&counter);
+    let counter = Rc::new(RefCell::new(0u32));
+    let c2 = Rc::clone(&counter);
     xrpc::serve(&tb.server, "select", 7, move |ctx, _| {
-        *c2.lock() += 1;
+        *c2.borrow_mut() += 1;
         Ok(ctx.empty_msg())
     })
     .unwrap();
@@ -321,7 +322,7 @@ fn run_at_most_once(seed: u64, loss_per_mille: u32, calls: u32) -> (u32, u32) {
         let k = ctx.kernel();
         xrpc::call(
             ctx,
-            &k,
+            k,
             "select",
             server_ip,
             xrpc::procs::NULL_PROC,
@@ -333,18 +334,18 @@ fn run_at_most_once(seed: u64, loss_per_mille: u32, calls: u32) -> (u32, u32) {
     assert_eq!(warm.blocked, 0);
     tb.net
         .set_faults(tb.lan, simnet::fault::FaultPlan::lossy(loss_per_mille));
-    let done = Arc::new(parking_lot::Mutex::new(0u32));
-    let d2 = Arc::clone(&done);
+    let done = Rc::new(RefCell::new(0u32));
+    let d2 = Rc::clone(&done);
     tb.sim.spawn(tb.client.host(), move |ctx| {
         let k = ctx.kernel();
         for _ in 0..calls {
-            xrpc::call(ctx, &k, "select", server_ip, 7, vec![9]).unwrap();
-            *d2.lock() += 1;
+            xrpc::call(ctx, k, "select", server_ip, 7, vec![9]).unwrap();
+            *d2.borrow_mut() += 1;
         }
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    let result = (*counter.lock(), *done.lock());
+    let result = (*counter.borrow_mut(), *done.borrow_mut());
     result
 }
 

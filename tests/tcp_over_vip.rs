@@ -11,9 +11,9 @@
 //! padded wire is harmless to every protocol designed with its own length
 //! field (FRAGMENT's `len`, Sprite's `data1_sz`, UDP's `length`).
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use inet::tcp::Tcp;
 use inet::with_concrete;
@@ -85,11 +85,11 @@ fn tcp_works_over_ip_despite_frame_padding() {
     // Control case: IP's total_len strips the pad, so TCP is fine.
     let (sim, _net, kernels) = padded_rig("tcp -> ip\n");
     let server_ip = IpAddr::new(10, 0, 0, 2);
-    let ok = Arc::new(Mutex::new(false));
-    let o2 = Arc::clone(&ok);
+    let ok = Rc::new(RefCell::new(false));
+    let o2 = Rc::clone(&ok);
     let server = Arc::clone(&kernels[1]);
     sim.spawn(server.host(), move |ctx| {
-        with_concrete::<Tcp, _>(&ctx.kernel(), "tcp", |t| {
+        with_concrete::<Tcp, _>(ctx.kernel(), "tcp", |t| {
             let l = t.listen(80).unwrap();
             let conn = l.accept(ctx, 5_000_000_000).unwrap();
             let data = conn.recv(ctx, 64, 2_000_000_000).unwrap();
@@ -98,15 +98,15 @@ fn tcp_works_over_ip_despite_frame_padding() {
         .unwrap();
     });
     sim.spawn(kernels[0].host(), move |ctx| {
-        with_concrete::<Tcp, _>(&ctx.kernel(), "tcp", |t| {
+        with_concrete::<Tcp, _>(ctx.kernel(), "tcp", |t| {
             let conn = t.connect(ctx, server_ip, 80).unwrap();
             conn.send(ctx, b"over ip").unwrap();
-            *o2.lock() = true;
+            *o2.borrow_mut() = true;
         })
         .unwrap();
     });
     let r = sim.run_until_idle();
-    assert!(*ok.lock());
+    assert!(*ok.borrow_mut());
     assert_eq!(r.blocked, 0);
 }
 
@@ -117,11 +117,11 @@ fn tcp_cannot_establish_over_vip_raw_ethernet() {
     // handshake never completes.
     let (sim, _net, kernels) = padded_rig("vip -> ip eth arp\ntcp -> vip\n");
     let server_ip = IpAddr::new(10, 0, 0, 2);
-    let outcome: Arc<Mutex<Option<XError>>> = Arc::new(Mutex::new(None));
-    let o2 = Arc::clone(&outcome);
+    let outcome: Rc<RefCell<Option<XError>>> = Rc::new(RefCell::new(None));
+    let o2 = Rc::clone(&outcome);
     let server = Arc::clone(&kernels[1]);
     sim.spawn(server.host(), move |ctx| {
-        with_concrete::<Tcp, _>(&ctx.kernel(), "tcp", |t| {
+        with_concrete::<Tcp, _>(ctx.kernel(), "tcp", |t| {
             let l = t.listen(80).unwrap();
             // The SYN never passes the checksum, so accept times out.
             assert!(l.accept(ctx, 3_000_000_000).is_err());
@@ -129,16 +129,16 @@ fn tcp_cannot_establish_over_vip_raw_ethernet() {
         .unwrap();
     });
     sim.spawn(kernels[0].host(), move |ctx| {
-        with_concrete::<Tcp, _>(&ctx.kernel(), "tcp", |t| {
-            *o2.lock() = t.connect(ctx, server_ip, 80).err();
+        with_concrete::<Tcp, _>(ctx.kernel(), "tcp", |t| {
+            *o2.borrow_mut() = t.connect(ctx, server_ip, 80).err();
         })
         .unwrap();
     });
     let r = sim.run_until_idle();
     assert!(
-        matches!(*outcome.lock(), Some(XError::Timeout(_))),
+        matches!(*outcome.borrow_mut(), Some(XError::Timeout(_))),
         "connect must fail: {:?}",
-        outcome.lock()
+        outcome.borrow_mut()
     );
     assert_eq!(r.blocked, 0);
 }
@@ -151,24 +151,24 @@ fn sprite_rpc_is_immune_to_frame_padding() {
     let (sim, _net, kernels) = padded_rig(xrpc::stacks::M_RPC_VIP.graph);
     xrpc::procs::register_standard(&kernels[1], "mrpc").unwrap();
     let server_ip = IpAddr::new(10, 0, 0, 2);
-    let out: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-    let o2 = Arc::clone(&out);
+    let out: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
+    let o2 = Rc::clone(&out);
     sim.spawn(kernels[0].host(), move |ctx| {
         let k = ctx.kernel();
         let r = xrpc::call(
             ctx,
-            &k,
+            k,
             "mrpc",
             server_ip,
             xrpc::procs::ECHO_PROC,
             b"tiny".to_vec(),
         )
         .unwrap();
-        *o2.lock() = Some(r);
+        *o2.borrow_mut() = Some(r);
     });
     let r = sim.run_until_idle();
     assert_eq!(
-        out.lock().take().unwrap(),
+        out.borrow_mut().take().unwrap(),
         b"tiny",
         "padded frames trimmed via data1_sz"
     );
