@@ -34,6 +34,29 @@ for f in crates/xkernel/src/sim.rs crates/xkernel/src/vproc.rs; do
     fi
 done
 
+echo "==> single-thread-gate: no locks in the single-threaded engine"
+# A simulation is built and run on one thread, so the engine and the
+# protocols keep their state in RefCell/Cell and share it with Rc. A lock
+# creeping back in would put an atomic on every layer crossing. Allowlisted:
+# par.rs, the thread pool that fans out whole simulations, and process-global
+# statics.
+if [ -e shims/parking_lot ] ||
+    grep -rlq --include='*.rs' --include='*.toml' parking_lot \
+        Cargo.toml crates src tests examples shims ||
+    grep -q parking_lot Cargo.lock; then
+    echo "ci: parking_lot is back in the workspace" >&2
+    exit 1
+fi
+LOCKS=$(grep -rnE 'Mutex<|RwLock<' \
+    crates/{xkernel,core,inet,simnet,sunrpc,psync,xload,chaos,xcheck}/src |
+    grep -v '^crates/xkernel/src/par\.rs:' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*(pub(\([a-z]+\))? )?static ' || true)
+if [ -n "$LOCKS" ]; then
+    echo "ci: locks in the single-threaded engine or protocols:" >&2
+    echo "$LOCKS" >&2
+    exit 1
+fi
+
 echo "==> vproc-smoke: 100k-client closed loop on stackless machines"
 # One persistent machine per client plus a transient coroutine per
 # in-flight call. The binary asserts every call completes, nothing is left

@@ -892,8 +892,8 @@ impl Scenario {
                     ta.borrow_mut().failed += 1;
                     continue;
                 }
-                // Receive *before* taking the tally lock: receive blocks in
-                // the scheduler, and side B needs the lock to make progress.
+                // Receive *before* borrowing the tally: receive blocks in
+                // the scheduler, and side B needs the tally to make progress.
                 let got = conv_a.receive(ctx, PSYNC_RECV_TIMEOUT_NS);
                 let mut t = ta.borrow_mut();
                 match got {

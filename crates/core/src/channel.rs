@@ -620,9 +620,9 @@ impl Channel {
             ctx.trace_note("reply for unknown channel");
             return Ok(());
         };
-        // Peer reincarnation check, *before* taking this client's state
-        // lock (the reset below locks the map and then each session; no
-        // path may hold a session lock while acquiring the map's).
+        // Peer reincarnation check, *before* borrowing this client's
+        // state (the reset below borrows the map and then each session; no
+        // path may hold a session borrow while borrowing the map).
         let prev = self.tunables.peer_boot.replace(hdr.boot_id);
         if prev != 0 && prev != hdr.boot_id {
             ctx.trace_note("peer rebooted");

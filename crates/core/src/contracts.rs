@@ -12,9 +12,9 @@ const REPLY_WAITER: SemaContract = SemaContract {
     wakes_from_demux: true,
 };
 
-/// The lock-acquisition order every blocking layer observes inside the
-/// kernel: the scheduler lock strictly before the per-host state lock
-/// (`sim.rs` documents sched -> hosts -> trace; trace is a leaf no
+/// The order in which the engine borrows its own state under every
+/// blocking layer: the scheduler before the per-host clocks (the run loop
+/// in `sim.rs` holds both while processing an event; trace is a leaf no
 /// protocol touches directly). XK015 rejects any contract set that merges
 /// into a cycle with this.
 const KERNEL_LOCKS: [&str; 2] = ["sched", "hosts"];

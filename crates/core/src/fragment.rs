@@ -470,7 +470,7 @@ impl Fragment {
         let cache = self.send_cache.borrow_mut();
         if let Some((_, saved)) = cache.iter().find(|(s, _)| *s == seq) {
             // Rebuild fragment list and send the requested ones. We must not
-            // hold the cache lock across pushes — clone the needed state.
+            // hold the cache borrow across pushes — clone the needed state.
             let saved_copy = Saved {
                 msg: saved.msg.clone(),
                 dst: saved.dst,

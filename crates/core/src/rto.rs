@@ -29,8 +29,8 @@
 /// Jacobson/Karels RTT estimator with paper-step-function seeding.
 ///
 /// All times are nanoseconds of virtual time. Interior mutability is the
-/// caller's problem (CHANNEL wraps one per session behind its existing
-/// state lock; Sun RPC RR keeps one per protocol).
+/// caller's problem (CHANNEL keeps one per protocol in a `RefCell`; Sun
+/// RPC RR keeps one per protocol).
 #[derive(Clone, Debug)]
 pub struct RtoEstimator {
     /// Smoothed RTT; `None` until the first valid sample.

@@ -149,7 +149,7 @@ impl Select {
         if let Some(p) = self.pools.borrow_mut().get(&peer.0) {
             return Ok(Rc::clone(p));
         }
-        // Open the fixed channel set outside the pools lock.
+        // Open the fixed channel set outside the pools borrow.
         let my_num = rel_proto_num("channel", "select")?;
         let mut sessions = Vec::with_capacity(self.cfg.channels_per_peer);
         for _ in 0..self.cfg.channels_per_peer {

@@ -343,10 +343,11 @@ impl SimNet {
             Mode::Inline => 0,
         };
 
-        // Fault decision (deterministic: sim PRNG under the lock). The frame
-        // is materialized contiguously only when a custom FaultFn will
-        // actually inspect its bytes, and that buffer is reused below for
-        // any mutation — every fault path copies the frame at most once.
+        // Fault decision (deterministic: the sim PRNG, drawn in transmission
+        // order). The frame is materialized contiguously only when a custom
+        // FaultFn will actually inspect its bytes, and that buffer is reused
+        // below for any mutation — every fault path copies the frame at most
+        // once.
         let mut frame_bytes: Option<Vec<u8>> = None;
         let mut decision = if l.faults.is_none() {
             FaultDecision::Deliver

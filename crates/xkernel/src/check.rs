@@ -5,8 +5,8 @@
 //! process spawns, semaphore P/V, wakes, crashes — into per-process vector
 //! clocks and a resource-holding table, entirely behind the simulator's
 //! `check_on` flag (the same zero-overhead-when-disabled discipline as
-//! xtrace: a plain bool guards every hook, and the checker's mutex is a
-//! leaf lock taken last). Four violation classes are detected:
+//! xtrace: a plain bool guards every hook, and the checker's state is a
+//! leaf borrow taken last). Four violation classes are detected:
 //!
 //! * **Double wait** — a process P's a semaphore it already holds a unit
 //!   of: with a binary count that is self-deadlock.
@@ -159,7 +159,7 @@ struct Waiting {
     label: &'static str,
 }
 
-/// The checker state. Lives behind `SimCore::check` (a leaf mutex) and is
+/// The checker state. Lives in `SimCore::check` (a leaf `RefCell`) and is
 /// only ever touched when `check_on` is set.
 #[derive(Default)]
 pub(crate) struct CheckCore {

@@ -957,9 +957,8 @@ fn check_signal_path(
 
 /// XK015: merges every contract's declared lock-acquisition order into one
 /// relation and rejects cycles. Two protocols in one kernel that take the
-/// same locks in opposite orders deadlock under the right interleaving —
-/// exactly the Sched-before-Hosts discipline `sim.rs` documents, enforced
-/// declaratively.
+/// same locks (semaphores held across a blocking point) in opposite orders
+/// deadlock under the right interleaving.
 fn check_lock_order(nodes: &[(String, Node)], diags: &mut Vec<Diagnostic>) {
     // edge (a -> b): a is acquired before b, attributed to the declaring
     // node (last declaration wins; any one is enough for the message).

@@ -417,6 +417,16 @@ pub struct SimCore {
 }
 
 /// The simulator: owns hosts, time, and shepherd processes.
+///
+/// A simulation is built and run on one thread, so `Sim` (like [`Ctx`],
+/// [`Kernel`], sessions and messages) is `!Send`; batches of independent
+/// simulations fan out by building each one inside its worker (see
+/// [`crate::par::run_indexed`]).
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<xkernel::sim::Sim>();
+/// ```
 #[derive(Clone)]
 pub struct Sim {
     core: Rc<SimCore>,

@@ -273,9 +273,9 @@ impl Interner {
 /// The id of the empty span stack.
 pub(crate) const EMPTY_STACK: u32 = 0;
 
-/// Shared trace state, held behind the simulator core's trace mutex. The
-/// trace lock is a leaf: it is only ever taken with no other simulator lock
-/// acquired afterwards.
+/// Shared trace state, held in the simulator core's trace `RefCell`. The
+/// trace borrow is a leaf: no other simulator state is borrowed while it
+/// is held.
 pub(crate) struct TraceCore {
     ring_cap: usize,
     rings: Vec<VecDeque<Event>>,
