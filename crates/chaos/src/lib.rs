@@ -784,7 +784,7 @@ impl Scenario {
 
         let sim_snap = tb.sim.snapshot().expect("quiescent after run_until_idle");
         let net_snap = tb.net.snapshot();
-        let tally_snap = tally.borrow_mut().clone();
+        let tally_snap = tally.borrow().clone();
 
         // Continue uninterrupted: the reference run.
         self.spawn_rpc_clients(&tb, &tally, flavor, mid, self.calls);
@@ -963,7 +963,7 @@ impl Scenario {
             .snapshot()
             .expect("quiescent after run_until_idle");
         let net_snap = pr.rig.net.snapshot();
-        let tally_snap = pr.tally.borrow_mut().clone();
+        let tally_snap = pr.tally.borrow().clone();
 
         self.spawn_psync_phase(&pr, mid, self.calls);
         let first = self.report(

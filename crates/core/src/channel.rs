@@ -368,8 +368,8 @@ pub struct Channel {
     cfg: ChanConfig,
     tunables: Tunables,
     lower_name: OnceCell<&'static str>,
-    boot: RefCell<u32>,
-    next_chan: RefCell<u16>,
+    boot: Cell<u32>,
+    next_chan: Cell<u16>,
     estimator: RefCell<RtoEstimator>,
     enables: RefCell<HashMap<u32, ProtoId>>,
     clients: RefCell<HashMap<(u16, u32), Rc<ChanClientSession>>>,
@@ -392,8 +392,8 @@ impl Channel {
             },
             cfg,
             lower_name: OnceCell::new(),
-            boot: RefCell::new(0),
-            next_chan: RefCell::new(0),
+            boot: Cell::new(0),
+            next_chan: Cell::new(0),
             estimator: RefCell::new(RtoEstimator::new(
                 cfg.base_timeout_ns,
                 cfg.min_rto_ns,
@@ -407,12 +407,12 @@ impl Channel {
 
     /// This kernel's boot incarnation id.
     pub fn boot_id(&self) -> u32 {
-        *self.boot.borrow_mut()
+        self.boot.get()
     }
 
     /// Overrides the boot id (tests simulate reboot/reincarnation).
     pub fn set_boot_id(&self, id: u32) {
-        *self.boot.borrow_mut() = id;
+        self.boot.set(id);
     }
 
     /// Allocates a fresh, kernel-unique channel number. Skips numbers that
@@ -422,11 +422,10 @@ impl Channel {
     /// never issued — fresh counters start above it, so a post-wrap 0 would
     /// be an id no other allocation path can produce.
     pub fn alloc_channel(&self) -> u16 {
-        let mut c = self.next_chan.borrow_mut();
-        let clients = self.clients.borrow_mut();
+        let clients = self.clients.borrow();
         for _ in 0..=u16::MAX as u32 {
-            *c = c.wrapping_add(1);
-            let cand = *c;
+            let cand = self.next_chan.get().wrapping_add(1);
+            self.next_chan.set(cand);
             if cand == 0 {
                 continue;
             }
@@ -506,7 +505,7 @@ impl Channel {
                     // The open-done upcall: tell the high-level protocol a
                     // session was passively created on its behalf,
                     // completing its earlier open_enable.
-                    if let Some(upper) = self.enables.borrow_mut().get(&hdr.protocol_num).copied() {
+                    if let Some(upper) = self.enables.borrow().get(&hdr.protocol_num).copied() {
                         let parts = ParticipantSet::local(
                             Participant::proto(hdr.protocol_num).with_port(hdr.channel),
                         );
@@ -580,7 +579,7 @@ impl Channel {
                 Ok(())
             }
             Action::Deliver => {
-                let upper = self.enables.borrow_mut().get(&hdr.protocol_num).copied();
+                let upper = self.enables.borrow().get(&hdr.protocol_num).copied();
                 match upper {
                     Some(upper) => {
                         let sref: SessionRef = sess;
@@ -613,7 +612,7 @@ impl Channel {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let client = self
             .clients
-            .borrow_mut()
+            .borrow()
             .get(&(hdr.channel, hdr.protocol_num))
             .cloned();
         let Some(client) = client else {
@@ -628,7 +627,7 @@ impl Channel {
             ctx.trace_note("peer rebooted");
             // Sequence numbers and RTT history from the old incarnation
             // are meaningless; reset every channel not mid-exchange.
-            for c in self.clients.borrow_mut().values() {
+            for c in self.clients.borrow().values() {
                 let mut cst = c.st.borrow_mut();
                 if cst.outstanding.is_none() {
                     cst.seq = 0;
@@ -683,7 +682,7 @@ impl Protocol for Channel {
         self.lower_name
             .set(lower.name())
             .map_err(|_| XError::Config("channel double boot".into()))?;
-        *self.boot.borrow_mut() = (ctx.next_u64() & 0xffff_ffff) as u32 | 1;
+        self.boot.set((ctx.next_u64() & 0xffff_ffff) as u32 | 1);
         let parts =
             ParticipantSet::local(Participant::proto(rel_proto_num(lower.name(), "channel")?));
         kernel.open_enable(ctx, self.lower, self.me, &parts)
@@ -692,7 +691,7 @@ impl Protocol for Channel {
     fn reboot(&self, ctx: &Ctx) -> XResult<()> {
         // Fresh incarnation: a new boot id and no surviving channels; the
         // graph wiring (enables, lower binding) persists from build time.
-        *self.boot.borrow_mut() = (ctx.next_u64() & 0xffff_ffff) as u32 | 1;
+        self.boot.set((ctx.next_u64() & 0xffff_ffff) as u32 | 1);
         self.clients.borrow_mut().clear();
         self.servers.borrow_mut().clear();
         self.tunables.peer_boot.set(0);
@@ -719,7 +718,7 @@ impl Protocol for Channel {
             Some(c) => c,
             None => self.alloc_channel(),
         };
-        if let Some(s) = self.clients.borrow_mut().get(&(chan, proto_num)) {
+        if let Some(s) = self.clients.borrow().get(&(chan, proto_num)) {
             return Ok(Rc::clone(s) as SessionRef);
         }
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
@@ -804,7 +803,7 @@ impl Protocol for Channel {
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         let clients = self
             .clients
-            .borrow_mut()
+            .borrow()
             .iter()
             .map(|(k, c)| {
                 let st = c.st.borrow_mut();
@@ -817,7 +816,7 @@ impl Protocol for Channel {
             .collect();
         let servers = self
             .servers
-            .borrow_mut()
+            .borrow()
             .iter()
             .map(|(k, srv)| {
                 let st = srv.st.borrow_mut();
@@ -833,13 +832,13 @@ impl Protocol for Channel {
             .collect();
         Some(Rc::new(ChanSnap {
             boot: self.boot_id(),
-            next_chan: *self.next_chan.borrow_mut(),
-            estimator: self.estimator.borrow_mut().clone(),
+            next_chan: self.next_chan.get(),
+            estimator: self.estimator.borrow().clone(),
             base_timeout_ns: self.tunables.base_timeout_ns.get(),
             peer_boot: self.tunables.peer_boot.get(),
             adaptive: self.tunables.adaptive.get(),
             max_backoff: self.tunables.max_backoff.get(),
-            enables: self.enables.borrow_mut().clone(),
+            enables: self.enables.borrow().clone(),
             clients,
             servers,
         }))
@@ -847,8 +846,8 @@ impl Protocol for Channel {
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<ChanSnap>(blob, "channel")?;
-        *self.boot.borrow_mut() = s.boot;
-        *self.next_chan.borrow_mut() = s.next_chan;
+        self.boot.set(s.boot);
+        self.next_chan.set(s.next_chan);
         *self.estimator.borrow_mut() = s.estimator.clone();
         self.tunables.base_timeout_ns.set(s.base_timeout_ns);
         self.tunables.peer_boot.set(s.peer_boot);

@@ -72,15 +72,6 @@ pub struct FragStats {
     pub nacks_received: u64,
 }
 
-#[derive(Default)]
-struct Counters {
-    messages_sent: Cell<u64>,
-    fragments_sent: Cell<u64>,
-    messages_delivered: Cell<u64>,
-    nacks_sent: Cell<u64>,
-    nacks_received: Cell<u64>,
-}
-
 struct Saved {
     msg: Message,
     dst: IpAddr,
@@ -112,14 +103,14 @@ pub struct Fragment {
     my_ip: OnceCell<IpAddr>,
     lower_name: OnceCell<&'static str>,
     base_frag_size: OnceCell<usize>,
-    next_seq: RefCell<u32>,
+    next_seq: Cell<u32>,
     enables: RefCell<HashMap<u32, ProtoId>>,
     // Retained sent messages, insertion-ordered for LRU eviction.
     send_cache: RefCell<Vec<(u32, Saved)>>,
     rasm: RefCell<HashMap<(u32, u32), Rasm>>,
     passive: RefCell<HashMap<(u32, u32), SessionRef>>,
     lowers: RefCell<HashMap<u32, (SessionRef, usize)>>,
-    counters: Counters,
+    counters: RefCell<FragStats>,
 }
 
 impl Fragment {
@@ -134,13 +125,13 @@ impl Fragment {
             my_ip: OnceCell::new(),
             lower_name: OnceCell::new(),
             base_frag_size: OnceCell::new(),
-            next_seq: RefCell::new(0),
+            next_seq: Cell::new(0),
             enables: RefCell::new(HashMap::new()),
             send_cache: RefCell::new(Vec::new()),
             rasm: RefCell::new(HashMap::new()),
             passive: RefCell::new(HashMap::new()),
             lowers: RefCell::new(HashMap::new()),
-            counters: Counters::default(),
+            counters: RefCell::default(),
         })
     }
 
@@ -158,7 +149,7 @@ impl Fragment {
 
     /// The lower session (and its fragment payload size) towards `peer`.
     fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<(SessionRef, usize)> {
-        if let Some(hit) = self.lowers.borrow_mut().get(&peer.0) {
+        if let Some(hit) = self.lowers.borrow().get(&peer.0) {
             return Ok(hit.clone());
         }
         let parts = ParticipantSet::pair(
@@ -218,9 +209,7 @@ impl Fragment {
             let mut pkt = frag;
             ctx.push_header(&mut pkt, &hdr.encode());
             ctx.charge_layer_call();
-            self.counters
-                .fragments_sent
-                .set(self.counters.fragments_sent.get() + 1);
+            self.counters.borrow_mut().fragments_sent += 1;
             lower.push(ctx, pkt)?;
         }
         Ok(())
@@ -246,14 +235,9 @@ impl Fragment {
                 max: (u16::MAX as usize).min(MAX_FRAGS * frag_size),
             });
         }
-        let seq = {
-            let mut s = self.next_seq.borrow_mut();
-            *s = s.wrapping_add(1);
-            *s
-        };
-        self.counters
-            .messages_sent
-            .set(self.counters.messages_sent.get() + 1);
+        let seq = self.next_seq.get().wrapping_add(1);
+        self.next_seq.set(seq);
+        self.counters.borrow_mut().messages_sent += 1;
         // Sequence allocation + retained-copy bookkeeping.
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let saved = Saved {
@@ -288,12 +272,11 @@ impl Fragment {
     }
 
     fn deliver_up(&self, ctx: &Ctx, from: IpAddr, proto_num: u32, msg: Message) -> XResult<()> {
-        let delivered = &self.counters.messages_delivered;
-        delivered.set(delivered.get() + 1);
+        self.counters.borrow_mut().messages_delivered += 1;
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let upper = self
             .enables
-            .borrow_mut()
+            .borrow()
             .get(&proto_num)
             .copied()
             .ok_or_else(|| XError::NoEnable(format!("fragment proto {proto_num}")))?;
@@ -371,9 +354,7 @@ impl Fragment {
                 let mut pkt = ctx.empty_msg();
                 ctx.push_header(&mut pkt, &hdr.encode());
                 ctx.charge_layer_call();
-                self.counters
-                    .nacks_sent
-                    .set(self.counters.nacks_sent.get() + 1);
+                self.counters.borrow_mut().nacks_sent += 1;
                 if lower.push(ctx, pkt).is_err() {
                     ctx.trace_note("nack send failed");
                 }
@@ -443,9 +424,7 @@ impl Fragment {
     }
 
     fn nack_in(&self, ctx: &Ctx, hdr: FragmentHdr) -> XResult<()> {
-        self.counters
-            .nacks_received
-            .set(self.counters.nacks_received.get() + 1);
+        self.counters.borrow_mut().nacks_received += 1;
         let seq = hdr.sequence_num;
         let found = {
             let cache = self.send_cache.borrow_mut();
@@ -486,23 +465,17 @@ impl Fragment {
 
     /// Observable state for tests: retained send-cache size.
     pub fn retained(&self) -> usize {
-        self.send_cache.borrow_mut().len()
+        self.send_cache.borrow().len()
     }
 
     /// Cumulative traffic counters.
     pub fn stats(&self) -> FragStats {
-        FragStats {
-            messages_sent: self.counters.messages_sent.get(),
-            fragments_sent: self.counters.fragments_sent.get(),
-            messages_delivered: self.counters.messages_delivered.get(),
-            nacks_sent: self.counters.nacks_sent.get(),
-            nacks_received: self.counters.nacks_received.get(),
-        }
+        *self.counters.borrow()
     }
 
     /// Observable state for tests: open reassembly buffers.
     pub fn reassembling(&self) -> usize {
-        self.rasm.borrow_mut().len()
+        self.rasm.borrow().len()
     }
 }
 
@@ -666,14 +639,14 @@ impl Protocol for Fragment {
     // counter, enables, session caches, and traffic counters.
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         debug_assert!(
-            self.send_cache.borrow_mut().is_empty() && self.rasm.borrow_mut().is_empty(),
+            self.send_cache.borrow().is_empty() && self.rasm.borrow().is_empty(),
             "fragment snapshot with retained/partial messages (not quiescent)"
         );
         Some(Rc::new(FragSnap {
-            next_seq: *self.next_seq.borrow_mut(),
-            enables: self.enables.borrow_mut().clone(),
-            passive: self.passive.borrow_mut().clone(),
-            lowers: self.lowers.borrow_mut().clone(),
+            next_seq: self.next_seq.get(),
+            enables: self.enables.borrow().clone(),
+            passive: self.passive.borrow().clone(),
+            lowers: self.lowers.borrow().clone(),
             stats: self.stats(),
         }))
     }
@@ -682,17 +655,11 @@ impl Protocol for Fragment {
         let s = snap_downcast::<FragSnap>(blob, "fragment")?;
         self.send_cache.borrow_mut().clear();
         self.rasm.borrow_mut().clear();
-        *self.next_seq.borrow_mut() = s.next_seq;
+        self.next_seq.set(s.next_seq);
         *self.enables.borrow_mut() = s.enables.clone();
         *self.passive.borrow_mut() = s.passive.clone();
         *self.lowers.borrow_mut() = s.lowers.clone();
-        self.counters.messages_sent.set(s.stats.messages_sent);
-        self.counters.fragments_sent.set(s.stats.fragments_sent);
-        self.counters
-            .messages_delivered
-            .set(s.stats.messages_delivered);
-        self.counters.nacks_sent.set(s.stats.nacks_sent);
-        self.counters.nacks_received.set(s.stats.nacks_received);
+        *self.counters.borrow_mut() = s.stats;
         Ok(())
     }
 

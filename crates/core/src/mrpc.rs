@@ -17,7 +17,7 @@
 //! client retransmit only the fragments the server is missing.
 
 use std::any::Any;
-use std::cell::{OnceCell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
@@ -140,8 +140,8 @@ pub struct Mrpc {
     cfg: MrpcConfig,
     lower_name: OnceCell<&'static str>,
     my_ip: OnceCell<IpAddr>,
-    boot: RefCell<u32>,
-    next_chan: RefCell<u16>,
+    boot: Cell<u32>,
+    next_chan: Cell<u16>,
     handlers: RefCell<HashMap<u16, Handler>>,
     pools: RefCell<HashMap<u32, Rc<Pool>>>,
     chans: RefCell<HashMap<u16, Rc<MChan>>>,
@@ -163,8 +163,8 @@ impl Mrpc {
             cfg,
             lower_name: OnceCell::new(),
             my_ip: OnceCell::new(),
-            boot: RefCell::new(0),
-            next_chan: RefCell::new(0),
+            boot: Cell::new(0),
+            next_chan: Cell::new(0),
             handlers: RefCell::new(HashMap::new()),
             pools: RefCell::new(HashMap::new()),
             chans: RefCell::new(HashMap::new()),
@@ -190,12 +190,12 @@ impl Mrpc {
 
     /// This kernel's boot incarnation.
     pub fn boot_id(&self) -> u32 {
-        *self.boot.borrow_mut()
+        self.boot.get()
     }
 
     /// Overrides the boot id (tests simulate reincarnation).
     pub fn set_boot_id(&self, id: u32) {
-        *self.boot.borrow_mut() = id;
+        self.boot.set(id);
     }
 
     /// Registers the procedure for `command`.
@@ -207,7 +207,7 @@ impl Mrpc {
     }
 
     fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<(SessionRef, usize)> {
-        if let Some(hit) = self.lowers.borrow_mut().get(&peer.0) {
+        if let Some(hit) = self.lowers.borrow().get(&peer.0) {
             return Ok(hit.clone());
         }
         let lname = self.lower_name.get().expect("mrpc booted");
@@ -239,16 +239,13 @@ impl Mrpc {
     }
 
     fn pool_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<Rc<Pool>> {
-        if let Some(p) = self.pools.borrow_mut().get(&peer.0) {
+        if let Some(p) = self.pools.borrow().get(&peer.0) {
             return Ok(Rc::clone(p));
         }
         let mut chans = Vec::with_capacity(self.cfg.channels_per_peer);
         for _ in 0..self.cfg.channels_per_peer {
-            let chan = {
-                let mut c = self.next_chan.borrow_mut();
-                *c = c.wrapping_add(1);
-                *c
-            };
+            let chan = self.next_chan.get().wrapping_add(1);
+            self.next_chan.set(chan);
             let mc = Rc::new(MChan {
                 chan,
                 st: RefCell::new(MChanState { seq: 0, out: None }),
@@ -669,7 +666,7 @@ impl Mrpc {
 
     fn reply_in(&self, ctx: &Ctx, hdr: SpriteHdr, msg: Message) -> XResult<()> {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let chan = self.chans.borrow_mut().get(&hdr.channel).cloned();
+        let chan = self.chans.borrow().get(&hdr.channel).cloned();
         let Some(chan) = chan else {
             return Ok(());
         };
@@ -778,7 +775,7 @@ impl Protocol for Mrpc {
         self.lower_name
             .set(lower.name())
             .map_err(|_| XError::Config("mrpc double boot".into()))?;
-        *self.boot.borrow_mut() = (ctx.next_u64() & 0xffff_ffff) as u32 | 1;
+        self.boot.set((ctx.next_u64() & 0xffff_ffff) as u32 | 1);
         // Our host identity: from the lower protocol if it speaks internet
         // addresses, else from ARP (the raw-Ethernet configuration).
         let my_ip = lower
@@ -799,7 +796,7 @@ impl Protocol for Mrpc {
     fn reboot(&self, ctx: &Ctx) -> XResult<()> {
         // Fresh incarnation: new boot id, all channel/session state gone.
         // Registered procedures and graph wiring survive.
-        *self.boot.borrow_mut() = (ctx.next_u64() & 0xffff_ffff) as u32 | 1;
+        self.boot.set((ctx.next_u64() & 0xffff_ffff) as u32 | 1);
         self.pools.borrow_mut().clear();
         self.chans.borrow_mut().clear();
         self.servers.borrow_mut().clear();
@@ -818,7 +815,7 @@ impl Protocol for Mrpc {
             .and_then(|p| p.proto_num)
             .ok_or_else(|| XError::Config("sprite open needs a command".into()))?
             as u16;
-        if let Some(s) = self.sessions.borrow_mut().get(&(peer.0, command)) {
+        if let Some(s) = self.sessions.borrow().get(&(peer.0, command)) {
             return Ok(Rc::clone(s));
         }
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
@@ -875,7 +872,7 @@ impl Protocol for Mrpc {
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         let pools = self
             .pools
-            .borrow_mut()
+            .borrow()
             .iter()
             .map(|(k, p)| {
                 (
@@ -883,14 +880,14 @@ impl Protocol for Mrpc {
                     MPoolSnap {
                         pool: Rc::clone(p),
                         sema: p.sema.snap_state(),
-                        free: p.free.borrow_mut().clone(),
+                        free: p.free.borrow().clone(),
                     },
                 )
             })
             .collect();
         let chans = self
             .chans
-            .borrow_mut()
+            .borrow()
             .iter()
             .map(|(k, c)| {
                 let st = c.st.borrow_mut();
@@ -903,26 +900,26 @@ impl Protocol for Mrpc {
             .collect();
         let servers = self
             .servers
-            .borrow_mut()
+            .borrow()
             .iter()
-            .map(|(k, srv)| (*k, (Rc::clone(srv), srv.st.borrow_mut().clone())))
+            .map(|(k, srv)| (*k, (Rc::clone(srv), srv.st.borrow().clone())))
             .collect();
         Some(Rc::new(MrpcSnap {
             boot: self.boot_id(),
-            next_chan: *self.next_chan.borrow_mut(),
+            next_chan: self.next_chan.get(),
             pools,
             chans,
             servers,
-            sessions: self.sessions.borrow_mut().clone(),
-            lowers: self.lowers.borrow_mut().clone(),
+            sessions: self.sessions.borrow().clone(),
+            lowers: self.lowers.borrow().clone(),
             shepherds: self.shepherds.stats(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<MrpcSnap>(blob, "sprite")?;
-        *self.boot.borrow_mut() = s.boot;
-        *self.next_chan.borrow_mut() = s.next_chan;
+        self.boot.set(s.boot);
+        self.next_chan.set(s.next_chan);
         {
             let mut pools = self.pools.borrow_mut();
             pools.clear();

@@ -62,7 +62,7 @@ impl Pinger {
     }
 
     fn session_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<SessionRef> {
-        if let Some(s) = self.sessions.borrow_mut().get(&peer.0) {
+        if let Some(s) = self.sessions.borrow().get(&peer.0) {
             return Ok(Rc::clone(s));
         }
         let lname = self.lower_name.get().expect("pinger booted");
@@ -217,7 +217,7 @@ impl Protocol for Pinger {
             }
             None => {}
         }
-        if let Some((sema, slot)) = self.waiting.borrow_mut().as_ref() {
+        if let Some((sema, slot)) = self.waiting.borrow().as_ref() {
             *slot.borrow_mut() = Some(msg.to_vec());
             sema.v(ctx);
         }
@@ -239,7 +239,7 @@ impl Protocol for Pinger {
             "pinger snapshot with a round trip in flight (not quiescent)"
         );
         Some(Rc::new(PingerSnap {
-            sessions: self.sessions.borrow_mut().clone(),
+            sessions: self.sessions.borrow().clone(),
         }))
     }
 

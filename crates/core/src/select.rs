@@ -134,9 +134,9 @@ impl Select {
     /// the pool exists).
     pub fn free_channels(&self, peer: IpAddr) -> Option<usize> {
         self.pools
-            .borrow_mut()
+            .borrow()
             .get(&peer.0)
-            .map(|p| p.free.borrow_mut().len())
+            .map(|p| p.free.borrow().len())
     }
 
     /// How many server channels CHANNEL has passively created on our
@@ -146,7 +146,7 @@ impl Select {
     }
 
     fn pool_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<Rc<ChanPool>> {
-        if let Some(p) = self.pools.borrow_mut().get(&peer.0) {
+        if let Some(p) = self.pools.borrow().get(&peer.0) {
             return Ok(Rc::clone(p));
         }
         // Open the fixed channel set outside the pools borrow.
@@ -224,7 +224,7 @@ impl Select {
         msg: Message,
     ) -> XResult<()> {
         // Forwarding policy first: redirect the command to another host.
-        let fwd = self.forward.borrow_mut().get(&command).copied();
+        let fwd = self.forward.borrow().get(&command).copied();
         if let Some(backend) = fwd {
             let result = self.call(ctx, backend, command, msg);
             return match result {
@@ -355,7 +355,7 @@ impl Protocol for Select {
             .and_then(|p| p.proto_num)
             .ok_or_else(|| XError::Config("select open needs a command".into()))?
             as u16;
-        if let Some(s) = self.sessions.borrow_mut().get(&(peer.0, command)) {
+        if let Some(s) = self.sessions.borrow().get(&(peer.0, command)) {
             return Ok(Rc::clone(s));
         }
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
@@ -449,10 +449,10 @@ impl Protocol for Select {
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         let pools = self
             .pools
-            .borrow_mut()
+            .borrow()
             .iter()
             .map(|(k, p)| {
-                let free = p.free.borrow_mut().clone();
+                let free = p.free.borrow().clone();
                 debug_assert_eq!(
                     free.len(),
                     self.cfg.channels_per_peer,
@@ -469,9 +469,9 @@ impl Protocol for Select {
             })
             .collect();
         Some(Rc::new(SelectSnap {
-            forward: self.forward.borrow_mut().clone(),
+            forward: self.forward.borrow().clone(),
             pools,
-            sessions: self.sessions.borrow_mut().clone(),
+            sessions: self.sessions.borrow().clone(),
             passive_opens: self.passive_opens.get(),
             shepherds: self.shepherds.stats(),
         }))
@@ -524,7 +524,7 @@ pub struct Rdgram {
     weak_self: Weak<Rdgram>,
     me: ProtoId,
     channel: ProtoId,
-    upper: RefCell<Option<ProtoId>>,
+    upper: Cell<Option<ProtoId>>,
     sessions: RefCell<HashMap<u32, SessionRef>>,
 }
 
@@ -535,7 +535,7 @@ impl Rdgram {
             weak_self: weak_self.clone(),
             me,
             channel,
-            upper: RefCell::new(None),
+            upper: Cell::new(None),
             sessions: RefCell::new(HashMap::new()),
         })
     }
@@ -608,7 +608,7 @@ impl Protocol for Rdgram {
             .remote_part()
             .and_then(|p| p.host)
             .ok_or_else(|| XError::Config("rdgram open needs a peer host".into()))?;
-        if let Some(s) = self.sessions.borrow_mut().get(&peer.0) {
+        if let Some(s) = self.sessions.borrow().get(&peer.0) {
             return Ok(Rc::clone(s));
         }
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
@@ -627,14 +627,16 @@ impl Protocol for Rdgram {
     }
 
     fn open_enable(&self, _ctx: &Ctx, upper: ProtoId, _parts: &ParticipantSet) -> XResult<()> {
-        *self.upper.borrow_mut() = Some(upper);
+        self.upper.set(Some(upper));
         Ok(())
     }
 
     /// Server side: deliver the datagram up, then confirm with an empty
     /// reply so the sender's CHANNEL push completes.
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, msg: Message) -> XResult<()> {
-        let upper = (*self.upper.borrow_mut())
+        let upper = self
+            .upper
+            .get()
             .ok_or_else(|| XError::NoEnable("rdgram has no upper".into()))?;
         ctx.kernel().demux_to(ctx, upper, lls, msg)?;
         ctx.charge_layer_call();
@@ -644,14 +646,14 @@ impl Protocol for Rdgram {
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         Some(Rc::new(RdgramSnap {
-            upper: *self.upper.borrow_mut(),
-            sessions: self.sessions.borrow_mut().clone(),
+            upper: self.upper.get(),
+            sessions: self.sessions.borrow().clone(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<RdgramSnap>(blob, "rdgram")?;
-        *self.upper.borrow_mut() = s.upper;
+        self.upper.set(s.upper);
         *self.sessions.borrow_mut() = s.sessions.clone();
         Ok(())
     }

@@ -276,10 +276,9 @@ fn vip_opens_both_sessions_for_udp_and_routes_by_size() {
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0);
-    let got = inet::with_concrete::<Recorder, _>(&tb.server, "recorder", |rc| {
-        rc.got.borrow_mut().clone()
-    })
-    .unwrap();
+    let got =
+        inet::with_concrete::<Recorder, _>(&tb.server, "recorder", |rc| rc.got.borrow().clone())
+            .unwrap();
     assert_eq!(got, vec![100, 6000], "both sizes delivered intact");
     let notes = tb.sim.trace_notes();
     assert!(

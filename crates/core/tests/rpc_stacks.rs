@@ -525,8 +525,8 @@ fn rdgram_delivers_exactly_once_in_order_under_loss() {
             sess.push(ctx, Message::from_user(vec![i; 40])).unwrap();
         }
     });
-    let got = with_concrete::<Recorder, _>(&tb.server, "recorder", |r| r.got.borrow_mut().clone())
-        .unwrap();
+    let got =
+        with_concrete::<Recorder, _>(&tb.server, "recorder", |r| r.got.borrow().clone()).unwrap();
     let expect: Vec<Vec<u8>> = (0..20u8).map(|i| vec![i; 40]).collect();
     assert_eq!(got, expect, "reliable, ordered, exactly-once datagrams");
 }

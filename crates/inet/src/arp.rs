@@ -299,10 +299,10 @@ impl Protocol for Arp {
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         debug_assert!(
-            self.waiters.borrow_mut().is_empty(),
+            self.waiters.borrow().is_empty(),
             "arp snapshot with parked resolvers (not quiescent)"
         );
-        Some(Rc::new(self.cache.borrow_mut().clone()))
+        Some(Rc::new(self.cache.borrow().clone()))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {

@@ -193,7 +193,7 @@ impl Protocol for Eth {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let upper = self
             .enables
-            .borrow_mut()
+            .borrow()
             .get(&ty)
             .copied()
             .ok_or_else(|| XError::NoEnable(format!("eth type {ty:#06x}")))?;
@@ -227,8 +227,8 @@ impl Protocol for Eth {
     // SessionCreate charge, so restore must rewind it for bit-identity.
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         Some(Rc::new(EthSnap {
-            enables: self.enables.borrow_mut().clone(),
-            passive: self.passive.borrow_mut().clone(),
+            enables: self.enables.borrow().clone(),
+            passive: self.passive.borrow().clone(),
         }))
     }
 

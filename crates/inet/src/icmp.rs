@@ -3,7 +3,7 @@
 //! only depends on the *semantics* of IP).
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -27,7 +27,7 @@ type EchoWaiter = (SharedSema, Rc<RefCell<Option<Vec<u8>>>>);
 pub struct Icmp {
     me: ProtoId,
     lower: ProtoId,
-    next_seq: RefCell<u16>,
+    next_seq: Cell<u16>,
     /// Parked pingers keyed by `(peer, id, seq)`. The id must be part of
     /// the key: two concurrent pingers that happen to reuse a sequence
     /// number toward the same peer are distinct conversations, and keying
@@ -42,7 +42,7 @@ impl Icmp {
         Rc::new(Icmp {
             me,
             lower,
-            next_seq: RefCell::new(0),
+            next_seq: Cell::new(0),
             waiting: RefCell::new(HashMap::new()),
         })
     }
@@ -58,11 +58,8 @@ impl Icmp {
 
     /// Pings `dst` with `len` payload bytes; returns the echoed payload.
     pub fn ping(&self, ctx: &Ctx, dst: IpAddr, len: usize) -> XResult<Vec<u8>> {
-        let seq = {
-            let mut s = self.next_seq.borrow_mut();
-            *s = s.wrapping_add(1);
-            *s
-        };
+        let seq = self.next_seq.get().wrapping_add(1);
+        self.next_seq.set(seq);
         self.ping_with(ctx, dst, len, 1, seq)
     }
 
@@ -158,7 +155,7 @@ impl Protocol for Icmp {
             }
             TYPE_ECHO_REPLY => {
                 let peer = lls.control(ctx, &ControlOp::GetPeerHost)?.ip()?;
-                if let Some((sema, slot)) = self.waiting.borrow_mut().get(&(peer.0, id, seq)) {
+                if let Some((sema, slot)) = self.waiting.borrow().get(&(peer.0, id, seq)) {
                     *slot.borrow_mut() = Some(msg.to_vec());
                     sema.v(ctx);
                 }
@@ -170,16 +167,16 @@ impl Protocol for Icmp {
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         debug_assert!(
-            self.waiting.borrow_mut().is_empty(),
+            self.waiting.borrow().is_empty(),
             "icmp snapshot with parked pingers (not quiescent)"
         );
-        Some(Rc::new(*self.next_seq.borrow_mut()))
+        Some(Rc::new(self.next_seq.get()))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<u16>(blob, "icmp")?;
         self.waiting.borrow_mut().clear();
-        *self.next_seq.borrow_mut() = *s;
+        self.next_seq.set(*s);
         Ok(())
     }
 

@@ -175,12 +175,12 @@ pub struct Ip {
     ifaces: Vec<Iface>,
     forward: bool,
     routes: RefCell<Vec<Route>>,
-    next_id: RefCell<u16>,
+    next_id: Cell<u16>,
     enables: RefCell<HashMap<u8, ProtoId>>,
     passive: RefCell<HashMap<(IpAddr, u8), SessionRef>>,
     eth_cache: RefCell<HashMap<(usize, EthAddr), SessionRef>>,
     reasm: RefCell<HashMap<(u32, u16, u8), Reassembly>>,
-    stats: IpStatsInner,
+    stats: RefCell<IpStats>,
 }
 
 /// Monotonic IP-layer counters (a snapshot; see [`Ip::stats`]).
@@ -196,15 +196,6 @@ pub struct IpStats {
     pub reassembled: u64,
     /// Incomplete reassemblies abandoned at the give-up timer.
     pub reassembly_timeouts: u64,
-}
-
-#[derive(Default)]
-struct IpStatsInner {
-    forwarded: Cell<u64>,
-    fragments_sent: Cell<u64>,
-    fragments_received: Cell<u64>,
-    reassembled: Cell<u64>,
-    reassembly_timeouts: Cell<u64>,
 }
 
 impl Ip {
@@ -227,24 +218,18 @@ impl Ip {
             ifaces,
             forward,
             routes: RefCell::new(routes),
-            next_id: RefCell::new(1),
+            next_id: Cell::new(1),
             enables: RefCell::new(HashMap::new()),
             passive: RefCell::new(HashMap::new()),
             eth_cache: RefCell::new(HashMap::new()),
             reasm: RefCell::new(HashMap::new()),
-            stats: IpStatsInner::default(),
+            stats: RefCell::default(),
         })
     }
 
     /// Counter snapshot (forwarding, fragmentation, reassembly).
     pub fn stats(&self) -> IpStats {
-        IpStats {
-            forwarded: self.stats.forwarded.get(),
-            fragments_sent: self.stats.fragments_sent.get(),
-            fragments_received: self.stats.fragments_received.get(),
-            reassembled: self.stats.reassembled.get(),
-            reassembly_timeouts: self.stats.reassembly_timeouts.get(),
-        }
+        *self.stats.borrow()
     }
 
     /// Adds a static route (e.g. a default route through a gateway).
@@ -324,9 +309,7 @@ impl Ip {
             hdr.total_len = (take + IP_HDR_LEN) as u16;
             if hdr.more_frags || hdr.frag_off != 0 {
                 // This wire piece is part of a fragmented datagram.
-                self.stats
-                    .fragments_sent
-                    .set(self.stats.fragments_sent.get() + 1);
+                self.stats.borrow_mut().fragments_sent += 1;
             }
             let bytes = hdr.encode();
             ctx.charge_class(
@@ -352,7 +335,7 @@ impl Ip {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let upper = self
             .enables
-            .borrow_mut()
+            .borrow()
             .get(&hdr.proto)
             .copied()
             .ok_or_else(|| XError::NoEnable(format!("ip proto {}", hdr.proto)))?;
@@ -382,16 +365,14 @@ impl Ip {
 
     fn reassemble(&self, ctx: &Ctx, hdr: IpHeader, msg: Message) -> XResult<()> {
         let key = (hdr.src.0, hdr.id, hdr.proto);
-        let received = &self.stats.fragments_received;
-        received.set(received.get() + 1);
-        let fresh = !self.reasm.borrow_mut().contains_key(&key);
+        self.stats.borrow_mut().fragments_received += 1;
+        let fresh = !self.reasm.borrow().contains_key(&key);
         if fresh {
             // Arm the give-up timer: incomplete datagrams are discarded.
             let parent = self.self_arc();
             ctx.schedule_after(REASSEMBLY_TIMEOUT_NS, move |tctx| {
                 if parent.reasm.borrow_mut().remove(&key).is_some() {
-                    let timeouts = &parent.stats.reassembly_timeouts;
-                    timeouts.set(timeouts.get() + 1);
+                    parent.stats.borrow_mut().reassembly_timeouts += 1;
                     tctx.trace_note("reassembly timed out");
                 }
             });
@@ -425,7 +406,7 @@ impl Ip {
             }
             Some(parts) => {
                 let whole = Message::concat(parts.into_values());
-                self.stats.reassembled.set(self.stats.reassembled.get() + 1);
+                self.stats.borrow_mut().reassembled += 1;
                 ctx.charge_class(OpClass::Copy, whole.len() as u64 * ctx.cost().copy_byte / 8);
                 self.deliver_up(ctx, &hdr, whole)
             }
@@ -456,11 +437,8 @@ impl Session for IpSession {
 
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
         let parent = self.parent();
-        let id = {
-            let mut n = parent.next_id.borrow_mut();
-            *n = n.wrapping_add(1);
-            *n
-        };
+        let id = parent.next_id.get().wrapping_add(1);
+        parent.next_id.set(id);
         let hdr = IpHeader {
             total_len: 0,
             id,
@@ -587,7 +565,7 @@ impl Protocol for Ip {
                 }
                 let mut fwd = hdr;
                 fwd.ttl -= 1;
-                self.stats.forwarded.set(self.stats.forwarded.get() + 1);
+                self.stats.borrow_mut().forwarded += 1;
                 return self.send_datagram(ctx, fwd, msg);
             }
             ctx.trace_note("not mine");
@@ -617,15 +595,15 @@ impl Protocol for Ip {
     // counters — is captured.
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         debug_assert!(
-            self.reasm.borrow_mut().is_empty(),
+            self.reasm.borrow().is_empty(),
             "ip snapshot with partial reassemblies (not quiescent)"
         );
         Some(Rc::new(IpSnap {
-            routes: self.routes.borrow_mut().clone(),
-            next_id: *self.next_id.borrow_mut(),
-            enables: self.enables.borrow_mut().clone(),
-            passive: self.passive.borrow_mut().clone(),
-            eth_cache: self.eth_cache.borrow_mut().clone(),
+            routes: self.routes.borrow().clone(),
+            next_id: self.next_id.get(),
+            enables: self.enables.borrow().clone(),
+            passive: self.passive.borrow().clone(),
+            eth_cache: self.eth_cache.borrow().clone(),
             stats: self.stats(),
         }))
     }
@@ -634,19 +612,11 @@ impl Protocol for Ip {
         let s = snap_downcast::<IpSnap>(blob, "ip")?;
         self.reasm.borrow_mut().clear();
         *self.routes.borrow_mut() = s.routes.clone();
-        *self.next_id.borrow_mut() = s.next_id;
+        self.next_id.set(s.next_id);
         *self.enables.borrow_mut() = s.enables.clone();
         *self.passive.borrow_mut() = s.passive.clone();
         *self.eth_cache.borrow_mut() = s.eth_cache.clone();
-        self.stats.forwarded.set(s.stats.forwarded);
-        self.stats.fragments_sent.set(s.stats.fragments_sent);
-        self.stats
-            .fragments_received
-            .set(s.stats.fragments_received);
-        self.stats.reassembled.set(s.stats.reassembled);
-        self.stats
-            .reassembly_timeouts
-            .set(s.stats.reassembly_timeouts);
+        *self.stats.borrow_mut() = s.stats;
         Ok(())
     }
 

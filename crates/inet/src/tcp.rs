@@ -21,7 +21,7 @@
 //! cannot be established — reproducing the paper's negative result.
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::{Rc, Weak};
 
@@ -360,7 +360,7 @@ pub struct Tcp {
     lower: ProtoId,
     conns: RefCell<HashMap<(Port, u32, Port), Rc<TcpConn>>>,
     listeners: RefCell<HashMap<Port, AcceptQueue>>,
-    next_port: RefCell<Port>,
+    next_port: Cell<Port>,
 }
 
 impl Tcp {
@@ -373,7 +373,7 @@ impl Tcp {
             lower,
             conns: RefCell::new(HashMap::new()),
             listeners: RefCell::new(HashMap::new()),
-            next_port: RefCell::new(40_000),
+            next_port: Cell::new(40_000),
         })
     }
 
@@ -416,11 +416,8 @@ impl Tcp {
 
     /// Actively opens a connection; blocks until established or timeout.
     pub fn connect(&self, ctx: &Ctx, peer: IpAddr, peer_port: Port) -> XResult<Rc<TcpConn>> {
-        let local_port = {
-            let mut p = self.next_port.borrow_mut();
-            *p += 1;
-            *p
-        };
+        let local_port = self.next_port.get() + 1;
+        self.next_port.set(local_port);
         let lparts = ParticipantSet::pair(
             Participant::proto(u32::from(ip_proto::TCP)),
             Participant::host(peer),
@@ -476,12 +473,12 @@ impl Tcp {
         let payload = msg.to_vec();
 
         let key = (hdr.dst_port, src.0, hdr.src_port);
-        let existing = self.conns.borrow_mut().get(&key).cloned();
+        let existing = self.conns.borrow().get(&key).cloned();
         match existing {
             Some(conn) => self.established_in(ctx, &conn, hdr, payload),
             None if hdr.flags & FLAG_SYN != 0 && hdr.flags & FLAG_ACK == 0 => {
                 // New passive connection.
-                let listener = self.listeners.borrow_mut().get(&hdr.dst_port).cloned();
+                let listener = self.listeners.borrow().get(&hdr.dst_port).cloned();
                 let Some((sema, queue)) = listener else {
                     ctx.trace_note("no listener");
                     return Ok(());

@@ -13,7 +13,7 @@
 //!   sunrpc/psync crates compose it normally.
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
@@ -35,7 +35,7 @@ pub struct Udp {
     // Active sessions keyed (local port, peer ip, peer port); passive
     // sessions created by demux are cached here too.
     sessions: RefCell<HashMap<(Port, u32, Port), SessionRef>>,
-    next_ephemeral: RefCell<Port>,
+    next_ephemeral: Cell<Port>,
 }
 
 impl Udp {
@@ -48,7 +48,7 @@ impl Udp {
             lower,
             enables: RefCell::new(HashMap::new()),
             sessions: RefCell::new(HashMap::new()),
-            next_ephemeral: RefCell::new(49_152),
+            next_ephemeral: Cell::new(49_152),
         })
     }
 
@@ -76,12 +76,12 @@ impl Udp {
     /// traffic outstanding would steer the old conversation's datagrams
     /// into the new session.
     pub fn ephemeral_port(&self) -> Port {
-        let mut p = self.next_ephemeral.borrow_mut();
-        let sessions = self.sessions.borrow_mut();
-        let enables = self.enables.borrow_mut();
+        let p = &self.next_ephemeral;
+        let sessions = self.sessions.borrow();
+        let enables = self.enables.borrow();
         for _ in 0..16_384u32 {
-            let cand = *p;
-            *p = p.checked_add(1).unwrap_or(49_152);
+            let cand = p.get();
+            p.set(cand.checked_add(1).unwrap_or(49_152));
             let live =
                 sessions.keys().any(|&(local, _, _)| local == cand) || enables.contains_key(&cand);
             if !live {
@@ -96,7 +96,7 @@ impl Udp {
     /// Number of live (open) UDP sessions — diagnostic accessor for churn
     /// audits: closed sessions must leave no residue in the demux map.
     pub fn session_count(&self) -> usize {
-        self.sessions.borrow_mut().len()
+        self.sessions.borrow().len()
     }
 }
 
@@ -225,7 +225,7 @@ impl Protocol for Udp {
 
     fn open(&self, ctx: &Ctx, _upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
         let (local, rip, rport) = self.ports_of(parts)?;
-        if let Some(s) = self.sessions.borrow_mut().get(&(local, rip.0, rport)) {
+        if let Some(s) = self.sessions.borrow().get(&(local, rip.0, rport)) {
             return Ok(Rc::clone(s));
         }
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
@@ -305,7 +305,7 @@ impl Protocol for Udp {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let upper = self
             .enables
-            .borrow_mut()
+            .borrow()
             .get(&dst_port)
             .copied()
             .ok_or_else(|| XError::NoEnable(format!("udp port {dst_port}")))?;
@@ -353,9 +353,9 @@ impl Protocol for Udp {
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         Some(Rc::new(UdpSnap {
-            enables: self.enables.borrow_mut().clone(),
-            sessions: self.sessions.borrow_mut().clone(),
-            next_ephemeral: *self.next_ephemeral.borrow_mut(),
+            enables: self.enables.borrow().clone(),
+            sessions: self.sessions.borrow().clone(),
+            next_ephemeral: self.next_ephemeral.get(),
         }))
     }
 
@@ -363,7 +363,7 @@ impl Protocol for Udp {
         let s = snap_downcast::<UdpSnap>(blob, "udp")?;
         *self.enables.borrow_mut() = s.enables.clone();
         *self.sessions.borrow_mut() = s.sessions.clone();
-        *self.next_ephemeral.borrow_mut() = s.next_ephemeral;
+        self.next_ephemeral.set(s.next_ephemeral);
         Ok(())
     }
 

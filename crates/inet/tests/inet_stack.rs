@@ -68,7 +68,7 @@ fn rig(mode: Mode) -> TwoHosts {
 }
 
 fn recorded(k: &Arc<Kernel>) -> Vec<Vec<u8>> {
-    with_concrete::<Recorder, _>(k, "recorder", |r| r.got.borrow_mut().clone()).unwrap()
+    with_concrete::<Recorder, _>(k, "recorder", |r| r.got.borrow().clone()).unwrap()
 }
 
 /// Client sends one UDP datagram to the server's port 9; returns recorded.

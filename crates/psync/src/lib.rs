@@ -202,7 +202,7 @@ impl Psync {
     }
 
     fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<SessionRef> {
-        if let Some(s) = self.lowers.borrow_mut().get(&peer.0) {
+        if let Some(s) = self.lowers.borrow().get(&peer.0) {
             return Ok(Rc::clone(s));
         }
         let lname = self.lower_name.get().expect("psync booted");
@@ -289,7 +289,7 @@ impl Protocol for Psync {
         }
         drop(deps_bytes);
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let conversation = self.convs.borrow_mut().get(&conv).cloned();
+        let conversation = self.convs.borrow().get(&conv).cloned();
         match conversation {
             Some(c) => {
                 c.message_in(
@@ -326,14 +326,14 @@ impl Protocol for Psync {
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         let convs = self
             .convs
-            .borrow_mut()
+            .borrow()
             .iter()
             .map(|(k, c)| {
                 (
                     *k,
                     ConvSnap {
                         conv: Rc::clone(c),
-                        st: c.st.borrow_mut().clone(),
+                        st: c.st.borrow().clone(),
                         avail: c.avail.snap_state(),
                     },
                 )
@@ -341,7 +341,7 @@ impl Protocol for Psync {
             .collect();
         Some(Rc::new(PsyncSnap {
             convs,
-            lowers: self.lowers.borrow_mut().clone(),
+            lowers: self.lowers.borrow().clone(),
         }))
     }
 

@@ -767,7 +767,7 @@ mod tests {
             .downcast_ref::<Recorder>()
             .unwrap()
             .got
-            .borrow_mut()
+            .borrow()
             .clone()
     }
 
@@ -968,7 +968,7 @@ mod tests {
             .downcast_ref::<Recorder>()
             .unwrap()
             .got
-            .borrow_mut()
+            .borrow()
             .clone();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].len(), 64, "frame padded to min_frame");

@@ -13,7 +13,7 @@
 //! [`AuthNone`] and [`AuthUnix`] are provided.
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
 
@@ -133,7 +133,7 @@ pub struct AuthLayer {
     lower: ProtoId,
     scheme: Rc<dyn CredScheme>,
     lower_name: RefCell<Option<&'static str>>,
-    upper: RefCell<Option<ProtoId>>,
+    upper: Cell<Option<ProtoId>>,
     sessions: RefCell<Vec<(usize, SessionRef)>>,
 }
 
@@ -145,7 +145,7 @@ impl AuthLayer {
             lower,
             scheme,
             lower_name: RefCell::new(None),
-            upper: RefCell::new(None),
+            upper: Cell::new(None),
             sessions: RefCell::new(Vec::new()),
         })
     }
@@ -269,7 +269,7 @@ impl Protocol for AuthLayer {
     }
 
     fn open_enable(&self, ctx: &Ctx, upper: ProtoId, _parts: &ParticipantSet) -> XResult<()> {
-        *self.upper.borrow_mut() = Some(upper);
+        self.upper.set(Some(upper));
         let lname = self
             .lower_name
             .borrow_mut()
@@ -294,7 +294,9 @@ impl Protocol for AuthLayer {
             return Ok(());
         }
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
-        let upper = (*self.upper.borrow_mut())
+        let upper = self
+            .upper
+            .get()
             .ok_or_else(|| XError::NoEnable("auth layer has no upper".into()))?;
         // Wrap the reply path so the verifier is added (cached per lls).
         let key = Rc::as_ptr(lls) as *const () as usize;

@@ -98,7 +98,7 @@ pub struct RequestReply {
     cfg: RrConfig,
     tunables: Tunables,
     lower_name: OnceCell<&'static str>,
-    next_xid: RefCell<u32>,
+    next_xid: Cell<u32>,
     estimator: RefCell<RtoEstimator>,
     enables: RefCell<HashMap<u32, ProtoId>>,
     outstanding: RefCell<HashMap<u32, Out>>,
@@ -121,7 +121,7 @@ impl RequestReply {
             },
             cfg,
             lower_name: OnceCell::new(),
-            next_xid: RefCell::new(0),
+            next_xid: Cell::new(0),
             estimator: RefCell::new(RtoEstimator::new(
                 cfg.timeout_ns,
                 cfg.min_rto_ns,
@@ -184,7 +184,7 @@ impl RequestReply {
     }
 
     fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<SessionRef> {
-        if let Some(s) = self.lowers.borrow_mut().get(&peer.0) {
+        if let Some(s) = self.lowers.borrow().get(&peer.0) {
             return Ok(Rc::clone(s));
         }
         let parts = self.lower_parts(Some(peer))?;
@@ -197,11 +197,8 @@ impl RequestReply {
     /// timeout. Zero-or-more: no duplicate suppression anywhere.
     fn transact(&self, ctx: &Ctx, peer: IpAddr, proto_num: u32, msg: Message) -> XResult<Message> {
         let lower = self.lower_for(ctx, peer)?;
-        let xid = {
-            let mut x = self.next_xid.borrow_mut();
-            *x = x.wrapping_add(1);
-            *x
-        };
+        let xid = self.next_xid.get().wrapping_add(1);
+        self.next_xid.set(xid);
         let sema = SharedSema::new(0);
         self.outstanding.borrow_mut().insert(
             xid,
@@ -414,7 +411,7 @@ impl Protocol for RequestReply {
             .remote_part()
             .and_then(|p| p.host)
             .ok_or_else(|| XError::Config("request_reply open needs a peer host".into()))?;
-        if let Some(s) = self.sessions.borrow_mut().get(&(peer.0, proto_num)) {
+        if let Some(s) = self.sessions.borrow().get(&(peer.0, proto_num)) {
             return Ok(Rc::clone(s));
         }
         ctx.charge_class(OpClass::SessionCreate, ctx.cost().session_create);
@@ -450,7 +447,7 @@ impl Protocol for RequestReply {
             MSG_CALL => {
                 let upper = self
                     .enables
-                    .borrow_mut()
+                    .borrow()
                     .get(&proto_num)
                     .copied()
                     .ok_or_else(|| XError::NoEnable(format!("request_reply proto {proto_num}")))?;
@@ -527,25 +524,25 @@ impl Protocol for RequestReply {
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         debug_assert!(
-            self.outstanding.borrow_mut().is_empty(),
+            self.outstanding.borrow().is_empty(),
             "request_reply snapshot with an outstanding transaction (not quiescent)"
         );
         Some(Rc::new(RrSnap {
-            next_xid: *self.next_xid.borrow_mut(),
-            estimator: self.estimator.borrow_mut().clone(),
+            next_xid: self.next_xid.get(),
+            estimator: self.estimator.borrow().clone(),
             timeout_ns: self.tunables.timeout_ns.get(),
             adaptive: self.tunables.adaptive.get(),
             max_backoff: self.tunables.max_backoff.get(),
-            enables: self.enables.borrow_mut().clone(),
-            sessions: self.sessions.borrow_mut().clone(),
-            lowers: self.lowers.borrow_mut().clone(),
+            enables: self.enables.borrow().clone(),
+            sessions: self.sessions.borrow().clone(),
+            lowers: self.lowers.borrow().clone(),
             shepherds: self.shepherds.stats(),
         }))
     }
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<RrSnap>(blob, "request_reply")?;
-        *self.next_xid.borrow_mut() = s.next_xid;
+        self.next_xid.set(s.next_xid);
         *self.estimator.borrow_mut() = s.estimator.clone();
         self.tunables.timeout_ns.set(s.timeout_ns);
         self.tunables.adaptive.set(s.adaptive);

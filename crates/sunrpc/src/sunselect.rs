@@ -73,7 +73,7 @@ impl SunSelect {
     }
 
     fn lower_for(&self, ctx: &Ctx, peer: IpAddr) -> XResult<SessionRef> {
-        if let Some(s) = self.lowers.borrow_mut().get(&peer.0) {
+        if let Some(s) = self.lowers.borrow().get(&peer.0) {
             return Ok(Rc::clone(s));
         }
         let lname = self
@@ -272,7 +272,7 @@ impl Protocol for SunSelect {
     // for replay (a warm cache skips SessionCreate charges below).
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         Some(Rc::new(SunSelectSnap {
-            lowers: self.lowers.borrow_mut().clone(),
+            lowers: self.lowers.borrow().clone(),
         }))
     }
 

@@ -11,7 +11,7 @@
 //!   no bytes.
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -137,7 +137,7 @@ impl Protocol for NullLayer {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let upper = self
             .enables
-            .borrow_mut()
+            .borrow()
             .get(&num)
             .copied()
             .ok_or_else(|| XError::NoEnable(format!("null layer num {num}")))?;
@@ -187,7 +187,7 @@ pub struct HandicapLayer {
     /// the lower protocol's name).
     name: &'static str,
     handicap: Handicap,
-    upper: RefCell<Option<ProtoId>>,
+    upper: Cell<Option<ProtoId>>,
     // Wrapped lower sessions for the upward path, keyed by the identity of
     // the underlying session, so server-side reply pushes are charged too.
     wrapped: RefCell<Vec<(usize, SessionRef)>>,
@@ -224,7 +224,7 @@ impl HandicapLayer {
             down,
             name,
             handicap,
-            upper: RefCell::new(None),
+            upper: Cell::new(None),
             wrapped: RefCell::new(Vec::new()),
         })
     }
@@ -270,7 +270,7 @@ impl Protocol for HandicapLayer {
     }
 
     fn open(&self, ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<SessionRef> {
-        *self.upper.borrow_mut() = Some(upper);
+        self.upper.set(Some(upper));
         let lower = ctx.kernel().open(ctx, self.down, self.me, parts)?;
         Ok(Rc::new(HandicapSession {
             proto: self.me,
@@ -280,12 +280,14 @@ impl Protocol for HandicapLayer {
     }
 
     fn open_enable(&self, ctx: &Ctx, upper: ProtoId, parts: &ParticipantSet) -> XResult<()> {
-        *self.upper.borrow_mut() = Some(upper);
+        self.upper.set(Some(upper));
         ctx.kernel().open_enable(ctx, self.down, self.me, parts)
     }
 
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, msg: Message) -> XResult<()> {
-        let upper = (*self.upper.borrow_mut())
+        let upper = self
+            .upper
+            .get()
             .ok_or_else(|| XError::NoEnable("handicap layer has no upper".into()))?;
         let key = Rc::as_ptr(lls) as *const () as usize;
         let sess = {

@@ -2341,30 +2341,30 @@ impl Sema {
         st.next_seq = next_seq;
     }
 
-    /// P: acquire one unit, blocking until available.
-    pub fn p(&self, ctx: &Ctx) {
+    /// P's fast path: charges the operation and takes a unit if one is
+    /// free.
+    fn try_take(&self, ctx: &Ctx) -> bool {
         ctx.charge_class(OpClass::Sema, ctx.cost().sema_op);
-        let waiter_lp;
         {
             let mut st = self.st.borrow_mut();
-            if st.count > 0 {
-                st.count -= 1;
-                if ctx.core.check_on {
-                    if let Some(lp) = ctx.lp {
-                        drop(st);
-                        ctx.core
-                            .check
-                            .borrow_mut()
-                            .on_acquire(lp.0, self.id, self.label, ctx.host.0);
-                    }
-                }
-                return;
+            if st.count <= 0 {
+                return false;
             }
-            if ctx.mode() == Mode::Inline {
-                panic!("Sema::p would block in inline mode");
+            st.count -= 1;
+        }
+        if ctx.core.check_on {
+            if let Some(lp) = ctx.lp {
+                let mut chk = ctx.core.check.borrow_mut();
+                chk.on_acquire(lp.0, self.id, self.label, ctx.host.0);
             }
-            let lp = ctx.lp().expect("P outside a shepherd process");
-            waiter_lp = lp;
+        }
+        true
+    }
+
+    /// Queues `lp` behind the semaphore and returns its place in line.
+    fn enqueue(&self, ctx: &Ctx, lp: LpId) -> u64 {
+        let seq = {
+            let mut st = self.st.borrow_mut();
             let seq = st.next_seq;
             st.next_seq += 1;
             st.waiters.push_back(Waiter {
@@ -2372,21 +2372,29 @@ impl Sema {
                 timer: None,
                 seq,
             });
-            if ctx.core.check_on {
-                drop(st);
-                ctx.core
-                    .check
-                    .borrow_mut()
-                    .on_wait_begin(lp.0, self.id, self.label, ctx.host.0);
-            }
+            seq
+        };
+        if ctx.core.check_on {
+            let mut chk = ctx.core.check.borrow_mut();
+            chk.on_wait_begin(lp.0, self.id, self.label, ctx.host.0);
         }
+        seq
+    }
+
+    /// P: acquire one unit, blocking until available.
+    pub fn p(&self, ctx: &Ctx) {
+        if self.try_take(ctx) {
+            return;
+        }
+        if ctx.mode() == Mode::Inline {
+            panic!("Sema::p would block in inline mode");
+        }
+        let lp = ctx.lp().expect("P outside a shepherd process");
+        self.enqueue(ctx, lp);
         let reason = ctx.block_current();
         debug_assert_eq!(reason, WakeReason::Normal, "untimed P woke by timeout");
         if ctx.core.check_on {
-            ctx.core
-                .check
-                .borrow_mut()
-                .on_wait_end(waiter_lp.0, self.id, true);
+            ctx.core.check.borrow_mut().on_wait_end(lp.0, self.id, true);
         }
     }
 
@@ -2465,67 +2473,41 @@ impl SharedSema {
 
     /// P with timeout; `true` if acquired.
     pub fn p_timeout(&self, ctx: &Ctx, dt: Nanos) -> bool {
-        let sema = &self.0;
-        ctx.charge_class(OpClass::Sema, ctx.cost().sema_op);
-        let my_seq;
-        {
-            let mut st = sema.st.borrow_mut();
-            if st.count > 0 {
-                st.count -= 1;
-                if ctx.core.check_on {
-                    if let Some(lp) = ctx.lp {
-                        drop(st);
-                        ctx.core
-                            .check
-                            .borrow_mut()
-                            .on_acquire(lp.0, sema.id, sema.label, ctx.host.0);
-                    }
-                }
-                return true;
-            }
-            if ctx.mode() == Mode::Inline {
-                return false;
-            }
-            let lp = ctx.lp().expect("P outside a shepherd process");
-            my_seq = st.next_seq;
-            st.next_seq += 1;
-            st.waiters.push_back(Waiter {
-                lp,
-                timer: None,
-                seq: my_seq,
-            });
-            if ctx.core.check_on {
-                drop(st);
-                ctx.core
-                    .check
-                    .borrow_mut()
-                    .on_wait_begin(lp.0, sema.id, sema.label, ctx.host.0);
-            }
+        if self.0.try_take(ctx) {
+            return true;
         }
-        let me = Rc::clone(sema);
-        let lp = ctx.lp().expect("checked above");
-        let timer = ctx.schedule_after(dt, move |tctx| {
-            let mut st = me.st.borrow_mut();
-            if let Some(pos) = st.waiters.iter().position(|w| w.seq == my_seq) {
-                st.waiters.remove(pos);
-                drop(st);
-                tctx.wake(lp, WakeReason::Timeout);
-            }
-        });
-        {
-            let mut st = sema.st.borrow_mut();
-            if let Some(w) = st.waiters.iter_mut().find(|w| w.seq == my_seq) {
-                w.timer = Some(timer);
-            }
+        if ctx.mode() == Mode::Inline {
+            return false;
         }
+        let lp = ctx.lp().expect("P outside a shepherd process");
+        let seq = self.0.enqueue(ctx, lp);
+        self.arm_timeout(ctx, lp, seq, dt);
         let acquired = matches!(ctx.block_current(), WakeReason::Normal);
         if ctx.core.check_on {
             ctx.core
                 .check
                 .borrow_mut()
-                .on_wait_end(lp.0, sema.id, acquired);
+                .on_wait_end(lp.0, self.0.id, acquired);
         }
         acquired
+    }
+
+    /// Arms the timer that, `dt` from now, withdraws waiter `seq` (process
+    /// `lp`) from the queue and wakes it with [`WakeReason::Timeout`].
+    fn arm_timeout(&self, ctx: &Ctx, lp: LpId, seq: u64, dt: Nanos) {
+        let me = Rc::clone(&self.0);
+        let timer = ctx.schedule_after(dt, move |tctx| {
+            let mut st = me.st.borrow_mut();
+            if let Some(pos) = st.waiters.iter().position(|w| w.seq == seq) {
+                st.waiters.remove(pos);
+                drop(st);
+                tctx.wake(lp, WakeReason::Timeout);
+            }
+        });
+        let mut st = self.0.st.borrow_mut();
+        if let Some(w) = st.waiters.iter_mut().find(|w| w.seq == seq) {
+            w.timer = Some(timer);
+        }
     }
 
     /// The checker identity of this semaphore (for [`LpState::wait_sema`]).
@@ -2541,51 +2523,12 @@ impl SharedSema {
     /// caller parks the machine. The matching `on_wait_end` hook runs when
     /// the scheduler resumes the machine.
     pub(crate) fn register_wait(&self, ctx: &Ctx, lp: LpId, timeout: Option<Nanos>) -> bool {
-        let sema = &self.0;
-        ctx.charge_class(OpClass::Sema, ctx.cost().sema_op);
-        let my_seq;
-        {
-            let mut st = sema.st.borrow_mut();
-            if st.count > 0 {
-                st.count -= 1;
-                if ctx.core.check_on {
-                    drop(st);
-                    ctx.core
-                        .check
-                        .borrow_mut()
-                        .on_acquire(lp.0, sema.id, sema.label, ctx.host.0);
-                }
-                return true;
-            }
-            my_seq = st.next_seq;
-            st.next_seq += 1;
-            st.waiters.push_back(Waiter {
-                lp,
-                timer: None,
-                seq: my_seq,
-            });
-            if ctx.core.check_on {
-                drop(st);
-                ctx.core
-                    .check
-                    .borrow_mut()
-                    .on_wait_begin(lp.0, sema.id, sema.label, ctx.host.0);
-            }
+        if self.0.try_take(ctx) {
+            return true;
         }
+        let seq = self.0.enqueue(ctx, lp);
         if let Some(dt) = timeout {
-            let me = Rc::clone(sema);
-            let timer = ctx.schedule_after(dt, move |tctx| {
-                let mut st = me.st.borrow_mut();
-                if let Some(pos) = st.waiters.iter().position(|w| w.seq == my_seq) {
-                    st.waiters.remove(pos);
-                    drop(st);
-                    tctx.wake(lp, WakeReason::Timeout);
-                }
-            });
-            let mut st = sema.st.borrow_mut();
-            if let Some(w) = st.waiters.iter_mut().find(|w| w.seq == my_seq) {
-                w.timer = Some(timer);
-            }
+            self.arm_timeout(ctx, lp, seq, dt);
         }
         false
     }

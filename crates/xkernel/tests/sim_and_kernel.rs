@@ -100,7 +100,7 @@ impl Protocol for Loopback {
         drop(hdr);
         let upper = self
             .enables
-            .borrow_mut()
+            .borrow()
             .iter()
             .find(|(n, _)| *n == num)
             .map(|(_, u)| *u)
@@ -413,7 +413,7 @@ fn run_stack(mode: Mode) -> Vec<Vec<u8>> {
 
     let sink = sim.kernel_of(HostId(0)).get("sink").unwrap();
     let sink = sink.as_any().downcast_ref::<Sink>().unwrap();
-    let got = sink.got.borrow_mut().clone();
+    let got = sink.got.borrow().clone();
     got
 }
 

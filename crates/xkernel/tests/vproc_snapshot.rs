@@ -71,7 +71,7 @@ fn restored_tail_is_bit_identical_to_the_uninterrupted_run() {
     let ref_log = Rc::new(RefCell::new(Vec::new()));
     let ref_report = build(&ref_log).run_until_idle();
     assert_eq!(ref_report.blocked, 0);
-    let ref_ticks = ref_log.borrow_mut().clone();
+    let ref_ticks = ref_log.borrow().clone();
     assert_eq!(ref_ticks.len(), 5 + 3 + 4);
 
     // Same workload, paused mid-sleep: every machine is suspended at a
@@ -83,7 +83,7 @@ fn restored_tail_is_bit_identical_to_the_uninterrupted_run() {
     let snap = sim
         .snapshot()
         .expect("paused machines are snapshot-eligible");
-    let ticks_at_pause = log.borrow_mut().len();
+    let ticks_at_pause = log.borrow().len();
     assert!(ticks_at_pause > 0 && ticks_at_pause < ref_ticks.len());
 
     // Finish the paused run: cumulative report equals the reference.
@@ -99,7 +99,7 @@ fn restored_tail_is_bit_identical_to_the_uninterrupted_run() {
 
     // The log now holds the full run plus the replayed tail, and the
     // replayed tail is tick-for-tick the suffix of the reference.
-    let all = log.borrow_mut().clone();
+    let all = log.borrow().clone();
     assert_eq!(all[..ref_ticks.len()], ref_ticks[..]);
     assert_eq!(all[ref_ticks.len()..], ref_ticks[ticks_at_pause..]);
 }

@@ -102,7 +102,7 @@ fn main() -> XResult<()> {
         // Args: fd(4) ++ offset(4) ++ len(4). Returns the bytes.
         let v = msg.to_vec();
         let (fd, off, len) = (be32(&v), be32(&v[4..]) as usize, be32(&v[8..]) as usize);
-        match s.files.borrow_mut().get(&fd) {
+        match s.files.borrow().get(&fd) {
             Some(f) => {
                 let end = (off + len).min(f.len());
                 let start = off.min(end);
@@ -114,7 +114,7 @@ fn main() -> XResult<()> {
     let s = Rc::clone(&store);
     xrpc::serve(&server, "select", CLOSE, move |ctx, msg| {
         let fd = be32(&msg.to_vec());
-        let size = s.files.borrow_mut().get(&fd).map(Vec::len).unwrap_or(0);
+        let size = s.files.borrow().get(&fd).map(Vec::len).unwrap_or(0);
         Ok(ctx.msg((size as u32).to_be_bytes().to_vec()))
     })?;
 

@@ -99,7 +99,7 @@ fn main() -> XResult<()> {
     let report = sim.run_until_idle();
     assert_eq!(report.blocked, 0);
 
-    for (label, who, ns) in results.borrow_mut().iter() {
+    for (label, who, ns) in results.borrow().iter() {
         println!(
             "{label:>20}: answered by {who:<14} round trip {:.2} ms",
             *ns as f64 / 1e6

@@ -110,7 +110,7 @@ fn main() -> XResult<()> {
 
     let report = sim.run_until_idle();
     assert_eq!(report.blocked, 0);
-    for line in transcript.borrow_mut().iter() {
+    for line in transcript.borrow().iter() {
         println!("{line}");
     }
     println!(

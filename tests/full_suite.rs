@@ -126,7 +126,7 @@ fn every_stack_coexists_and_shares_fragment() {
 
     let report = tb.sim.run_until_idle();
     assert_eq!(report.blocked, 0);
-    let mut done = results.borrow_mut().clone();
+    let mut done = results.borrow().clone();
     done.sort();
     assert_eq!(done, vec!["l_rpc", "m_rpc", "psync", "sun_rpc"]);
 
