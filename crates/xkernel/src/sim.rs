@@ -841,14 +841,6 @@ impl Sim {
         }
     }
 
-    /// Records a realized network fault (called by simnet's transmit path
-    /// after the fault schedule decides a packet's fate). No-op unless
-    /// journaling is on. `kind` is one of the `crate::journal::FAULT_*`
-    /// tags; `aux` carries the kind-specific detail.
-    pub fn journal_fault(&self, lan: u32, index: u64, kind: u8, aux: u64) {
-        journal_fault_of(&self.core, lan, index, kind, aux);
-    }
-
     /// Captures the complete mutable state of a *quiescent* simulation: the
     /// scheduler scalars (virtual clock, event/process id counters, the
     /// `sched_hash` fingerprint), the PRNG position, per-host clocks,
@@ -1210,19 +1202,6 @@ fn proto_frame_name(kernels: &[Arc<Kernel>], host: usize, proto: Option<ProtoId>
             .and_then(|k| k.name_of(p))
             .unwrap_or_else(|| format!("p{}", p.0)),
     }
-}
-
-/// Records a realized network fault; see [`Sim::journal_fault`].
-fn journal_fault_of(core: &SimCore, lan: u32, index: u64, kind: u8, aux: u64) {
-    if !core.journal_on.get() {
-        return;
-    }
-    core.journal.borrow_mut().push(JournalRecord::Fault {
-        lan,
-        index,
-        kind,
-        aux,
-    });
 }
 
 /// One SplitMix64 step of the simulation-wide PRNG.
@@ -2164,10 +2143,20 @@ impl Ctx {
         next_u64_of(&self.core)
     }
 
-    /// Records a realized network fault from inside the simulation; see
-    /// [`Sim::journal_fault`].
+    /// Records a realized network fault (called by simnet's transmit path
+    /// after the fault schedule decides a packet's fate). No-op unless
+    /// journaling is on. `kind` is one of the `crate::journal::FAULT_*`
+    /// tags; `aux` carries the kind-specific detail.
     pub fn journal_fault(&self, lan: u32, index: u64, kind: u8, aux: u64) {
-        journal_fault_of(&self.core, lan, index, kind, aux);
+        if !self.core.journal_on.get() {
+            return;
+        }
+        self.core.journal.borrow_mut().push(JournalRecord::Fault {
+            lan,
+            index,
+            kind,
+            aux,
+        });
     }
 
     /// Whether structured tracing is enabled.
