@@ -293,11 +293,17 @@ pub trait TracedSession {
 
 impl TracedSession for SessionRef {
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
+        if !ctx.trace_enabled() {
+            return Session::push(&**self, ctx, msg);
+        }
         let _span = ctx.enter_layer(self.protocol_id(), EventKind::Push, msg.len() as u64);
         Session::push(&**self, ctx, msg)
     }
 
     fn pop(&self, ctx: &Ctx, msg: Message) -> XResult<()> {
+        if !ctx.trace_enabled() {
+            return Session::pop(&**self, ctx, msg);
+        }
         let _span = ctx.enter_layer(self.protocol_id(), EventKind::Demux, msg.len() as u64);
         Session::pop(&**self, ctx, msg)
     }
@@ -312,6 +318,9 @@ pub trait TracedProtocol {
 
 impl TracedProtocol for ProtocolRef {
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, msg: Message) -> XResult<()> {
+        if !ctx.trace_enabled() {
+            return Protocol::demux(&**self, ctx, lls, msg);
+        }
         let _span = ctx.enter_layer(self.id(), EventKind::Demux, msg.len() as u64);
         Protocol::demux(&**self, ctx, lls, msg)
     }

@@ -391,7 +391,10 @@ pub struct SimCore {
     /// Pool of reusable coroutine stacks (bounded; see `STACK_POOL_CAP`).
     stacks: RefCell<Vec<vproc::Stack>>,
     hosts: RefCell<Hosts>,
-    kernels: RefCell<Vec<Arc<Kernel>>>,
+    /// Every host's kernel. The public handle is an `Arc`; wrapping it in
+    /// an `Rc` lets each [`Ctx`] (one per event, and one per frame inline)
+    /// share it by bumping a plain counter instead of an atomic one.
+    kernels: RefCell<Vec<Rc<Arc<Kernel>>>>,
     rng: Cell<u64>,
     /// Plain flag checked before any trace work; when false the trace
     /// state is never touched (the zero-overhead-when-disabled guarantee).
@@ -503,7 +506,7 @@ impl Sim {
     pub(crate) fn add_kernel(&self, k: &Arc<Kernel>) {
         let mut ks = self.core.kernels.borrow_mut();
         debug_assert_eq!(k.host(), HostId(ks.len()), "host ids allocated in order");
-        ks.push(Arc::clone(k));
+        ks.push(Rc::new(Arc::clone(k)));
         let mut h = self.core.hosts.borrow_mut();
         h.cpu.push(0);
         h.down.push(false);
@@ -519,7 +522,12 @@ impl Sim {
 
     /// All registered kernels.
     pub fn kernels(&self) -> Vec<Arc<Kernel>> {
-        self.core.kernels.borrow().clone()
+        self.core
+            .kernels
+            .borrow()
+            .iter()
+            .map(|k| Arc::clone(k))
+            .collect()
     }
 
     /// A context bound to `host` but to no logical process. Suitable for
@@ -920,7 +928,7 @@ impl Sim {
         };
         let rng = self.core.rng.get();
         let journal_len = self.core.journal.borrow().len();
-        let kernels = self.core.kernels.borrow().clone();
+        let kernels = self.kernels();
         let mut protos = Vec::with_capacity(kernels.len());
         for k in &kernels {
             let ctx = self.ctx(k.host());
@@ -1026,7 +1034,7 @@ impl Sim {
         }
         self.core.rng.set(snap.rng);
         self.core.journal.borrow_mut().truncate(snap.journal_len);
-        let kernels = self.core.kernels.borrow().clone();
+        let kernels = self.kernels();
         if kernels.len() != snap.protos.len() {
             return Err(XError::Config(
                 "snapshot is from a different rig (kernel count mismatch)".into(),
@@ -1194,7 +1202,7 @@ fn folded_of(core: &SimCore) -> Vec<FoldedLine> {
 
 /// The display name for a span frame: the protocol's configured instance
 /// name, or `"(host)"` for the empty stack.
-fn proto_frame_name(kernels: &[Arc<Kernel>], host: usize, proto: Option<ProtoId>) -> String {
+fn proto_frame_name(kernels: &[Rc<Arc<Kernel>>], host: usize, proto: Option<ProtoId>) -> String {
     match proto {
         None => "(host)".to_string(),
         Some(p) => kernels
@@ -1772,7 +1780,7 @@ pub struct Ctx {
     core: Rc<SimCore>,
     /// The kernel of `host`, resolved once so that protocol code reaches
     /// it without a table lookup (`None` for a host with no kernel yet).
-    kernel: Option<Arc<Kernel>>,
+    kernel: Option<Rc<Arc<Kernel>>>,
     host: HostId,
     lp: Option<LpId>,
 }
@@ -1810,7 +1818,7 @@ impl Ctx {
     /// was made.
     pub fn kernel(&self) -> &Arc<Kernel> {
         self.kernel
-            .as_ref()
+            .as_deref()
             .expect("context bound to a host with a kernel")
     }
 
