@@ -380,6 +380,12 @@ struct Hosts {
     fuel: Vec<u64>,
 }
 
+/// A host's kernel as the simulator and its contexts hold it. The public
+/// handle is an `Arc`; the simulator wraps it in an `Rc` so that each
+/// [`Ctx`] (one per event, and one per frame inline) shares it by bumping
+/// a plain counter instead of an atomic one.
+struct HostKernel(Arc<Kernel>);
+
 /// Shared simulator state.
 pub struct SimCore {
     mode: Mode,
@@ -391,10 +397,7 @@ pub struct SimCore {
     /// Pool of reusable coroutine stacks (bounded; see `STACK_POOL_CAP`).
     stacks: RefCell<Vec<vproc::Stack>>,
     hosts: RefCell<Hosts>,
-    /// Every host's kernel. The public handle is an `Arc`; wrapping it in
-    /// an `Rc` lets each [`Ctx`] (one per event, and one per frame inline)
-    /// share it by bumping a plain counter instead of an atomic one.
-    kernels: RefCell<Vec<Rc<Arc<Kernel>>>>,
+    kernels: RefCell<Vec<Rc<HostKernel>>>,
     rng: Cell<u64>,
     /// Plain flag checked before any trace work; when false the trace
     /// state is never touched (the zero-overhead-when-disabled guarantee).
@@ -506,7 +509,7 @@ impl Sim {
     pub(crate) fn add_kernel(&self, k: &Arc<Kernel>) {
         let mut ks = self.core.kernels.borrow_mut();
         debug_assert_eq!(k.host(), HostId(ks.len()), "host ids allocated in order");
-        ks.push(Rc::new(Arc::clone(k)));
+        ks.push(Rc::new(HostKernel(Arc::clone(k))));
         let mut h = self.core.hosts.borrow_mut();
         h.cpu.push(0);
         h.down.push(false);
@@ -517,7 +520,7 @@ impl Sim {
 
     /// The kernel running on `host`.
     pub fn kernel_of(&self, host: HostId) -> Arc<Kernel> {
-        Arc::clone(&self.core.kernels.borrow()[host.0])
+        Arc::clone(&self.core.kernels.borrow()[host.0].0)
     }
 
     /// All registered kernels.
@@ -526,7 +529,7 @@ impl Sim {
             .kernels
             .borrow()
             .iter()
-            .map(|k| Arc::clone(k))
+            .map(|k| Arc::clone(&k.0))
             .collect()
     }
 
@@ -1181,7 +1184,7 @@ fn folded_of(core: &SimCore) -> Vec<FoldedLine> {
         .map(|(host, frames, class, ns)| {
             let host_name = kernels
                 .get(host)
-                .map(|k| k.name().to_string())
+                .map(|k| k.0.name().to_string())
                 .unwrap_or_else(|| format!("host{host}"));
             let mut out = Vec::with_capacity(frames.len() + 2);
             out.push(host_name);
@@ -1202,12 +1205,12 @@ fn folded_of(core: &SimCore) -> Vec<FoldedLine> {
 
 /// The display name for a span frame: the protocol's configured instance
 /// name, or `"(host)"` for the empty stack.
-fn proto_frame_name(kernels: &[Rc<Arc<Kernel>>], host: usize, proto: Option<ProtoId>) -> String {
+fn proto_frame_name(kernels: &[Rc<HostKernel>], host: usize, proto: Option<ProtoId>) -> String {
     match proto {
         None => "(host)".to_string(),
         Some(p) => kernels
             .get(host)
-            .and_then(|k| k.name_of(p))
+            .and_then(|k| k.0.name_of(p))
             .unwrap_or_else(|| format!("p{}", p.0)),
     }
 }
@@ -1780,7 +1783,7 @@ pub struct Ctx {
     core: Rc<SimCore>,
     /// The kernel of `host`, resolved once so that protocol code reaches
     /// it without a table lookup (`None` for a host with no kernel yet).
-    kernel: Option<Rc<Arc<Kernel>>>,
+    kernel: Option<Rc<HostKernel>>,
     host: HostId,
     lp: Option<LpId>,
 }
@@ -1817,14 +1820,16 @@ impl Ctx {
     /// Panics if no kernel was registered for the host when this context
     /// was made.
     pub fn kernel(&self) -> &Arc<Kernel> {
-        self.kernel
-            .as_deref()
+        &self
+            .kernel
+            .as_ref()
             .expect("context bound to a host with a kernel")
+            .0
     }
 
     /// The kernel of another host.
     pub fn kernel_of(&self, host: HostId) -> Arc<Kernel> {
-        Arc::clone(&self.core.kernels.borrow()[host.0])
+        Arc::clone(&self.core.kernels.borrow()[host.0].0)
     }
 
     /// This context re-bound to another host (used by the inline network to
