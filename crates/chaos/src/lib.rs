@@ -1001,7 +1001,7 @@ impl Scenario {
         tally: &RefCell<Tally>,
         attempted: u32,
     ) -> ChaosReport {
-        let t = tally.borrow_mut();
+        let t = tally.borrow();
         ChaosReport {
             label: self.label(),
             run,

@@ -172,7 +172,7 @@ impl Session for ChanClientSession {
                 // here, keeping fault-free runs on the same PRNG stream as
                 // the fixed scheme).
                 let base = {
-                    let e = parent.estimator.borrow_mut();
+                    let e = parent.estimator.borrow();
                     if e.is_cold() {
                         step
                     } else {
@@ -331,7 +331,7 @@ impl Session for ChanServerSession {
             // next request on this channel.
             st.saved_reply = Some((seq, wire.clone()));
         }
-        let lls = Rc::clone(&self.lls.borrow_mut());
+        let lls = Rc::clone(&self.lls.borrow());
         ctx.charge_layer_call();
         lls.push(ctx, wire)?;
         Ok(None)
@@ -349,7 +349,7 @@ impl Session for ChanServerSession {
                 Ok(ControlRes::Done)
             }
             other => {
-                let lls = Rc::clone(&self.lls.borrow_mut());
+                let lls = Rc::clone(&self.lls.borrow());
                 lls.control(ctx, other)
             }
         }
@@ -444,7 +444,7 @@ impl Channel {
 
     /// Smoothed round-trip estimate (virtual ns; 0 until the first reply).
     pub fn rtt_estimate(&self) -> u64 {
-        let e = self.estimator.borrow_mut();
+        let e = self.estimator.borrow();
         if e.is_cold() {
             0
         } else {
@@ -806,7 +806,7 @@ impl Protocol for Channel {
             .borrow()
             .iter()
             .map(|(k, c)| {
-                let st = c.st.borrow_mut();
+                let st = c.st.borrow();
                 debug_assert!(
                     st.outstanding.is_none(),
                     "channel snapshot with an outstanding request (not quiescent)"
@@ -819,9 +819,9 @@ impl Protocol for Channel {
             .borrow()
             .iter()
             .map(|(k, srv)| {
-                let st = srv.st.borrow_mut();
+                let st = srv.st.borrow();
                 let snap = ServerSnap {
-                    lls: Rc::clone(&srv.lls.borrow_mut()),
+                    lls: Rc::clone(&srv.lls.borrow()),
                     last_boot: st.last_boot,
                     last_seq: st.last_seq,
                     in_progress: st.in_progress,

@@ -427,7 +427,7 @@ impl Fragment {
         self.counters.borrow_mut().nacks_received += 1;
         let seq = hdr.sequence_num;
         let found = {
-            let cache = self.send_cache.borrow_mut();
+            let cache = self.send_cache.borrow();
             cache.iter().any(|(s, _)| *s == seq)
         };
         if !found {
@@ -438,7 +438,7 @@ impl Fragment {
         }
         // Retransmit the missing fragments from the retained copy.
         let (dst, mask) = {
-            let cache = self.send_cache.borrow_mut();
+            let cache = self.send_cache.borrow();
             let (_, saved) = cache
                 .iter()
                 .find(|(s, _)| *s == seq)
@@ -446,7 +446,7 @@ impl Fragment {
             (saved.dst, hdr.frag_mask)
         };
         let (lower, _) = self.lower_for(ctx, dst)?;
-        let cache = self.send_cache.borrow_mut();
+        let cache = self.send_cache.borrow();
         if let Some((_, saved)) = cache.iter().find(|(s, _)| *s == seq) {
             // Rebuild fragment list and send the requested ones. We must not
             // hold the cache borrow across pushes — clone the needed state.

@@ -890,7 +890,7 @@ impl Protocol for Mrpc {
             .borrow()
             .iter()
             .map(|(k, c)| {
-                let st = c.st.borrow_mut();
+                let st = c.st.borrow();
                 debug_assert!(
                     st.out.is_none(),
                     "mrpc snapshot with an outstanding call (not quiescent)"

@@ -138,7 +138,7 @@ impl Pinger {
             *self.waiting.borrow_mut() = None;
             return Ok(reply.to_vec());
         }
-        let ok = sema.p_timeout(ctx, PING_TIMEOUT_NS) || slot.borrow_mut().is_some();
+        let ok = sema.p_timeout(ctx, PING_TIMEOUT_NS) || slot.borrow().is_some();
         *self.waiting.borrow_mut() = None;
         if !ok {
             return Err(XError::Timeout(format!("pinger echo from {peer}")));
@@ -235,7 +235,7 @@ impl Protocol for Pinger {
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         debug_assert!(
-            self.waiting.borrow_mut().is_none() && self.series.borrow_mut().is_none(),
+            self.waiting.borrow().is_none() && self.series.borrow().is_none(),
             "pinger snapshot with a round trip in flight (not quiescent)"
         );
         Some(Rc::new(PingerSnap {

@@ -137,12 +137,12 @@ impl Arp {
 
     /// Number of entries currently cached.
     pub fn cache_len(&self) -> usize {
-        self.cache.borrow_mut().map.len()
+        self.cache.borrow().map.len()
     }
 
     /// Entries evicted by LRU replacement since boot.
     pub fn cache_evictions(&self) -> u64 {
-        self.cache.borrow_mut().evictions
+        self.cache.borrow().evictions
     }
 
     /// The internet address this ARP answers for.

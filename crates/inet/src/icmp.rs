@@ -88,7 +88,7 @@ impl Icmp {
         let sess = ctx.kernel().open(ctx, self.lower, self.me, &parts)?;
         let pkt = Self::encode(TYPE_ECHO_REQUEST, id, seq, &payload);
         sess.push(ctx, ctx.msg(pkt))?;
-        let got = sema.p_timeout(ctx, PING_TIMEOUT_NS) || slot.borrow_mut().is_some();
+        let got = sema.p_timeout(ctx, PING_TIMEOUT_NS) || slot.borrow().is_some();
         self.waiting.borrow_mut().remove(&(dst.0, id, seq));
         if !got {
             return Err(XError::Timeout(format!("ping {dst} seq {seq}")));

@@ -249,7 +249,7 @@ impl Ip {
     /// Longest-prefix route lookup.
     fn route_for(&self, ctx: &Ctx, dst: IpAddr) -> XResult<Route> {
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup); // Route table lookup.
-        let routes = self.routes.borrow_mut();
+        let routes = self.routes.borrow();
         routes
             .iter()
             .filter(|r| dst.network(r.mask) == r.net)
@@ -264,7 +264,7 @@ impl Ip {
         let f = &self.ifaces[iface];
         let arp = ctx.kernel().proto(f.arp)?;
         let hw = arp.control(ctx, &ControlOp::Resolve(next_hop))?.eth()?;
-        let cache = self.eth_cache.borrow_mut();
+        let cache = self.eth_cache.borrow();
         if let Some(s) = cache.get(&(iface, hw)) {
             return Ok(Rc::clone(s));
         }

@@ -175,7 +175,7 @@ impl TcpConn {
         track: bool,
     ) -> XResult<()> {
         let (ack, window) = {
-            let st = self.st.borrow_mut();
+            let st = self.st.borrow();
             (st.rcv_nxt, (TCP_WINDOW_SEGS * TCP_MSS) as u16)
         };
         let src = self.lower.control(ctx, &ControlOp::GetMyHost)?.ip()?;
@@ -281,7 +281,7 @@ impl TcpConn {
     /// window space indirectly via retransmission; errors if closed.
     pub fn send(self: &Rc<Self>, ctx: &Ctx, data: &[u8]) -> XResult<()> {
         {
-            let st = self.st.borrow_mut();
+            let st = self.st.borrow();
             if st.state != State::Established {
                 return Err(st.error.clone().unwrap_or(XError::Closed));
             }
@@ -343,7 +343,7 @@ impl TcpConn {
 
     /// Current connection state name (tests).
     pub fn state_name(&self) -> &'static str {
-        match self.st.borrow_mut().state {
+        match self.st.borrow().state {
             State::SynSent => "syn-sent",
             State::SynReceived => "syn-received",
             State::Established => "established",
@@ -431,7 +431,7 @@ impl Tcp {
         }
         conn.send_segment(ctx, FLAG_SYN, iss, &[], true)?;
         if conn.established.p_timeout(ctx, TCP_CONNECT_TIMEOUT_NS) {
-            let st = conn.st.borrow_mut();
+            let st = conn.st.borrow();
             if st.state == State::Established {
                 drop(st);
                 return Ok(conn);
@@ -566,7 +566,7 @@ impl Tcp {
         }
         if need_ack {
             // Pure ACK (not tracked, not retransmitted).
-            let seq = conn.st.borrow_mut().snd_nxt;
+            let seq = conn.st.borrow().snd_nxt;
             conn.send_segment(ctx, 0, seq, &[], false)?;
         }
         Ok(())

@@ -115,17 +115,17 @@ impl Conversation {
 
     /// Messages delivered so far but not yet received by the application.
     pub fn backlog(&self) -> usize {
-        self.st.borrow_mut().inbox.len()
+        self.st.borrow().inbox.len()
     }
 
     /// Messages stuck waiting for their context (tests).
     pub fn waiting_on_context(&self) -> usize {
-        self.st.borrow_mut().pending.len()
+        self.st.borrow().pending.len()
     }
 
     /// The current context leaves (tests).
     pub fn leaves(&self) -> Vec<MsgId> {
-        self.st.borrow_mut().leaves.clone()
+        self.st.borrow().leaves.clone()
     }
 
     fn message_in(&self, ctx: &Ctx, msg: PsyncMsg) {

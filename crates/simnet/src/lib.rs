@@ -203,7 +203,7 @@ impl SimNet {
 
     /// Reads a LAN's traffic counters.
     pub fn stats(&self, lan: LanId) -> LanStats {
-        self.inner.lans.borrow_mut()[lan.0].stats
+        self.inner.lans.borrow()[lan.0].stats
     }
 
     /// Starts recording realized suppressible faults (drop / duplicate /
@@ -216,7 +216,7 @@ impl SimNet {
     /// The faults recorded on `lan` since [`SimNet::record_faults`], in
     /// transmission order. Empty if recording was never enabled.
     pub fn recorded_faults(&self, lan: LanId) -> Vec<FaultEvent> {
-        self.inner.lans.borrow_mut()[lan.0]
+        self.inner.lans.borrow()[lan.0]
             .record
             .clone()
             .unwrap_or_default()
@@ -239,7 +239,7 @@ impl SimNet {
     /// and installed fault schedule. Pairs with [`xkernel::sim::Sim::snapshot`]
     /// — take both at the same quiescent instant.
     pub fn snapshot(&self) -> NetSnapshot {
-        let lans = self.inner.lans.borrow_mut();
+        let lans = self.inner.lans.borrow();
         NetSnapshot {
             lans: lans
                 .iter()
@@ -273,7 +273,7 @@ impl SimNet {
 
     /// A LAN's configuration.
     pub fn lan_config(&self, lan: LanId) -> LanConfig {
-        self.inner.lans.borrow_mut()[lan.0].cfg
+        self.inner.lans.borrow()[lan.0].cfg
     }
 
     /// Attaches `kernel` to `lan` with hardware address `eth`, registering

@@ -253,7 +253,7 @@ impl Protocol for AuthLayer {
             .ok_or_else(|| XError::Config("auth open needs a peer host".into()))?;
         let lname = self
             .lower_name
-            .borrow_mut()
+            .borrow()
             .ok_or_else(|| XError::Config("auth layer used before boot".into()))?;
         let lparts = ParticipantSet::pair(
             Participant::proto(rel_proto_num(lname, self.scheme.name())?),
@@ -272,7 +272,7 @@ impl Protocol for AuthLayer {
         self.upper.set(Some(upper));
         let lname = self
             .lower_name
-            .borrow_mut()
+            .borrow()
             .ok_or_else(|| XError::Config("auth layer used before boot".into()))?;
         let parts = ParticipantSet::local(Participant::proto(rel_proto_num(
             lname,

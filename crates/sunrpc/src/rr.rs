@@ -159,7 +159,7 @@ impl RequestReply {
 
     /// Smoothed round-trip estimate (virtual ns; 0 until the first reply).
     pub fn rtt_estimate(&self) -> u64 {
-        let e = self.estimator.borrow_mut();
+        let e = self.estimator.borrow();
         if e.is_cold() {
             0
         } else {
@@ -220,7 +220,7 @@ impl RequestReply {
             // retransmissions, preserving the fault-free PRNG stream).
             let timeout = if adaptive {
                 let base = {
-                    let e = self.estimator.borrow_mut();
+                    let e = self.estimator.borrow();
                     if e.is_cold() {
                         fixed
                     } else {

@@ -78,7 +78,7 @@ impl SunSelect {
         }
         let lname = self
             .lower_name
-            .borrow_mut()
+            .borrow()
             .ok_or_else(|| XError::Config("sunselect used before boot".into()))?;
         let parts = ParticipantSet::pair(
             Participant::proto(rel_proto_num(lname, "sunselect")?),

@@ -85,7 +85,7 @@ pub fn explore<T>(limit: usize, mut run: impl FnMut(Box<ReplayChooser>) -> T) ->
         let rec = Rc::new(RefCell::new(Recording::default()));
         let chooser = Box::new(ReplayChooser::new(prefix.clone(), Rc::clone(&rec)));
         outcomes.push(run(chooser));
-        let r = rec.borrow_mut();
+        let r = rec.borrow();
         // Deepest decision with an untaken branch; bump it and rerun.
         let next = (0..r.choices.len())
             .rev()

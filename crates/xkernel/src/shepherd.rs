@@ -140,7 +140,7 @@ impl Shepherds {
 
     /// Current pending-queue depth.
     pub fn queue_depth(&self) -> usize {
-        self.st.borrow_mut().queue.len()
+        self.st.borrow().queue.len()
     }
 
     /// Counter snapshot.

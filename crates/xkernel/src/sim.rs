@@ -816,7 +816,7 @@ impl Sim {
                 .collect()
         };
         blocked.sort_unstable();
-        self.core.check.borrow_mut().report(&blocked)
+        self.core.check.borrow().report(&blocked)
     }
 
     /// The replayable repro string for `v` under this run's seed and
@@ -1910,7 +1910,7 @@ impl Ctx {
     pub fn boot_epoch(&self) -> u32 {
         self.core
             .hosts
-            .borrow_mut()
+            .borrow()
             .epoch
             .get(self.host.0)
             .copied()
@@ -2024,7 +2024,7 @@ impl Ctx {
         if self
             .core
             .hosts
-            .borrow_mut()
+            .borrow()
             .down
             .get(host.0)
             .copied()

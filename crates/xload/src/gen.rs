@@ -155,7 +155,7 @@ impl LoadSpec {
         let mut completed = 0u64;
         let mut failed = 0u64;
         for shard in &shards {
-            let s = shard.borrow_mut();
+            let s = shard.borrow();
             hist.merge(&s.hist);
             attempted += s.attempted;
             completed += s.completed;
