@@ -135,7 +135,7 @@ impl Fragment {
         })
     }
 
-    fn self_arc(&self) -> Rc<Fragment> {
+    fn self_rc(&self) -> Rc<Fragment> {
         self.weak_self.upgrade().expect("fragment alive")
     }
 
@@ -264,7 +264,7 @@ impl Fragment {
                 cache.drain(..excess);
             }
         }
-        let parent = self.self_arc();
+        let parent = self.self_rc();
         ctx.schedule_after(self.cfg.discard_ns, move |_tctx| {
             parent.send_cache.borrow_mut().retain(|(s, _)| *s != seq);
         });
@@ -300,7 +300,7 @@ impl Fragment {
     }
 
     fn arm_gap_timer(&self, ctx: &Ctx, key: (u32, u32)) {
-        let parent = self.self_arc();
+        let parent = self.self_rc();
         ctx.schedule_after(self.cfg.gap_ns, move |tctx| {
             parent.on_gap_timer(tctx, key);
         });

@@ -180,7 +180,7 @@ impl Mrpc {
         self.shepherds.stats()
     }
 
-    fn self_arc(&self) -> Rc<Mrpc> {
+    fn self_rc(&self) -> Rc<Mrpc> {
         self.weak_self.upgrade().expect("mrpc alive")
     }
 
@@ -553,7 +553,7 @@ impl Mrpc {
                     // Synchronous dispatch: the historical (and default) path.
                     return self.dispatch(ctx, &server, hdr, body);
                 }
-                let me = self.self_arc();
+                let me = self.self_rc();
                 let job_server = Rc::clone(&server);
                 let submitted = self.shepherds.submit(
                     ctx,

@@ -112,7 +112,7 @@ impl Select {
         self.shepherds.queue_depth()
     }
 
-    fn self_arc(&self) -> Rc<Select> {
+    fn self_rc(&self) -> Rc<Select> {
         self.weak_self.upgrade().expect("select alive")
     }
 
@@ -406,7 +406,7 @@ impl Protocol for Select {
             // Synchronous dispatch: the historical (and default) path.
             return self.execute_request(ctx, lls, hdr.command, msg);
         }
-        let me = self.self_arc();
+        let me = self.self_rc();
         let job_lls = Rc::clone(lls);
         let command = hdr.command;
         let submitted = self.shepherds.submit(

@@ -359,7 +359,7 @@ impl Ip {
         ctx.kernel().demux_to(ctx, upper, &sess, msg)
     }
 
-    fn self_arc(&self) -> Rc<Ip> {
+    fn self_rc(&self) -> Rc<Ip> {
         self.weak_self.upgrade().expect("ip protocol alive")
     }
 
@@ -369,7 +369,7 @@ impl Ip {
         let fresh = !self.reasm.borrow().contains_key(&key);
         if fresh {
             // Arm the give-up timer: incomplete datagrams are discarded.
-            let parent = self.self_arc();
+            let parent = self.self_rc();
             ctx.schedule_after(REASSEMBLY_TIMEOUT_NS, move |tctx| {
                 if parent.reasm.borrow_mut().remove(&key).is_some() {
                     parent.stats.borrow_mut().reassembly_timeouts += 1;
