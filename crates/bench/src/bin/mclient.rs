@@ -21,6 +21,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use xbench::validate;
 use xload::MClientSpec;
 
 struct Opts {
@@ -88,23 +89,6 @@ const REQUIRED_FIELDS: &[&str] = &[
     "\"p99\"",
 ];
 
-fn validate(json: &str) -> Result<(), String> {
-    for f in REQUIRED_FIELDS {
-        if !json.contains(f) {
-            return Err(format!("missing required field {f}"));
-        }
-    }
-    let opens = json.matches(['{', '[']).count();
-    let closes = json.matches(['}', ']']).count();
-    if opens != closes {
-        return Err(format!("unbalanced brackets: {opens} open, {closes} close"));
-    }
-    if !json.contains("\"schema\": \"xbench.mclient/1\"") {
-        return Err("schema tag is not xbench.mclient/1".to_string());
-    }
-    Ok(())
-}
-
 fn main() {
     let opts = parse_opts();
     let mut spec = MClientSpec::sized(opts.clients);
@@ -165,7 +149,7 @@ fn main() {
     );
     json.push_str("}\n");
 
-    if let Err(e) = validate(&json) {
+    if let Err(e) = validate(&json, "xbench.mclient/1", REQUIRED_FIELDS) {
         eprintln!("BENCH_mclient.json failed schema validation: {e}");
         std::process::exit(1);
     }

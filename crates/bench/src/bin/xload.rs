@@ -20,6 +20,7 @@
 
 use std::fmt::Write as _;
 
+use xbench::{js, validate};
 use xkernel::par;
 use xload::{GenMode, LoadReport, LoadSpec, LoadStack, Topology};
 
@@ -54,24 +55,6 @@ fn parse_opts() -> Opts {
     opts
 }
 
-/// Escapes a string for JSON.
-fn js(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Required fields of the `xbench.xload/1` schema; `ci.sh` greps for the
 /// same list, so a field can't silently vanish from either side.
 const REQUIRED_FIELDS: &[&str] = &[
@@ -96,23 +79,6 @@ const REQUIRED_FIELDS: &[&str] = &[
     "\"routed\"",
     "\"reports_bit_identical\"",
 ];
-
-fn validate(json: &str) -> Result<(), String> {
-    for f in REQUIRED_FIELDS {
-        if !json.contains(f) {
-            return Err(format!("missing required field {f}"));
-        }
-    }
-    let opens = json.matches(['{', '[']).count();
-    let closes = json.matches(['}', ']']).count();
-    if opens != closes {
-        return Err(format!("unbalanced brackets: {opens} open, {closes} close"));
-    }
-    if !json.contains("\"schema\": \"xbench.xload/1\"") {
-        return Err("schema tag is not xbench.xload/1".to_string());
-    }
-    Ok(())
-}
 
 /// A goodput curve is acceptable when each point either keeps up with the
 /// previous one (monotone within 5%) or sits on the saturation plateau
@@ -288,7 +254,7 @@ fn main() {
     let _ = writeln!(json, "  \"reports_bit_identical\": {identical}");
     json.push_str("}\n");
 
-    if let Err(e) = validate(&json) {
+    if let Err(e) = validate(&json, "xbench.xload/1", REQUIRED_FIELDS) {
         eprintln!("BENCH_xload.json failed schema validation: {e}");
         std::process::exit(1);
     }

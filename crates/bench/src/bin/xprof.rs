@@ -22,7 +22,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use xbench::{rpc_latency, rpc_latency_traced, TracedLatency, LATENCY_ITERS};
+use xbench::{js, rpc_latency_iters, rpc_latency_traced, validate, TracedLatency, LATENCY_ITERS};
 use xrpc::stacks::ALL_RPC_STACKS;
 
 struct Opts {
@@ -52,24 +52,6 @@ fn parse_opts() -> Opts {
     opts
 }
 
-/// Escapes a string for JSON.
-fn js(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Required fields of the `xbench.xprof/1` schema; `ci.sh` greps for the
 /// same list, so neither side can silently drop one.
 const REQUIRED_FIELDS: &[&str] = &[
@@ -83,23 +65,6 @@ const REQUIRED_FIELDS: &[&str] = &[
     "\"conserved\"",
     "\"layers\"",
 ];
-
-fn validate(json: &str) -> Result<(), String> {
-    for f in REQUIRED_FIELDS {
-        if !json.contains(f) {
-            return Err(format!("missing required field {f}"));
-        }
-    }
-    let opens = json.matches(['{', '[']).count();
-    let closes = json.matches(['}', ']']).count();
-    if opens != closes {
-        return Err(format!("unbalanced brackets: {opens} open, {closes} close"));
-    }
-    if !json.contains("\"schema\": \"xbench.xprof/1\"") {
-        return Err("schema tag is not xbench.xprof/1".to_string());
-    }
-    Ok(())
-}
 
 fn main() {
     let opts = parse_opts();
@@ -213,7 +178,7 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
 
-    if let Err(e) = validate(&json) {
+    if let Err(e) = validate(&json, "xbench.xprof/1", REQUIRED_FIELDS) {
         eprintln!("BENCH_xprof.json failed schema validation: {e}");
         std::process::exit(1);
     }
@@ -230,37 +195,4 @@ fn main() {
         md_path.display(),
         json_path.display()
     );
-}
-
-/// Untraced latency at an arbitrary iteration count (the library's
-/// [`rpc_latency`] is fixed at [`LATENCY_ITERS`]; quick mode uses fewer).
-fn rpc_latency_iters(stack: &xrpc::stacks::StackDef, iters: usize) -> u64 {
-    if iters == LATENCY_ITERS {
-        return rpc_latency(stack);
-    }
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    use xbench::{rpc_rig, WARMUP_ITERS};
-    use xkernel::sim::Mode;
-    use xrpc::procs::NULL_PROC;
-    let tb = rpc_rig(stack, Mode::Scheduled);
-    let server_ip = tb.server_ip;
-    let entry = stack.entry;
-    let out = Rc::new(RefCell::new(0u64));
-    let o2 = Rc::clone(&out);
-    tb.sim.spawn(tb.client.host(), move |ctx| {
-        let k = ctx.kernel();
-        for _ in 0..WARMUP_ITERS {
-            xrpc::call(ctx, k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
-        }
-        let t0 = ctx.now();
-        for _ in 0..iters {
-            xrpc::call(ctx, k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
-        }
-        *o2.borrow_mut() = (ctx.now() - t0) / iters as u64;
-    });
-    let r = tb.sim.run_until_idle();
-    assert_eq!(r.blocked, 0, "latency run must drain");
-    let v = *out.borrow_mut();
-    v
 }

@@ -2,8 +2,8 @@
 //!
 //! Regenerates every table and figure in the paper's evaluation section.
 //! Each `src/bin/*` binary prints one table, with the paper's values beside
-//! ours; `benches/paper.rs` measures the same configurations as real CPU
-//! time (criterion, inline-synchronous network).
+//! ours. Host (real-CPU) time is measured by the separate perfbench
+//! harness: `python3 perfbench/run.py`.
 //!
 //! Methodology mirrors §4: the latency test is "the round trip delay for
 //! invoking a null procedure with null request and reply messages"; the
@@ -17,13 +17,14 @@
 #![warn(missing_docs)]
 
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 use inet::testbed::{base_registry, two_hosts, TwoHosts};
 use inet::with_concrete;
 use xkernel::graph::ProtocolRegistry;
 use xkernel::prelude::*;
-use xkernel::sim::{Mode, Sim, SimConfig};
+use xkernel::sim::{Sim, SimConfig};
 use xrpc::pinger::Pinger;
 use xrpc::procs::{NULL_PROC, SINK_PROC};
 use xrpc::stacks::StackDef;
@@ -46,21 +47,23 @@ pub fn registry() -> ProtocolRegistry {
     reg
 }
 
-/// Builds the standard two-host rig for a stack in the given mode, with the
+/// Builds the standard two-host scheduled rig for a stack, with the
 /// standard procedures registered on the server.
-pub fn rpc_rig(stack: &StackDef, mode: Mode) -> TwoHosts {
-    let cfg = match mode {
-        Mode::Inline => SimConfig::inline_mode(),
-        Mode::Scheduled => SimConfig::scheduled(),
-    };
-    let tb = two_hosts(cfg, &registry(), stack.graph).expect("testbed builds");
+pub fn rpc_rig(stack: &StackDef) -> TwoHosts {
+    let tb = two_hosts(SimConfig::scheduled(), &registry(), stack.graph).expect("testbed builds");
     xrpc::procs::register_standard(&tb.server, stack.entry).expect("procedures register");
     tb
 }
 
-/// Round-trip latency (virtual ns) of a null RPC on `stack`.
+/// Round-trip latency (virtual ns) of a null RPC on `stack`, averaged over
+/// [`LATENCY_ITERS`] calls.
 pub fn rpc_latency(stack: &StackDef) -> u64 {
-    let tb = rpc_rig(stack, Mode::Scheduled);
+    rpc_latency_iters(stack, LATENCY_ITERS)
+}
+
+/// [`rpc_latency`] averaged over `iters` calls.
+pub fn rpc_latency_iters(stack: &StackDef, iters: usize) -> u64 {
+    let tb = rpc_rig(stack);
     let server_ip = tb.server_ip;
     let entry = stack.entry;
     let out = Rc::new(RefCell::new(0u64));
@@ -71,10 +74,10 @@ pub fn rpc_latency(stack: &StackDef) -> u64 {
             xrpc::call(ctx, k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
         }
         let t0 = ctx.now();
-        for _ in 0..LATENCY_ITERS {
+        for _ in 0..iters {
             xrpc::call(ctx, k, entry, server_ip, NULL_PROC, Vec::new()).unwrap();
         }
-        *o2.borrow_mut() = (ctx.now() - t0) / LATENCY_ITERS as u64;
+        *o2.borrow_mut() = (ctx.now() - t0) / iters as u64;
     });
     let r = tb.sim.run_until_idle();
     assert_eq!(r.blocked, 0, "latency run must drain");
@@ -160,7 +163,7 @@ pub fn rpc_latency_traced(stack: &StackDef, iters: usize) -> TracedLatency {
 /// One throughput measurement: round trips of `size`-byte requests with
 /// null replies. Returns average ns per call.
 pub fn rpc_rtt_for_size(stack: &StackDef, size: usize, iters: usize) -> u64 {
-    let tb = rpc_rig(stack, Mode::Scheduled);
+    let tb = rpc_rig(stack);
     let server_ip = tb.server_ip;
     let entry = stack.entry;
     let out = Rc::new(RefCell::new(0u64));
@@ -272,4 +275,43 @@ pub fn print_row(cells: &[String]) {
         line.push_str(&format!("{c:>24}"));
     }
     println!("{line}");
+}
+
+/// Escapes a string for JSON.
+pub fn js(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Checks a hand-built BENCH document before it is written: every
+/// `required` field (given quoted, as `"\"name\""`) is present, brackets
+/// balance, and the schema tag is `schema`. The harnesses refuse to write a
+/// file that fails, and `ci.sh` greps the same field lists from outside.
+pub fn validate(json: &str, schema: &str, required: &[&str]) -> Result<(), String> {
+    for f in required {
+        if !json.contains(f) {
+            return Err(format!("missing required field {f}"));
+        }
+    }
+    let opens = json.matches(['{', '[']).count();
+    let closes = json.matches(['}', ']']).count();
+    if opens != closes {
+        return Err(format!("unbalanced brackets: {opens} open, {closes} close"));
+    }
+    if !json.contains(&format!("\"schema\": \"{schema}\"")) {
+        return Err(format!("schema tag is not {schema}"));
+    }
+    Ok(())
 }

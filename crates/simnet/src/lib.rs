@@ -16,7 +16,7 @@
 //!
 //! In inline mode ([`xkernel::sim::Mode::Inline`]) frames are delivered by
 //! direct procedure call on the sender's thread — zero latency, no events —
-//! which is what the criterion benchmarks measure.
+//! which is what perfbench's `null_rpc` and `bulk_16k` workloads measure.
 
 #![warn(missing_docs)]
 

@@ -170,7 +170,7 @@ pub struct ParamSpec {
 /// declaration is checkable against what the simulator actually observes.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum BlockPoint {
-    /// Blocks on a semaphore (`Sema::p`, a reply wait or a pool acquire).
+    /// Blocks on a semaphore (`SharedSema::p`, a reply wait or a pool acquire).
     Sema,
     /// Blocks with a timer armed (`p_timeout`, retransmission machinery).
     Timer,

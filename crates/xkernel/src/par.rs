@@ -20,8 +20,8 @@ use std::sync::Mutex;
 /// Honest physical core count. `available_parallelism` respects cgroup CPU
 /// quotas and affinity masks, which container CI frequently pins to 1 even
 /// on large hosts — so cross-check it against `/proc/cpuinfo` and take the
-/// larger answer. The wallclock benchmark records this so a "parallel"
-/// soak on a multi-core box is never silently run at `threads = 1`.
+/// larger answer, so a "parallel" fan-out on a multi-core box is never
+/// silently run at `threads = 1`.
 pub fn detect_cores() -> usize {
     let avail = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
@@ -124,6 +124,27 @@ mod tests {
             *x
         });
         assert_eq!(out, (0..32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn two_threads_run_two_jobs_at_once() {
+        // Each job waits, for a bounded time, until both jobs have started.
+        // Both can see that only if their runs overlap; a pool that ran the
+        // jobs one after the other would time the first one out.
+        use std::time::{Duration, Instant};
+        let started = AtomicUsize::new(0);
+        let saw_both = run_indexed(vec![0u8, 1], 2, |_| {
+            started.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while started.load(Ordering::SeqCst) < 2 {
+                if Instant::now() >= deadline {
+                    return false;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            true
+        });
+        assert_eq!(saw_both, [true, true], "jobs never ran concurrently");
     }
 
     #[test]

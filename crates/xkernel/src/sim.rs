@@ -134,7 +134,7 @@ impl SimConfig {
         }
     }
 
-    /// Inline mode (criterion measurement / fast tests).
+    /// Inline mode (host-time measurement with `perfbench` / fast tests).
     pub fn inline_mode() -> SimConfig {
         SimConfig {
             mode: Mode::Inline,
@@ -973,9 +973,44 @@ impl Sim {
         if self.core.mode != Mode::Scheduled {
             return Err(XError::Unsupported("restore in inline mode"));
         }
+        // Every check runs before anything is overwritten, so a refused
+        // snapshot leaves the simulator exactly as it was.
+        self.require_quiescent(&self.core.sched.borrow())?;
+        let hosts = self.core.hosts.borrow().cpu.len();
+        if hosts != snap.cpu.len() {
+            return Err(XError::Config(format!(
+                "snapshot holds {} hosts but the simulator has {hosts}",
+                snap.cpu.len()
+            )));
+        }
+        let kernels = self.kernels();
+        if kernels.len() != snap.protos.len() {
+            return Err(XError::Config(
+                "snapshot is from a different rig (kernel count mismatch)".into(),
+            ));
+        }
+        let kernel_slots: Vec<_> = kernels.iter().map(|k| k.protocol_slots()).collect();
+        for ((k, slots), blobs) in kernels.iter().zip(&kernel_slots).zip(&snap.protos) {
+            if slots.len() != blobs.len() {
+                return Err(XError::Config(format!(
+                    "snapshot is from a different rig ({} protocol slots vs {} on {})",
+                    blobs.len(),
+                    slots.len(),
+                    k.name()
+                )));
+            }
+        }
+        let machines = snap
+            .machines
+            .iter()
+            .map(|sm| {
+                sm.m.fork().map(|m| (sm, m)).ok_or_else(|| {
+                    XError::Config("snapshotted machine refused to fork on restore".into())
+                })
+            })
+            .collect::<XResult<Vec<_>>>()?;
         {
             let mut g = self.core.sched.borrow_mut();
-            self.require_quiescent(&g)?;
             g.now = snap.now;
             g.seq = snap.seq;
             g.next_lp = snap.next_lp;
@@ -1003,10 +1038,7 @@ impl Sim {
                 );
                 g.heap.push(std::cmp::Reverse((w.t, w.seq)));
             }
-            for sm in &snap.machines {
-                let m = sm.m.fork().ok_or_else(|| {
-                    XError::Config("snapshotted machine refused to fork on restore".into())
-                })?;
+            for (sm, m) in machines {
                 g.lps.insert(
                     sm.lp,
                     LpState {
@@ -1022,13 +1054,6 @@ impl Sim {
         }
         {
             let mut h = self.core.hosts.borrow_mut();
-            if h.cpu.len() != snap.cpu.len() {
-                return Err(XError::Config(format!(
-                    "snapshot holds {} hosts but the simulator has {}",
-                    snap.cpu.len(),
-                    h.cpu.len()
-                )));
-            }
             h.cpu.clone_from(&snap.cpu);
             h.down.clone_from(&snap.down);
             h.epoch.clone_from(&snap.epoch);
@@ -1037,23 +1062,8 @@ impl Sim {
         }
         self.core.rng.set(snap.rng);
         self.core.journal.borrow_mut().truncate(snap.journal_len);
-        let kernels = self.kernels();
-        if kernels.len() != snap.protos.len() {
-            return Err(XError::Config(
-                "snapshot is from a different rig (kernel count mismatch)".into(),
-            ));
-        }
-        for (k, blobs) in kernels.iter().zip(&snap.protos) {
+        for ((k, slots), blobs) in kernels.iter().zip(&kernel_slots).zip(&snap.protos) {
             let ctx = self.ctx(k.host());
-            let slots = k.protocol_slots();
-            if slots.len() != blobs.len() {
-                return Err(XError::Config(format!(
-                    "snapshot is from a different rig ({} protocol slots vs {} on {})",
-                    blobs.len(),
-                    slots.len(),
-                    k.name()
-                )));
-            }
             for (slot, blob) in slots.iter().zip(blobs) {
                 if let (Some(p), Some(b)) = (slot, blob) {
                     p.restore_snap(&ctx, b)?;
@@ -2112,7 +2122,7 @@ impl Ctx {
     }
 
     /// Schedules a wake for a blocked process at this context's current
-    /// time. Used by [`Sema`]; stale wakes are prevented by timer
+    /// time. Used by [`SharedSema`]; stale wakes are prevented by timer
     /// cancellation, and ignored defensively by the scheduler.
     pub(crate) fn wake(&self, lp: LpId, reason: WakeReason) {
         let t = self.event_time();
@@ -2280,12 +2290,8 @@ struct SemaState {
     next_seq: u64,
 }
 
-/// A counting semaphore integrated with the simulator: P blocks the shepherd
-/// process in scheduled mode; in inline mode P on a zero count is a
-/// programming error for plain [`Sema::p`] and a clean `false` for
-/// [`SharedSema::p_timeout`] (the awaited event can never arrive inline, so the
-/// timeout outcome is the truthful one).
-pub struct Sema {
+/// The state behind a [`SharedSema`], shared through one `Rc`.
+struct SemaCore {
     st: RefCell<SemaState>,
     /// Globally unique identity for the checker's holding/wait-for maps.
     id: u64,
@@ -2293,20 +2299,29 @@ pub struct Sema {
     label: &'static str,
 }
 
-/// Source of [`Sema::id`] values; process-wide so distinct simulations
-/// never alias.
+/// Source of semaphore checker identities; process-wide so distinct
+/// simulations never alias.
 static NEXT_SEMA_ID: AtomicU64 = AtomicU64::new(0);
 
-impl Sema {
+/// A counting semaphore integrated with the simulator: P blocks the shepherd
+/// process in scheduled mode; in inline mode P on a zero count is a
+/// programming error for plain [`SharedSema::p`] and a clean `false` for
+/// [`SharedSema::p_timeout`] (the awaited event can never arrive inline, so
+/// the timeout outcome is the truthful one). Clones share one semaphore,
+/// which is how [`SharedSema::p_timeout`] hands it to its timeout closure.
+#[derive(Clone)]
+pub struct SharedSema(Rc<SemaCore>);
+
+impl SharedSema {
     /// A semaphore with the given initial count.
-    pub fn new(initial: i64) -> Sema {
-        Sema::labeled(initial, "sema")
+    pub fn new(initial: i64) -> SharedSema {
+        SharedSema::labeled(initial, "sema")
     }
 
     /// A semaphore with the given initial count and a label that xcheck
     /// violation reports (deadlock cycles, double waits) will carry.
-    pub fn labeled(initial: i64, label: &'static str) -> Sema {
-        Sema {
+    pub fn labeled(initial: i64, label: &'static str) -> SharedSema {
+        SharedSema(Rc::new(SemaCore {
             st: RefCell::new(SemaState {
                 count: initial,
                 waiters: VecDeque::new(),
@@ -2314,19 +2329,19 @@ impl Sema {
             }),
             id: NEXT_SEMA_ID.fetch_add(1, Ordering::Relaxed),
             label,
-        }
+        }))
     }
 
     /// Current count (tests/introspection).
     pub fn count(&self) -> i64 {
-        self.st.borrow().count
+        self.0.st.borrow().count
     }
 
     /// Captures `(count, next_seq)` for a whole-sim snapshot. Legal only at
     /// a quiescent instant — no process can be parked on the semaphore
     /// then, so losing the (empty) waiter queue is sound.
     pub fn snap_state(&self) -> (i64, u64) {
-        let st = self.st.borrow();
+        let st = self.0.st.borrow();
         debug_assert!(
             st.waiters.is_empty(),
             "sema snapshot with waiters parked (not quiescent)"
@@ -2334,10 +2349,10 @@ impl Sema {
         (st.count, st.next_seq)
     }
 
-    /// Restores state captured by [`Sema::snap_state`]. Same quiescence
-    /// requirement; any stray waiters are dropped.
+    /// Restores state captured by [`SharedSema::snap_state`]. Same
+    /// quiescence requirement; any stray waiters are dropped.
     pub fn restore_state(&self, (count, next_seq): (i64, u64)) {
-        let mut st = self.st.borrow_mut();
+        let mut st = self.0.st.borrow_mut();
         st.waiters.clear();
         st.count = count;
         st.next_seq = next_seq;
@@ -2348,7 +2363,7 @@ impl Sema {
     fn try_take(&self, ctx: &Ctx) -> bool {
         ctx.charge_class(OpClass::Sema, ctx.cost().sema_op);
         {
-            let mut st = self.st.borrow_mut();
+            let mut st = self.0.st.borrow_mut();
             if st.count <= 0 {
                 return false;
             }
@@ -2357,7 +2372,7 @@ impl Sema {
         if ctx.core.check_on {
             if let Some(lp) = ctx.lp {
                 let mut chk = ctx.core.check.borrow_mut();
-                chk.on_acquire(lp.0, self.id, self.label, ctx.host.0);
+                chk.on_acquire(lp.0, self.0.id, self.0.label, ctx.host.0);
             }
         }
         true
@@ -2366,7 +2381,7 @@ impl Sema {
     /// Queues `lp` behind the semaphore and returns its place in line.
     fn enqueue(&self, ctx: &Ctx, lp: LpId) -> u64 {
         let seq = {
-            let mut st = self.st.borrow_mut();
+            let mut st = self.0.st.borrow_mut();
             let seq = st.next_seq;
             st.next_seq += 1;
             st.waiters.push_back(Waiter {
@@ -2378,7 +2393,7 @@ impl Sema {
         };
         if ctx.core.check_on {
             let mut chk = ctx.core.check.borrow_mut();
-            chk.on_wait_begin(lp.0, self.id, self.label, ctx.host.0);
+            chk.on_wait_begin(lp.0, self.0.id, self.0.label, ctx.host.0);
         }
         seq
     }
@@ -2389,14 +2404,17 @@ impl Sema {
             return;
         }
         if ctx.mode() == Mode::Inline {
-            panic!("Sema::p would block in inline mode");
+            panic!("SharedSema::p would block in inline mode");
         }
         let lp = ctx.lp().expect("P outside a shepherd process");
         self.enqueue(ctx, lp);
         let reason = ctx.block_current();
         debug_assert_eq!(reason, WakeReason::Normal, "untimed P woke by timeout");
         if ctx.core.check_on {
-            ctx.core.check.borrow_mut().on_wait_end(lp.0, self.id, true);
+            ctx.core
+                .check
+                .borrow_mut()
+                .on_wait_end(lp.0, self.0.id, true);
         }
     }
 
@@ -2404,7 +2422,7 @@ impl Sema {
     pub fn v(&self, ctx: &Ctx) {
         ctx.charge_class(OpClass::Sema, ctx.cost().sema_op);
         let woken = {
-            let mut st = self.st.borrow_mut();
+            let mut st = self.0.st.borrow_mut();
             match st.waiters.pop_front() {
                 Some(w) => Some(w),
                 None => {
@@ -2416,8 +2434,8 @@ impl Sema {
         if ctx.core.check_on {
             ctx.core.check.borrow_mut().on_release(
                 ctx.lp.map(|l| l.0),
-                self.id,
-                self.label,
+                self.0.id,
+                self.0.label,
                 ctx.host.0,
                 woken.as_ref().map(|w| w.lp.0),
             );
@@ -2429,60 +2447,17 @@ impl Sema {
             ctx.wake(w.lp, WakeReason::Normal);
         }
     }
-}
-
-/// The shareable semaphore: a thin `Rc` wrapper whose
-/// [`SharedSema::p_timeout`] can safely hand the semaphore to its timeout
-/// closure.
-#[derive(Clone)]
-pub struct SharedSema(Rc<Sema>);
-
-impl SharedSema {
-    /// A shareable semaphore with the given initial count.
-    pub fn new(initial: i64) -> SharedSema {
-        SharedSema(Rc::new(Sema::new(initial)))
-    }
-
-    /// A shareable labeled semaphore (see [`Sema::labeled`]).
-    pub fn labeled(initial: i64, label: &'static str) -> SharedSema {
-        SharedSema(Rc::new(Sema::labeled(initial, label)))
-    }
-
-    /// Current count.
-    pub fn count(&self) -> i64 {
-        self.0.count()
-    }
-
-    /// Captures `(count, next_seq)`; see [`Sema::snap_state`].
-    pub fn snap_state(&self) -> (i64, u64) {
-        self.0.snap_state()
-    }
-
-    /// Restores captured state; see [`Sema::restore_state`].
-    pub fn restore_state(&self, state: (i64, u64)) {
-        self.0.restore_state(state)
-    }
-
-    /// P: acquire, blocking.
-    pub fn p(&self, ctx: &Ctx) {
-        self.0.p(ctx)
-    }
-
-    /// V: release.
-    pub fn v(&self, ctx: &Ctx) {
-        self.0.v(ctx)
-    }
 
     /// P with timeout; `true` if acquired.
     pub fn p_timeout(&self, ctx: &Ctx, dt: Nanos) -> bool {
-        if self.0.try_take(ctx) {
+        if self.try_take(ctx) {
             return true;
         }
         if ctx.mode() == Mode::Inline {
             return false;
         }
         let lp = ctx.lp().expect("P outside a shepherd process");
-        let seq = self.0.enqueue(ctx, lp);
+        let seq = self.enqueue(ctx, lp);
         self.arm_timeout(ctx, lp, seq, dt);
         let acquired = matches!(ctx.block_current(), WakeReason::Normal);
         if ctx.core.check_on {
@@ -2518,17 +2493,17 @@ impl SharedSema {
     }
 
     /// Registers a *machine* wait on behalf of the scheduler: the
-    /// charge/fast-path/waiter/timer sequence of [`Sema::p`] and
+    /// charge/fast-path/waiter/timer sequence of [`SharedSema::p`] and
     /// [`SharedSema::p_timeout`] without the block itself. Returns `true`
     /// when a unit was acquired immediately (no block needed); otherwise
     /// the waiter (and optional timeout timer) is registered and the
     /// caller parks the machine. The matching `on_wait_end` hook runs when
     /// the scheduler resumes the machine.
     pub(crate) fn register_wait(&self, ctx: &Ctx, lp: LpId, timeout: Option<Nanos>) -> bool {
-        if self.0.try_take(ctx) {
+        if self.try_take(ctx) {
             return true;
         }
-        let seq = self.0.enqueue(ctx, lp);
+        let seq = self.enqueue(ctx, lp);
         if let Some(dt) = timeout {
             self.arm_timeout(ctx, lp, seq, dt);
         }

@@ -139,3 +139,60 @@ fn snapshot_can_fork_a_paused_population_twice() {
         assert_eq!(sim.run_until_idle(), first);
     }
 }
+
+/// A drained `hosts`-host simulator whose clock stands at `at`: one
+/// machine on host 0 ticks once at 0, sleeps until `at`, then exits.
+fn drained_at(hosts: usize, at: u64) -> Sim {
+    let sim = Sim::new(
+        SimConfig::scheduled()
+            .with_seed(5)
+            .with_cost(CostModel::zero()),
+    );
+    for h in 0..hosts {
+        let _k = Kernel::new(&sim, &format!("h{h}"));
+    }
+    sim.spawn_vproc(
+        HostId(0),
+        Box::new(Ticker {
+            left: 1,
+            period: at,
+            log: Rc::new(RefCell::new(Vec::new())),
+            id: 0,
+        }),
+    );
+    sim.run_until_idle();
+    assert_eq!(sim.virtual_now(), at);
+    sim
+}
+
+#[test]
+fn a_refused_restore_leaves_the_simulator_untouched() {
+    let snap = drained_at(2, 1_000)
+        .snapshot()
+        .expect("drained sim snapshots");
+    let sim = drained_at(3, 50_000);
+    let control = drained_at(3, 50_000);
+    let hash = sim.sched_hash();
+
+    assert!(
+        sim.restore(&snap).is_err(),
+        "a 2-host snapshot must not restore into a 3-host simulator"
+    );
+    assert_eq!(sim.virtual_now(), 50_000, "refused restore moved the clock");
+    assert_eq!(sim.sched_hash(), hash, "refused restore moved sched_hash");
+
+    // The simulator runs on exactly as one that never saw the snapshot.
+    let tick = |s: &Sim| {
+        s.spawn_vproc(
+            HostId(2),
+            Box::new(Ticker {
+                left: 3,
+                period: 700,
+                log: Rc::new(RefCell::new(Vec::new())),
+                id: 1,
+            }),
+        );
+        s.run_until_idle()
+    };
+    assert_eq!(tick(&sim), tick(&control));
+}
