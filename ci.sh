@@ -57,6 +57,21 @@ if [ -n "$LOCKS" ]; then
     exit 1
 fi
 
+echo "==> map-gate: one map type in the engine and protocols"
+# Every table in the engine and the protocols is an xkernel::map::{Map, Set}
+# over the in-tree multiply-rotate hasher. A std HashMap or HashSet creeping
+# back in would put SipHash back on every demux lookup. Any mention counts,
+# so a multi-line `use std::collections::{...}` cannot slip through.
+# Allowlisted: map.rs, which defines the aliases over std's tables.
+MAPS=$(grep -rnE '\bHash(Map|Set)\b' \
+    crates/{xkernel,core,inet,simnet,sunrpc,psync,xload,chaos,xcheck}/src |
+    grep -v '^crates/xkernel/src/map\.rs:' || true)
+if [ -n "$MAPS" ]; then
+    echo "ci: std HashMap/HashSet in the engine or protocols (use xkernel::map):" >&2
+    echo "$MAPS" >&2
+    exit 1
+fi
+
 echo "==> vproc-smoke: 100k-client closed loop on stackless machines"
 # One persistent machine per client plus a transient coroutine per
 # in-flight call. The binary asserts every call completes, nothing is left

@@ -40,6 +40,7 @@ use simnet::{FaultEvent, LanStats};
 use sunrpc::sunselect::SunSelect;
 use xkernel::check::CheckReport;
 use xkernel::journal::Journal;
+use xkernel::map::Set;
 use xkernel::prelude::*;
 use xkernel::sim::{RunReport, ScheduleChooser, SimConfig};
 use xrpc::stacks::{StackDef, ALL_RPC_STACKS};
@@ -409,7 +410,7 @@ struct Tally {
     garbage: u32,
     /// Tags of intact request payloads the procedure has executed, for
     /// per-call duplicate detection.
-    seen: std::collections::HashSet<u64>,
+    seen: Set<u64>,
     duplicate_execs: u32,
 }
 

@@ -21,9 +21,9 @@
 
 use std::any::Any;
 use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
+use xkernel::map::Map;
 use xkernel::prelude::*;
 use xkernel::sim::Nanos;
 
@@ -64,7 +64,6 @@ impl Default for ChanConfig {
 
 struct Outstanding {
     seq: u32,
-    sema: SharedSema,
     reply: Option<Result<Message, u16>>,
     acked: bool,
     sent_at: u64,
@@ -94,6 +93,9 @@ pub struct ChanClientSession {
     proto_num: u32,
     peer: IpAddr,
     lower: SessionRef,
+    /// Signalled when the outstanding request's reply or ACK arrives; one
+    /// per channel, reset as each request starts.
+    sema: SharedSema,
     st: RefCell<ClientState>,
 }
 
@@ -128,7 +130,7 @@ impl Session for ChanClientSession {
 
     fn push(&self, ctx: &Ctx, msg: Message) -> XResult<Option<Message>> {
         let parent = self.parent();
-        let (seq, sema) = {
+        let seq = {
             let mut st = self.st.borrow_mut();
             if st.outstanding.is_some() {
                 return Err(XError::Config(format!(
@@ -137,16 +139,16 @@ impl Session for ChanClientSession {
                 )));
             }
             st.seq = st.seq.wrapping_add(1);
-            let sema = SharedSema::new(0);
             st.outstanding = Some(Outstanding {
                 seq: st.seq,
-                sema: sema.clone(),
                 reply: None,
                 acked: false,
                 sent_at: ctx.now(),
             });
-            (st.seq, sema)
+            st.seq
         };
+        let sema = &self.sema;
+        sema.reset();
 
         let boot_id = parent.boot_id();
         let mut hdr = ChannelHdr {
@@ -371,9 +373,9 @@ pub struct Channel {
     boot: Cell<u32>,
     next_chan: Cell<u16>,
     estimator: RefCell<RtoEstimator>,
-    enables: RefCell<HashMap<u32, ProtoId>>,
-    clients: RefCell<HashMap<(u16, u32), Rc<ChanClientSession>>>,
-    servers: RefCell<HashMap<(PeerKey, u16, u32), Rc<ChanServerSession>>>,
+    enables: RefCell<Map<u32, ProtoId>>,
+    clients: RefCell<Map<(u16, u32), Rc<ChanClientSession>>>,
+    servers: RefCell<Map<(PeerKey, u16, u32), Rc<ChanServerSession>>>,
 }
 
 impl Channel {
@@ -399,9 +401,9 @@ impl Channel {
                 cfg.min_rto_ns,
                 cfg.max_rto_ns,
             )),
-            enables: RefCell::new(HashMap::new()),
-            clients: RefCell::new(HashMap::new()),
-            servers: RefCell::new(HashMap::new()),
+            enables: RefCell::new(Map::default()),
+            clients: RefCell::new(Map::default()),
+            servers: RefCell::new(Map::default()),
         })
     }
 
@@ -644,9 +646,8 @@ impl Channel {
         }
         if hdr.flags & flags::ACK != 0 {
             out.acked = true;
-            let sema = out.sema.clone();
             drop(st);
-            sema.v(ctx);
+            client.sema.v(ctx);
             return Ok(());
         }
         if out.reply.is_none() {
@@ -655,9 +656,8 @@ impl Channel {
             } else {
                 Ok(msg)
             });
-            let sema = out.sema.clone();
             drop(st);
-            sema.v(ctx);
+            client.sema.v(ctx);
         }
         Ok(())
     }
@@ -734,6 +734,7 @@ impl Protocol for Channel {
             proto_num,
             peer,
             lower,
+            sema: SharedSema::new(0),
             st: RefCell::new(ClientState {
                 seq: 0,
                 outstanding: None,
@@ -901,7 +902,7 @@ struct ChanSnap {
     peer_boot: u32,
     adaptive: bool,
     max_backoff: u32,
-    enables: HashMap<u32, ProtoId>,
-    clients: HashMap<(u16, u32), (Rc<ChanClientSession>, u32)>,
-    servers: HashMap<(PeerKey, u16, u32), (Rc<ChanServerSession>, ServerSnap)>,
+    enables: Map<u32, ProtoId>,
+    clients: Map<(u16, u32), (Rc<ChanClientSession>, u32)>,
+    servers: Map<(PeerKey, u16, u32), (Rc<ChanServerSession>, ServerSnap)>,
 }

@@ -19,13 +19,13 @@
 
 use std::any::Any;
 use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
+use xkernel::map::Map;
 use xkernel::prelude::*;
 use xkernel::sim::Nanos;
 
-use crate::hdr::{frag_type, FragmentHdr, FRAGMENT_HDR_LEN};
+use crate::hdr::{frag_fields_valid, frag_type, full_mask, FragmentHdr, FRAGMENT_HDR_LEN};
 use crate::protnum::rel_proto_num;
 
 /// Maximum fragments per message (one bit each in `frag_mask`).
@@ -104,12 +104,12 @@ pub struct Fragment {
     lower_name: OnceCell<&'static str>,
     base_frag_size: OnceCell<usize>,
     next_seq: Cell<u32>,
-    enables: RefCell<HashMap<u32, ProtoId>>,
+    enables: RefCell<Map<u32, ProtoId>>,
     // Retained sent messages, insertion-ordered for LRU eviction.
     send_cache: RefCell<Vec<(u32, Saved)>>,
-    rasm: RefCell<HashMap<(u32, u32), Rasm>>,
-    passive: RefCell<HashMap<(u32, u32), SessionRef>>,
-    lowers: RefCell<HashMap<u32, (SessionRef, usize)>>,
+    rasm: RefCell<Map<(u32, u32), Rasm>>,
+    passive: RefCell<Map<(u32, u32), SessionRef>>,
+    lowers: RefCell<Map<u32, (SessionRef, usize)>>,
     counters: RefCell<FragStats>,
 }
 
@@ -126,11 +126,11 @@ impl Fragment {
             lower_name: OnceCell::new(),
             base_frag_size: OnceCell::new(),
             next_seq: Cell::new(0),
-            enables: RefCell::new(HashMap::new()),
+            enables: RefCell::new(Map::default()),
             send_cache: RefCell::new(Vec::new()),
-            rasm: RefCell::new(HashMap::new()),
-            passive: RefCell::new(HashMap::new()),
-            lowers: RefCell::new(HashMap::new()),
+            rasm: RefCell::new(Map::default()),
+            passive: RefCell::new(Map::default()),
+            lowers: RefCell::new(Map::default()),
             counters: RefCell::default(),
         })
     }
@@ -168,20 +168,6 @@ impl Fragment {
         Ok((sess, frag_size))
     }
 
-    /// Splits `msg` (zero-copy) into its fragments under `frag_size`.
-    fn split(msg: &Message, frag_size: usize) -> Vec<Message> {
-        let mut rest = msg.clone();
-        let mut out = Vec::new();
-        while rest.len() > frag_size {
-            let tail = rest
-                .split_off(frag_size)
-                .expect("split within checked length");
-            out.push(std::mem::replace(&mut rest, tail));
-        }
-        out.push(rest);
-        out
-    }
-
     /// Transmits the fragments of `saved` selected by `mask`.
     fn transmit(
         &self,
@@ -191,8 +177,7 @@ impl Fragment {
         seq: u32,
         mask: u16,
     ) -> XResult<()> {
-        let frags = Self::split(&saved.msg, saved.frag_size);
-        for (i, frag) in frags.into_iter().enumerate() {
+        for (i, frag) in saved.msg.chunks(saved.frag_size).enumerate() {
             if mask & (1 << i) == 0 {
                 continue;
             }
@@ -247,12 +232,7 @@ impl Fragment {
             num_frags: num_frags as u16,
             frag_size,
         };
-        let full_mask = if num_frags == 16 {
-            u16::MAX
-        } else {
-            (1u16 << num_frags) - 1
-        };
-        self.transmit(ctx, &lower, &saved, seq, full_mask)?;
+        self.transmit(ctx, &lower, &saved, seq, full_mask(num_frags as u16))?;
 
         // Retain a copy for NACK service, bounded and timed.
         {
@@ -320,12 +300,7 @@ impl Fragment {
                 self.arm_gap_timer(ctx, key);
                 return;
             }
-            let full = if ent.num_frags as usize == 16 {
-                u16::MAX
-            } else {
-                (1u16 << ent.num_frags) - 1
-            };
-            let missing = full & !ent.have_mask;
+            let missing = full_mask(ent.num_frags) & !ent.have_mask;
             if missing == 0 {
                 return;
             }
@@ -366,7 +341,7 @@ impl Fragment {
     fn data_in(&self, ctx: &Ctx, hdr: FragmentHdr, mut msg: Message) -> XResult<()> {
         // Single-fragment fast path: no state, no timers. Trim any
         // link-level padding with the header's total-length field.
-        if hdr.num_frags <= 1 {
+        if hdr.num_frags == 1 {
             msg.truncate(usize::from(hdr.len));
             return self.deliver_up(ctx, hdr.clnt_host, hdr.protocol_num, msg);
         }
@@ -392,12 +367,7 @@ impl Fragment {
                 ent.parts[idx] = Some(msg);
                 ent.have_mask |= 1 << idx;
             }
-            let full = if ent.num_frags as usize == 16 {
-                u16::MAX
-            } else {
-                (1u16 << ent.num_frags) - 1
-            };
-            if ent.have_mask == full {
+            if ent.have_mask == full_mask(ent.num_frags) {
                 let parts = std::mem::take(&mut ent.parts);
                 let proto = ent.proto_num;
                 rasm.remove(&key);
@@ -604,6 +574,14 @@ impl Protocol for Fragment {
         let bytes = ctx.pop_header(&mut msg, FRAGMENT_HDR_LEN)?;
         let hdr = FragmentHdr::decode(&bytes)?;
         drop(bytes);
+        // DATA names one fragment of a message, NACK the missing ones: a
+        // count no message can have, or a bit beyond the count, cannot
+        // come from a sender and must not reach reassembly.
+        if !frag_fields_valid(hdr.num_frags, hdr.frag_mask) {
+            ctx.note(RobustEvent::CorruptRejected);
+            ctx.trace_note("fragment: impossible fragment count or mask");
+            return Ok(());
+        }
         match hdr.typ {
             frag_type::DATA => self.data_in(ctx, hdr, msg),
             frag_type::NACK => self.nack_in(ctx, hdr),
@@ -671,9 +649,9 @@ impl Protocol for Fragment {
 #[derive(Clone)]
 struct FragSnap {
     next_seq: u32,
-    enables: HashMap<u32, ProtoId>,
-    passive: HashMap<(u32, u32), SessionRef>,
-    lowers: HashMap<u32, (SessionRef, usize)>,
+    enables: Map<u32, ProtoId>,
+    passive: Map<(u32, u32), SessionRef>,
+    lowers: Map<u32, (SessionRef, usize)>,
     stats: FragStats,
 }
 

@@ -67,9 +67,9 @@ pub const SPRITE_HDR_LEN: usize = 36;
 
 impl SpriteHdr {
     /// Encodes to network byte order.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(SPRITE_HDR_LEN);
-        w.u16(self.flags)
+    pub fn encode(&self) -> [u8; SPRITE_HDR_LEN] {
+        FixedWriter::new()
+            .u16(self.flags)
             .ip(self.clnt_host)
             .ip(self.srvr_host)
             .u16(self.channel)
@@ -82,28 +82,28 @@ impl SpriteHdr {
             .u16(self.data1_sz)
             .u16(self.data2_sz)
             .u16(self.data1_offset)
-            .u16(self.data2_offset);
-        w.finish()
+            .u16(self.data2_offset)
+            .finish()
     }
 
     /// Decodes from network byte order.
     pub fn decode(bytes: &[u8]) -> XResult<SpriteHdr> {
-        let mut r = WireReader::new(bytes, "sprite_hdr");
+        let mut r = FixedReader::<SPRITE_HDR_LEN>::new(bytes, "sprite_hdr")?;
         Ok(SpriteHdr {
-            flags: r.u16()?,
-            clnt_host: r.ip()?,
-            srvr_host: r.ip()?,
-            channel: r.u16()?,
-            srvr_process: r.u16()?,
-            sequence_num: r.u32()?,
-            num_frags: r.u16()?,
-            frag_mask: r.u16()?,
-            command: r.u16()?,
-            boot_id: r.u32()?,
-            data1_sz: r.u16()?,
-            data2_sz: r.u16()?,
-            data1_offset: r.u16()?,
-            data2_offset: r.u16()?,
+            flags: r.u16(),
+            clnt_host: r.ip(),
+            srvr_host: r.ip(),
+            channel: r.u16(),
+            srvr_process: r.u16(),
+            sequence_num: r.u32(),
+            num_frags: r.u16(),
+            frag_mask: r.u16(),
+            command: r.u16(),
+            boot_id: r.u32(),
+            data1_sz: r.u16(),
+            data2_sz: r.u16(),
+            data1_offset: r.u16(),
+            data2_offset: r.u16(),
         })
     }
 }
@@ -124,19 +124,21 @@ pub const SELECT_HDR_LEN: usize = 4;
 
 impl SelectHdr {
     /// Encodes to network byte order.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(SELECT_HDR_LEN);
-        w.u8(self.typ).u16(self.command).u8(self.status);
-        w.finish()
+    pub fn encode(&self) -> [u8; SELECT_HDR_LEN] {
+        FixedWriter::new()
+            .u8(self.typ)
+            .u16(self.command)
+            .u8(self.status)
+            .finish()
     }
 
     /// Decodes from network byte order.
     pub fn decode(bytes: &[u8]) -> XResult<SelectHdr> {
-        let mut r = WireReader::new(bytes, "select_hdr");
+        let mut r = FixedReader::<SELECT_HDR_LEN>::new(bytes, "select_hdr")?;
         Ok(SelectHdr {
-            typ: r.u8()?,
-            command: r.u16()?,
-            status: r.u8()?,
+            typ: r.u8(),
+            command: r.u16(),
+            status: r.u8(),
         })
     }
 }
@@ -165,29 +167,47 @@ pub const CHANNEL_HDR_LEN: usize = 18;
 
 impl ChannelHdr {
     /// Encodes to network byte order.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(CHANNEL_HDR_LEN);
-        w.u16(self.flags)
+    pub fn encode(&self) -> [u8; CHANNEL_HDR_LEN] {
+        FixedWriter::new()
+            .u16(self.flags)
             .u16(self.channel)
             .u32(self.protocol_num)
             .u32(self.sequence_num)
             .u16(self.error)
-            .u32(self.boot_id);
-        w.finish()
+            .u32(self.boot_id)
+            .finish()
     }
 
     /// Decodes from network byte order.
     pub fn decode(bytes: &[u8]) -> XResult<ChannelHdr> {
-        let mut r = WireReader::new(bytes, "channel_hdr");
+        let mut r = FixedReader::<CHANNEL_HDR_LEN>::new(bytes, "channel_hdr")?;
         Ok(ChannelHdr {
-            flags: r.u16()?,
-            channel: r.u16()?,
-            protocol_num: r.u32()?,
-            sequence_num: r.u32()?,
-            error: r.u16()?,
-            boot_id: r.u32()?,
+            flags: r.u16(),
+            channel: r.u16(),
+            protocol_num: r.u32(),
+            sequence_num: r.u32(),
+            error: r.u16(),
+            boot_id: r.u32(),
         })
     }
+}
+
+/// The mask naming all of `num_frags` fragments, one bit each (all 16
+/// bits from 16 fragments up).
+pub fn full_mask(num_frags: u16) -> u16 {
+    if num_frags >= 16 {
+        u16::MAX
+    } else {
+        (1u16 << num_frags) - 1
+    }
+}
+
+/// Whether a packet's `num_frags`/`frag_mask` pair can describe a real
+/// message: between 1 and 16 fragments (the mask has one bit each), and no
+/// mask bit at or beyond the count. Sprite RPC and FRAGMENT both reject
+/// anything else at demux.
+pub fn frag_fields_valid(num_frags: u16, frag_mask: u16) -> bool {
+    (1..=u16::BITS as u16).contains(&num_frags) && frag_mask & !full_mask(num_frags) == 0
 }
 
 /// FRAGMENT packet kinds.
@@ -224,31 +244,31 @@ pub const FRAGMENT_HDR_LEN: usize = 23;
 
 impl FragmentHdr {
     /// Encodes to network byte order.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(FRAGMENT_HDR_LEN);
-        w.u8(self.typ)
+    pub fn encode(&self) -> [u8; FRAGMENT_HDR_LEN] {
+        FixedWriter::new()
+            .u8(self.typ)
             .ip(self.clnt_host)
             .ip(self.srvr_host)
             .u32(self.protocol_num)
             .u32(self.sequence_num)
             .u16(self.num_frags)
             .u16(self.frag_mask)
-            .u16(self.len);
-        w.finish()
+            .u16(self.len)
+            .finish()
     }
 
     /// Decodes from network byte order.
     pub fn decode(bytes: &[u8]) -> XResult<FragmentHdr> {
-        let mut r = WireReader::new(bytes, "fragment_hdr");
+        let mut r = FixedReader::<FRAGMENT_HDR_LEN>::new(bytes, "fragment_hdr")?;
         Ok(FragmentHdr {
-            typ: r.u8()?,
-            clnt_host: r.ip()?,
-            srvr_host: r.ip()?,
-            protocol_num: r.u32()?,
-            sequence_num: r.u32()?,
-            num_frags: r.u16()?,
-            frag_mask: r.u16()?,
-            len: r.u16()?,
+            typ: r.u8(),
+            clnt_host: r.ip(),
+            srvr_host: r.ip(),
+            protocol_num: r.u32(),
+            sequence_num: r.u32(),
+            num_frags: r.u16(),
+            frag_mask: r.u16(),
+            len: r.u16(),
         })
     }
 }
@@ -322,6 +342,20 @@ mod tests {
         let b = h.encode();
         assert_eq!(b.len(), FRAGMENT_HDR_LEN);
         assert_eq!(FragmentHdr::decode(&b).unwrap(), h);
+    }
+
+    #[test]
+    fn fragment_fields_outside_a_real_message_are_invalid() {
+        assert_eq!(full_mask(1), 1);
+        assert_eq!(full_mask(15), 0x7fff);
+        assert_eq!(full_mask(16), u16::MAX);
+        assert!(frag_fields_valid(1, 1));
+        assert!(frag_fields_valid(16, 1 << 15));
+        assert!(frag_fields_valid(3, 0), "an ACK may name no fragment");
+        assert!(!frag_fields_valid(0, 0), "no message has zero fragments");
+        assert!(!frag_fields_valid(17, 1), "the mask cannot name a 17th");
+        assert!(!frag_fields_valid(u16::MAX, 1));
+        assert!(!frag_fields_valid(2, 1 << 2), "bit beyond the count");
     }
 
     /// The paper's syntactic-equivalence claim, checked structurally: every

@@ -18,14 +18,14 @@
 
 use std::any::Any;
 use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
+use xkernel::map::Map;
 use xkernel::prelude::*;
 use xkernel::shepherd::{Overload, ShepherdConfig, ShepherdStats, Shepherds, Submitted};
 use xkernel::sim::Nanos;
 
-use crate::hdr::{flags, SpriteHdr, SPRITE_HDR_LEN};
+use crate::hdr::{flags, frag_fields_valid, full_mask, SpriteHdr, SPRITE_HDR_LEN};
 use crate::protnum::rel_proto_num;
 use crate::select::Handler;
 
@@ -59,30 +59,8 @@ impl Default for MrpcConfig {
     }
 }
 
-fn full_mask(n: u16) -> u16 {
-    if n as usize >= 16 {
-        u16::MAX
-    } else {
-        (1u16 << n) - 1
-    }
-}
-
-/// Splits a message into `frag_size` pieces (zero-copy).
-fn split(msg: &Message, frag_size: usize) -> Vec<Message> {
-    let mut rest = msg.clone();
-    let mut out = Vec::new();
-    while rest.len() > frag_size {
-        let tail = rest.split_off(frag_size).expect("in-range split");
-        out.push(std::mem::replace(&mut rest, tail));
-    }
-    out.push(rest);
-    out
-}
-
 struct Outstanding {
     seq: u32,
-    sema: SharedSema,
-    reply_frags: Vec<Option<Message>>,
     reply_mask: u16,
     reply_num: u16,
     done: Option<Message>,
@@ -94,11 +72,17 @@ struct Outstanding {
 struct MChanState {
     seq: u32,
     out: Option<Outstanding>,
+    /// Reply fragments of the outstanding call, by index. Kept across
+    /// calls so its capacity is reused.
+    reply_frags: Vec<Option<Message>>,
 }
 
 /// One client channel.
 struct MChan {
     chan: u16,
+    /// Signalled when the outstanding call's reply (or an ACK or NACK)
+    /// arrives; one per channel, reset as each call starts.
+    sema: SharedSema,
     st: RefCell<MChanState>,
 }
 
@@ -142,12 +126,12 @@ pub struct Mrpc {
     my_ip: OnceCell<IpAddr>,
     boot: Cell<u32>,
     next_chan: Cell<u16>,
-    handlers: RefCell<HashMap<u16, Handler>>,
-    pools: RefCell<HashMap<u32, Rc<Pool>>>,
-    chans: RefCell<HashMap<u16, Rc<MChan>>>,
-    servers: RefCell<HashMap<(u32, u16), Rc<MServer>>>,
-    sessions: RefCell<HashMap<(u32, u16), SessionRef>>,
-    lowers: RefCell<HashMap<u32, (SessionRef, usize)>>,
+    handlers: RefCell<Map<u16, Handler>>,
+    pools: RefCell<Map<u32, Rc<Pool>>>,
+    chans: RefCell<Map<u16, Rc<MChan>>>,
+    servers: RefCell<Map<(u32, u16), Rc<MServer>>>,
+    sessions: RefCell<Map<(u32, u16), SessionRef>>,
+    lowers: RefCell<Map<u32, (SessionRef, usize)>>,
     shepherds: Rc<Shepherds>,
 }
 
@@ -165,12 +149,12 @@ impl Mrpc {
             my_ip: OnceCell::new(),
             boot: Cell::new(0),
             next_chan: Cell::new(0),
-            handlers: RefCell::new(HashMap::new()),
-            pools: RefCell::new(HashMap::new()),
-            chans: RefCell::new(HashMap::new()),
-            servers: RefCell::new(HashMap::new()),
-            sessions: RefCell::new(HashMap::new()),
-            lowers: RefCell::new(HashMap::new()),
+            handlers: RefCell::new(Map::default()),
+            pools: RefCell::new(Map::default()),
+            chans: RefCell::new(Map::default()),
+            servers: RefCell::new(Map::default()),
+            sessions: RefCell::new(Map::default()),
+            lowers: RefCell::new(Map::default()),
             shepherds: Shepherds::new(cfg.shepherds),
         })
     }
@@ -248,7 +232,12 @@ impl Mrpc {
             self.next_chan.set(chan);
             let mc = Rc::new(MChan {
                 chan,
-                st: RefCell::new(MChanState { seq: 0, out: None }),
+                sema: SharedSema::new(0),
+                st: RefCell::new(MChanState {
+                    seq: 0,
+                    out: None,
+                    reply_frags: Vec::new(),
+                }),
             });
             self.chans.borrow_mut().insert(chan, Rc::clone(&mc));
             chans.push(mc);
@@ -274,8 +263,7 @@ impl Mrpc {
         msg: &Message,
         mask: u16,
     ) -> XResult<()> {
-        let frags = split(msg, frag_size);
-        for (i, frag) in frags.into_iter().enumerate() {
+        for (i, frag) in msg.chunks(frag_size).enumerate() {
             if mask & (1 << i) == 0 {
                 continue;
             }
@@ -340,23 +328,23 @@ impl Mrpc {
         args: Message,
         num_frags: u16,
     ) -> XResult<Message> {
-        let (seq, sema) = {
+        let seq = {
             let mut st = chan.st.borrow_mut();
             debug_assert!(st.out.is_none(), "channel pool guarantees exclusivity");
             st.seq = st.seq.wrapping_add(1);
-            let sema = SharedSema::new(0);
+            st.reply_frags.clear();
             st.out = Some(Outstanding {
                 seq: st.seq,
-                sema: sema.clone(),
-                reply_frags: Vec::new(),
                 reply_mask: 0,
                 reply_num: 0,
                 done: None,
                 server_has: 0,
                 acked: false,
             });
-            (st.seq, sema)
+            st.seq
         };
+        let sema = &chan.sema;
+        sema.reset();
 
         let mut hdr = SpriteHdr {
             flags: flags::REQUEST,
@@ -496,7 +484,9 @@ impl Mrpc {
                     st.saved_reply_seq = 0;
                     st.req_num = hdr.num_frags;
                     st.req_mask = 0;
-                    st.req_parts = (0..hdr.num_frags).map(|_| None).collect();
+                    st.req_parts.clear();
+                    st.req_parts
+                        .resize_with(usize::from(hdr.num_frags), || None);
                 }
                 let idx = hdr.frag_mask.trailing_zeros() as usize;
                 let dup = idx < st.req_parts.len() && st.req_parts[idx].is_some();
@@ -505,9 +495,8 @@ impl Mrpc {
                     st.req_mask |= 1 << idx;
                 }
                 if st.req_mask == full_mask(st.req_num) {
-                    let parts = std::mem::take(&mut st.req_parts);
                     st.dispatched = true;
-                    Action::Dispatch(Message::concat(parts.into_iter().flatten()))
+                    Action::Dispatch(Message::concat(st.req_parts.drain(..).flatten()))
                 } else if dup || hdr.flags & flags::PLEASE_ACK != 0 {
                     // Retransmission while incomplete: tell the client what
                     // we have so it can resend just the missing fragments.
@@ -574,7 +563,7 @@ impl Mrpc {
                             st.dispatched = false;
                             st.req_num = 0;
                             st.req_mask = 0;
-                            st.req_parts = Vec::new();
+                            st.req_parts.clear();
                         }
                         match policy {
                             Overload::Drop => Ok(()),
@@ -639,25 +628,28 @@ impl Mrpc {
             boot_id: self.boot_id(),
             ..SpriteHdr::default()
         };
-        // Build, save, then send the wire fragments.
-        let mut wire_frags = Vec::new();
-        for (i, frag) in split(&reply_body, frag_size).into_iter().enumerate() {
-            let mut h = rhdr;
-            h.frag_mask = 1 << i;
-            h.data1_sz = frag.len() as u16;
-            h.data1_offset = (i * frag_size) as u16;
-            let mut pkt = frag;
-            ctx.push_header(&mut pkt, &h.encode());
-            wire_frags.push(pkt);
-        }
-        {
+        // Build and save the wire fragments, then send copies of them.
+        let num_saved = {
             let mut st = server.st.borrow_mut();
+            st.saved_reply.clear();
+            for (i, frag) in reply_body.chunks(frag_size).enumerate() {
+                let mut h = rhdr;
+                h.frag_mask = 1 << i;
+                h.data1_sz = frag.len() as u16;
+                h.data1_offset = (i * frag_size) as u16;
+                let mut pkt = frag;
+                ctx.push_header(&mut pkt, &h.encode());
+                st.saved_reply.push(pkt);
+            }
             st.in_progress = None;
             st.last_seq = hdr.sequence_num;
             st.saved_reply_seq = hdr.sequence_num;
-            st.saved_reply = wire_frags.clone();
-        }
-        for f in wire_frags {
+            st.saved_reply.len()
+        };
+        for i in 0..num_saved {
+            let Some(f) = server.st.borrow().saved_reply.get(i).cloned() else {
+                break;
+            };
             ctx.charge_layer_call();
             lower.push(ctx, f)?;
         }
@@ -670,7 +662,8 @@ impl Mrpc {
         let Some(chan) = chan else {
             return Ok(());
         };
-        let mut st = chan.st.borrow_mut();
+        let mut guard = chan.st.borrow_mut();
+        let st = &mut *guard;
         let Some(out) = st.out.as_mut() else {
             return Ok(());
         };
@@ -680,35 +673,32 @@ impl Mrpc {
         if hdr.flags & flags::NACK != 0 {
             // Server overload rejection: wake the caller so it retransmits
             // (counted as a retry) instead of waiting out the timeout.
-            let sema = out.sema.clone();
-            drop(st);
-            sema.v(ctx);
+            drop(guard);
+            chan.sema.v(ctx);
             return Ok(());
         }
         if hdr.flags & flags::ACK != 0 {
             out.acked = true;
             out.server_has = hdr.frag_mask;
-            let sema = out.sema.clone();
-            drop(st);
-            sema.v(ctx);
+            drop(guard);
+            chan.sema.v(ctx);
             return Ok(());
         }
         // Reply fragment.
-        if out.reply_frags.is_empty() {
+        let frags = &mut st.reply_frags;
+        if frags.is_empty() {
             out.reply_num = hdr.num_frags;
-            out.reply_frags = (0..hdr.num_frags).map(|_| None).collect();
+            frags.resize_with(usize::from(hdr.num_frags), || None);
         }
         let idx = hdr.frag_mask.trailing_zeros() as usize;
-        if idx < out.reply_frags.len() && out.reply_frags[idx].is_none() {
-            out.reply_frags[idx] = Some(msg);
+        if idx < frags.len() && frags[idx].is_none() {
+            frags[idx] = Some(msg);
             out.reply_mask |= 1 << idx;
         }
         if out.reply_mask == full_mask(out.reply_num) && out.done.is_none() {
-            let parts = std::mem::take(&mut out.reply_frags);
-            out.done = Some(Message::concat(parts.into_iter().flatten()));
-            let sema = out.sema.clone();
-            drop(st);
-            sema.v(ctx);
+            out.done = Some(Message::concat(frags.drain(..).flatten()));
+            drop(guard);
+            chan.sema.v(ctx);
         }
         Ok(())
     }
@@ -839,8 +829,16 @@ impl Protocol for Mrpc {
         let bytes = ctx.pop_header(&mut msg, SPRITE_HDR_LEN)?;
         let hdr = SpriteHdr::decode(&bytes)?;
         drop(bytes);
-        // Trim link-level padding using the packet's data size.
         if hdr.flags & (flags::REQUEST | flags::REPLY) != 0 {
+            // A data packet names a fragment count a message can have and
+            // one of those fragments; anything else cannot come from a
+            // sender and must not reach reassembly.
+            if !frag_fields_valid(hdr.num_frags, hdr.frag_mask) {
+                ctx.note(RobustEvent::CorruptRejected);
+                ctx.trace_note("sprite: impossible fragment count or mask");
+                return Ok(());
+            }
+            // Trim link-level padding using the packet's data size.
             msg.truncate(usize::from(hdr.data1_sz));
         }
         if hdr.flags & flags::REQUEST != 0 {
@@ -967,10 +965,10 @@ struct MPoolSnap {
 struct MrpcSnap {
     boot: u32,
     next_chan: u16,
-    pools: HashMap<u32, MPoolSnap>,
-    chans: HashMap<u16, (Rc<MChan>, u32)>,
-    servers: HashMap<(u32, u16), (Rc<MServer>, ServerState)>,
-    sessions: HashMap<(u32, u16), SessionRef>,
-    lowers: HashMap<u32, (SessionRef, usize)>,
+    pools: Map<u32, MPoolSnap>,
+    chans: Map<u16, (Rc<MChan>, u32)>,
+    servers: Map<(u32, u16), (Rc<MServer>, ServerState)>,
+    sessions: Map<(u32, u16), SessionRef>,
+    lowers: Map<u32, (SessionRef, usize)>,
     shepherds: ShepherdStats,
 }

@@ -14,10 +14,10 @@
 //! reply from `push`) or when the echo is demultiplexed back up.
 
 use std::any::Any;
-use std::cell::{OnceCell, RefCell};
-use std::collections::HashMap;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
+use xkernel::map::Map;
 use xkernel::prelude::*;
 
 use crate::protnum::rel_proto_num;
@@ -31,13 +31,15 @@ pub struct Pinger {
     lower: ProtoId,
     echo: bool,
     lower_name: OnceCell<&'static str>,
-    sessions: RefCell<HashMap<u32, SessionRef>>,
-    waiting: RefCell<Option<EchoWaiter>>,
+    sessions: RefCell<Map<u32, SessionRef>>,
+    /// Whether a [`Pinger::rtt`] is parked for an echo.
+    waiting: Cell<bool>,
+    /// The parked round trip's wake signal, reset as each one starts.
+    echo_sema: SharedSema,
+    /// The echoed bytes, once they arrive.
+    echoed: RefCell<Option<Vec<u8>>>,
     series: RefCell<Option<Series>>,
 }
-
-/// A parked single round trip: wake signal plus the echoed-bytes slot.
-type EchoWaiter = (SharedSema, Rc<RefCell<Option<Vec<u8>>>>);
 
 /// In-flight callback-driven ping-pong series (see [`Pinger::run_series`]).
 struct Series {
@@ -55,8 +57,10 @@ impl Pinger {
             lower,
             echo,
             lower_name: OnceCell::new(),
-            sessions: RefCell::new(HashMap::new()),
-            waiting: RefCell::new(None),
+            sessions: RefCell::new(Map::default()),
+            waiting: Cell::new(false),
+            echo_sema: SharedSema::new(0),
+            echoed: RefCell::new(None),
             series: RefCell::new(None),
         })
     }
@@ -129,21 +133,21 @@ impl Pinger {
     /// echoed bytes.
     pub fn rtt(&self, ctx: &Ctx, peer: IpAddr, payload: Vec<u8>) -> XResult<Vec<u8>> {
         let sess = self.session_for(ctx, peer)?;
-        let sema = SharedSema::new(0);
-        let slot: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
-        *self.waiting.borrow_mut() = Some((sema.clone(), Rc::clone(&slot)));
+        self.echo_sema.reset();
+        *self.echoed.borrow_mut() = None;
+        self.waiting.set(true);
         let pushed = sess.push(ctx, ctx.msg(payload))?;
         if let Some(reply) = pushed {
             // Request/reply lower (CHANNEL): the echo came back in-band.
-            *self.waiting.borrow_mut() = None;
+            self.waiting.set(false);
             return Ok(reply.to_vec());
         }
-        let ok = sema.p_timeout(ctx, PING_TIMEOUT_NS) || slot.borrow().is_some();
-        *self.waiting.borrow_mut() = None;
+        let ok = self.echo_sema.p_timeout(ctx, PING_TIMEOUT_NS) || self.echoed.borrow().is_some();
+        self.waiting.set(false);
         if !ok {
             return Err(XError::Timeout(format!("pinger echo from {peer}")));
         }
-        let data = slot.borrow_mut().take();
+        let data = self.echoed.borrow_mut().take();
         data.ok_or_else(|| XError::Timeout(format!("pinger woke without echo from {peer}")))
     }
 }
@@ -217,9 +221,9 @@ impl Protocol for Pinger {
             }
             None => {}
         }
-        if let Some((sema, slot)) = self.waiting.borrow().as_ref() {
-            *slot.borrow_mut() = Some(msg.to_vec());
-            sema.v(ctx);
+        if self.waiting.get() {
+            *self.echoed.borrow_mut() = Some(msg.to_vec());
+            self.echo_sema.v(ctx);
         }
         Ok(())
     }
@@ -235,7 +239,7 @@ impl Protocol for Pinger {
 
     fn snap(&self, _ctx: &Ctx) -> Option<SnapBlob> {
         debug_assert!(
-            self.waiting.borrow().is_none() && self.series.borrow().is_none(),
+            !self.waiting.get() && self.series.borrow().is_none(),
             "pinger snapshot with a round trip in flight (not quiescent)"
         );
         Some(Rc::new(PingerSnap {
@@ -245,7 +249,7 @@ impl Protocol for Pinger {
 
     fn restore_snap(&self, _ctx: &Ctx, blob: &SnapBlob) -> XResult<()> {
         let s = snap_downcast::<PingerSnap>(blob, "pinger")?;
-        *self.waiting.borrow_mut() = None;
+        self.waiting.set(false);
         *self.series.borrow_mut() = None;
         *self.sessions.borrow_mut() = s.sessions.clone();
         Ok(())
@@ -257,5 +261,5 @@ impl Protocol for Pinger {
 }
 
 struct PingerSnap {
-    sessions: HashMap<u32, SessionRef>,
+    sessions: Map<u32, SessionRef>,
 }

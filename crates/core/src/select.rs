@@ -17,9 +17,9 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
+use xkernel::map::Map;
 use xkernel::prelude::*;
 use xkernel::shepherd::{Overload, ShepherdConfig, ShepherdStats, Shepherds, Submitted};
 
@@ -77,10 +77,10 @@ pub struct Select {
     me: ProtoId,
     channel: ProtoId,
     cfg: SelectConfig,
-    handlers: RefCell<HashMap<u16, Handler>>,
-    forward: RefCell<HashMap<u16, IpAddr>>,
-    pools: RefCell<HashMap<u32, Rc<ChanPool>>>,
-    sessions: RefCell<HashMap<(u32, u16), SessionRef>>,
+    handlers: RefCell<Map<u16, Handler>>,
+    forward: RefCell<Map<u16, IpAddr>>,
+    pools: RefCell<Map<u32, Rc<ChanPool>>>,
+    sessions: RefCell<Map<(u32, u16), SessionRef>>,
     passive_opens: Cell<u64>,
     shepherds: Rc<Shepherds>,
 }
@@ -93,10 +93,10 @@ impl Select {
             me,
             channel,
             cfg,
-            handlers: RefCell::new(HashMap::new()),
-            forward: RefCell::new(HashMap::new()),
-            pools: RefCell::new(HashMap::new()),
-            sessions: RefCell::new(HashMap::new()),
+            handlers: RefCell::new(Map::default()),
+            forward: RefCell::new(Map::default()),
+            pools: RefCell::new(Map::default()),
+            sessions: RefCell::new(Map::default()),
             passive_opens: Cell::new(0),
             shepherds: Shepherds::new(cfg.shepherds),
         })
@@ -507,9 +507,9 @@ struct PoolSnap {
 }
 
 struct SelectSnap {
-    forward: HashMap<u16, IpAddr>,
-    pools: HashMap<u32, PoolSnap>,
-    sessions: HashMap<(u32, u16), SessionRef>,
+    forward: Map<u16, IpAddr>,
+    pools: Map<u32, PoolSnap>,
+    sessions: Map<(u32, u16), SessionRef>,
     passive_opens: u64,
     shepherds: ShepherdStats,
 }
@@ -525,7 +525,7 @@ pub struct Rdgram {
     me: ProtoId,
     channel: ProtoId,
     upper: Cell<Option<ProtoId>>,
-    sessions: RefCell<HashMap<u32, SessionRef>>,
+    sessions: RefCell<Map<u32, SessionRef>>,
 }
 
 impl Rdgram {
@@ -536,7 +536,7 @@ impl Rdgram {
             me,
             channel,
             upper: Cell::new(None),
-            sessions: RefCell::new(HashMap::new()),
+            sessions: RefCell::new(Map::default()),
         })
     }
 }
@@ -665,5 +665,5 @@ impl Protocol for Rdgram {
 
 struct RdgramSnap {
     upper: Option<ProtoId>,
-    sessions: HashMap<u32, SessionRef>,
+    sessions: Map<u32, SessionRef>,
 }

@@ -15,9 +15,9 @@
 
 use std::any::Any;
 use std::cell::{OnceCell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
+use xkernel::map::Map;
 use xkernel::prelude::*;
 
 use crate::eth::eth_type;
@@ -54,7 +54,7 @@ pub const ARP_DEFAULT_CACHE: usize = 512;
 /// rewinds nothing) break towards the numerically smallest address.
 #[derive(Clone)]
 struct ArpCache {
-    map: HashMap<IpAddr, (Entry, u64)>,
+    map: Map<IpAddr, (Entry, u64)>,
     capacity: usize,
     tick: u64,
     evictions: u64,
@@ -63,7 +63,7 @@ struct ArpCache {
 impl ArpCache {
     fn new(capacity: usize) -> ArpCache {
         ArpCache {
-            map: HashMap::new(),
+            map: Map::default(),
             capacity: capacity.max(1),
             tick: 0,
             evictions: 0,
@@ -117,7 +117,7 @@ pub struct Arp {
     my_eth: OnceCell<EthAddr>,
     bcast: OnceCell<SessionRef>,
     cache: RefCell<ArpCache>,
-    waiters: RefCell<HashMap<IpAddr, Vec<SharedSema>>>,
+    waiters: RefCell<Map<IpAddr, Vec<SharedSema>>>,
 }
 
 impl Arp {
@@ -131,7 +131,7 @@ impl Arp {
             my_eth: OnceCell::new(),
             bcast: OnceCell::new(),
             cache: RefCell::new(ArpCache::new(capacity)),
-            waiters: RefCell::new(HashMap::new()),
+            waiters: RefCell::new(Map::default()),
         })
     }
 

@@ -9,9 +9,9 @@
 
 use std::any::Any;
 use std::cell::{OnceCell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
+use xkernel::map::Map;
 use xkernel::prelude::*;
 
 /// Ethernet header length.
@@ -37,10 +37,10 @@ pub struct Eth {
     nic: ProtoId,
     my_eth: OnceCell<EthAddr>,
     nic_sess: OnceCell<SessionRef>,
-    enables: RefCell<HashMap<u16, ProtoId>>,
+    enables: RefCell<Map<u16, ProtoId>>,
     // Cached sessions for the upward path, keyed (peer, type): the paper's
     // "cache open sessions" efficiency rule.
-    passive: RefCell<HashMap<(EthAddr, u16), SessionRef>>,
+    passive: RefCell<Map<(EthAddr, u16), SessionRef>>,
 }
 
 impl Eth {
@@ -51,8 +51,8 @@ impl Eth {
             nic,
             my_eth: OnceCell::new(),
             nic_sess: OnceCell::new(),
-            enables: RefCell::new(HashMap::new()),
-            passive: RefCell::new(HashMap::new()),
+            enables: RefCell::new(Map::default()),
+            passive: RefCell::new(Map::default()),
         })
     }
 
@@ -107,9 +107,12 @@ impl Session for EthSession {
                 max: ETH_MTU,
             });
         }
-        let mut w = WireWriter::with_capacity(ETH_HDR_LEN);
-        w.eth(self.dst).eth(self.src).u16(self.ty);
-        ctx.push_header(&mut msg, &w.finish());
+        let hdr = FixedWriter::<ETH_HDR_LEN>::new()
+            .eth(self.dst)
+            .eth(self.src)
+            .u16(self.ty)
+            .finish();
+        ctx.push_header(&mut msg, &hdr);
         ctx.charge_layer_call();
         self.nic.push(ctx, msg)
     }
@@ -185,10 +188,10 @@ impl Protocol for Eth {
 
     fn demux(&self, ctx: &Ctx, _lls: &SessionRef, mut msg: Message) -> XResult<()> {
         let hdr = ctx.pop_header(&mut msg, ETH_HDR_LEN)?;
-        let mut r = WireReader::new(&hdr, "eth");
-        let _dst = r.eth()?;
-        let src = r.eth()?;
-        let ty = r.u16()?;
+        let mut r = FixedReader::<ETH_HDR_LEN>::new(&hdr, "eth")?;
+        let _dst = r.eth();
+        let src = r.eth();
+        let ty = r.u16();
         drop(hdr);
         ctx.charge_class(OpClass::Demux, ctx.cost().demux_lookup);
         let upper = self
@@ -246,8 +249,8 @@ impl Protocol for Eth {
 
 #[derive(Clone)]
 struct EthSnap {
-    enables: HashMap<u16, ProtoId>,
-    passive: HashMap<(EthAddr, u16), SessionRef>,
+    enables: Map<u16, ProtoId>,
+    passive: Map<(EthAddr, u16), SessionRef>,
 }
 
 #[cfg(test)]
@@ -266,10 +269,14 @@ mod tests {
 
     #[test]
     fn header_layout_is_14_bytes() {
-        let mut w = WireWriter::with_capacity(ETH_HDR_LEN);
-        w.eth(EthAddr::BROADCAST)
+        let hdr = FixedWriter::<ETH_HDR_LEN>::new()
+            .eth(EthAddr::BROADCAST)
             .eth(EthAddr::from_index(1))
-            .u16(eth_type::IP);
-        assert_eq!(w.finish().len(), ETH_HDR_LEN);
+            .u16(eth_type::IP)
+            .finish();
+        let mut r = FixedReader::<ETH_HDR_LEN>::new(&hdr, "eth").unwrap();
+        assert_eq!(r.eth(), EthAddr::BROADCAST);
+        assert_eq!(r.eth(), EthAddr::from_index(1));
+        assert_eq!(r.u16(), eth_type::IP);
     }
 }

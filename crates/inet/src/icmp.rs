@@ -4,9 +4,9 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
+use xkernel::map::Map;
 use xkernel::prelude::*;
 
 use crate::ip::ip_proto;
@@ -33,7 +33,7 @@ pub struct Icmp {
     /// number toward the same peer are distinct conversations, and keying
     /// by `(peer, seq)` alone let one pinger steal (or drop) the other's
     /// reply.
-    waiting: RefCell<HashMap<(u32, u16, u16), EchoWaiter>>,
+    waiting: RefCell<Map<(u32, u16, u16), EchoWaiter>>,
 }
 
 impl Icmp {
@@ -43,7 +43,7 @@ impl Icmp {
             me,
             lower,
             next_seq: Cell::new(0),
-            waiting: RefCell::new(HashMap::new()),
+            waiting: RefCell::new(Map::default()),
         })
     }
 

@@ -9,9 +9,10 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::{Rc, Weak};
 
+use xkernel::map::Map;
 use xkernel::prelude::*;
 
 use crate::eth::eth_type;
@@ -70,10 +71,10 @@ pub struct IpHeader {
 
 impl IpHeader {
     /// Encodes to 20 bytes with a correct checksum.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(IP_HDR_LEN);
+    pub fn encode(&self) -> [u8; IP_HDR_LEN] {
         let flags_frag = (u16::from(self.more_frags) << 13) | (self.frag_off & 0x1fff);
-        w.u8(0x45)
+        let mut bytes = FixedWriter::new()
+            .u8(0x45)
             .u8(0)
             .u16(self.total_len)
             .u16(self.id)
@@ -82,8 +83,8 @@ impl IpHeader {
             .u8(self.proto)
             .u16(0) // Checksum placeholder.
             .ip(self.src)
-            .ip(self.dst);
-        let mut bytes = w.finish();
+            .ip(self.dst)
+            .finish();
         let ck = internet_checksum(&[&bytes]);
         bytes[10..12].copy_from_slice(&ck.to_be_bytes());
         bytes
@@ -94,20 +95,20 @@ impl IpHeader {
         if internet_checksum(&[&bytes[..IP_HDR_LEN.min(bytes.len())]]) != 0 {
             return Err(XError::Malformed("ip header checksum".into()));
         }
-        let mut r = WireReader::new(bytes, "ip");
-        let vihl = r.u8()?;
+        let mut r = FixedReader::<IP_HDR_LEN>::new(bytes, "ip")?;
+        let vihl = r.u8();
         if vihl != 0x45 {
             return Err(XError::Malformed(format!("ip version/ihl {vihl:#04x}")));
         }
-        let _tos = r.u8()?;
-        let total_len = r.u16()?;
-        let id = r.u16()?;
-        let ff = r.u16()?;
-        let ttl = r.u8()?;
-        let proto = r.u8()?;
-        let _ck = r.u16()?;
-        let src = r.ip()?;
-        let dst = r.ip()?;
+        let _tos = r.u8();
+        let total_len = r.u16();
+        let id = r.u16();
+        let ff = r.u16();
+        let ttl = r.u8();
+        let proto = r.u8();
+        let _ck = r.u16();
+        let src = r.ip();
+        let dst = r.ip();
         Ok(IpHeader {
             total_len,
             id,
@@ -176,10 +177,10 @@ pub struct Ip {
     forward: bool,
     routes: RefCell<Vec<Route>>,
     next_id: Cell<u16>,
-    enables: RefCell<HashMap<u8, ProtoId>>,
-    passive: RefCell<HashMap<(IpAddr, u8), SessionRef>>,
-    eth_cache: RefCell<HashMap<(usize, EthAddr), SessionRef>>,
-    reasm: RefCell<HashMap<(u32, u16, u8), Reassembly>>,
+    enables: RefCell<Map<u8, ProtoId>>,
+    passive: RefCell<Map<(IpAddr, u8), SessionRef>>,
+    eth_cache: RefCell<Map<(usize, EthAddr), SessionRef>>,
+    reasm: RefCell<Map<(u32, u16, u8), Reassembly>>,
     stats: RefCell<IpStats>,
 }
 
@@ -219,10 +220,10 @@ impl Ip {
             forward,
             routes: RefCell::new(routes),
             next_id: Cell::new(1),
-            enables: RefCell::new(HashMap::new()),
-            passive: RefCell::new(HashMap::new()),
-            eth_cache: RefCell::new(HashMap::new()),
-            reasm: RefCell::new(HashMap::new()),
+            enables: RefCell::new(Map::default()),
+            passive: RefCell::new(Map::default()),
+            eth_cache: RefCell::new(Map::default()),
+            reasm: RefCell::new(Map::default()),
             stats: RefCell::default(),
         })
     }
@@ -629,8 +630,8 @@ impl Protocol for Ip {
 struct IpSnap {
     routes: Vec<Route>,
     next_id: u16,
-    enables: HashMap<u8, ProtoId>,
-    passive: HashMap<(IpAddr, u8), SessionRef>,
-    eth_cache: HashMap<(usize, EthAddr), SessionRef>,
+    enables: Map<u8, ProtoId>,
+    passive: Map<(IpAddr, u8), SessionRef>,
+    eth_cache: Map<(usize, EthAddr), SessionRef>,
     stats: IpStats,
 }

@@ -22,9 +22,10 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
+use xkernel::map::Map;
 use xkernel::prelude::*;
 
 use crate::ip::ip_proto;
@@ -135,7 +136,7 @@ struct ConnState {
     // Bytes the application has not yet read, in order.
     recv_buf: Vec<u8>,
     // Out-of-order segments keyed by sequence number.
-    ooo: HashMap<u32, Vec<u8>>,
+    ooo: Map<u32, Vec<u8>>,
     retransmit_timer: Option<TimerHandle>,
     peer_fin: bool,
     error: Option<XError>,
@@ -358,8 +359,8 @@ pub struct Tcp {
     weak_self: Weak<Tcp>,
     me: ProtoId,
     lower: ProtoId,
-    conns: RefCell<HashMap<(Port, u32, Port), Rc<TcpConn>>>,
-    listeners: RefCell<HashMap<Port, AcceptQueue>>,
+    conns: RefCell<Map<(Port, u32, Port), Rc<TcpConn>>>,
+    listeners: RefCell<Map<Port, AcceptQueue>>,
     next_port: Cell<Port>,
 }
 
@@ -371,8 +372,8 @@ impl Tcp {
             weak_self: weak_self.clone(),
             me,
             lower,
-            conns: RefCell::new(HashMap::new()),
-            listeners: RefCell::new(HashMap::new()),
+            conns: RefCell::new(Map::default()),
+            listeners: RefCell::new(Map::default()),
             next_port: Cell::new(40_000),
         })
     }
@@ -402,7 +403,7 @@ impl Tcp {
                 rcv_nxt: 0,
                 inflight: VecDeque::new(),
                 recv_buf: Vec::new(),
-                ooo: HashMap::new(),
+                ooo: Map::default(),
                 retransmit_timer: None,
                 peer_fin: false,
                 error: None,

@@ -14,9 +14,9 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
+use xkernel::map::Map;
 use xkernel::prelude::*;
 
 use crate::ip::ip_proto;
@@ -31,10 +31,10 @@ pub struct Udp {
     weak_self: Weak<Udp>,
     me: ProtoId,
     lower: ProtoId,
-    enables: RefCell<HashMap<Port, ProtoId>>,
+    enables: RefCell<Map<Port, ProtoId>>,
     // Active sessions keyed (local port, peer ip, peer port); passive
     // sessions created by demux are cached here too.
-    sessions: RefCell<HashMap<(Port, u32, Port), SessionRef>>,
+    sessions: RefCell<Map<(Port, u32, Port), SessionRef>>,
     next_ephemeral: Cell<Port>,
 }
 
@@ -46,8 +46,8 @@ impl Udp {
             weak_self: weak_self.clone(),
             me,
             lower,
-            enables: RefCell::new(HashMap::new()),
-            sessions: RefCell::new(HashMap::new()),
+            enables: RefCell::new(Map::default()),
+            sessions: RefCell::new(Map::default()),
             next_ephemeral: Cell::new(49_152),
         })
     }
@@ -162,12 +162,12 @@ impl Session for UdpSession {
                 max: UDP_MAX_PAYLOAD,
             });
         }
-        let mut w = WireWriter::with_capacity(UDP_HDR_LEN);
-        w.u16(self.local_port)
+        let mut hdr = FixedWriter::<UDP_HDR_LEN>::new()
+            .u16(self.local_port)
             .u16(self.peer_port)
             .u16((msg.len() + UDP_HDR_LEN) as u16)
-            .u16(0);
-        let mut hdr = w.finish();
+            .u16(0)
+            .finish();
         // The UDP checksum is *optional* (checksum field 0 = not computed),
         // and it needs the IP pseudo-header. Over a lower layer that has no
         // host addresses — VIP's raw-Ethernet path — we send without it,
@@ -259,11 +259,11 @@ impl Protocol for Udp {
 
     fn demux(&self, ctx: &Ctx, lls: &SessionRef, mut msg: Message) -> XResult<()> {
         let hdr = ctx.pop_header(&mut msg, UDP_HDR_LEN)?;
-        let mut r = WireReader::new(&hdr, "udp");
-        let src_port = r.u16()?;
-        let dst_port = r.u16()?;
-        let length = r.u16()?;
-        let ck = r.u16()?;
+        let mut r = FixedReader::<UDP_HDR_LEN>::new(&hdr, "udp")?;
+        let src_port = r.u16();
+        let dst_port = r.u16();
+        let length = r.u16();
+        let ck = r.u16();
         let hdr_bytes: [u8; UDP_HDR_LEN] = hdr[..UDP_HDR_LEN].try_into().expect("popped 8 bytes");
         drop(hdr);
         let payload_len = usize::from(length).saturating_sub(UDP_HDR_LEN);
@@ -374,8 +374,8 @@ impl Protocol for Udp {
 
 #[derive(Clone)]
 struct UdpSnap {
-    enables: HashMap<Port, ProtoId>,
-    sessions: HashMap<(Port, u32, Port), SessionRef>,
+    enables: Map<Port, ProtoId>,
+    sessions: Map<(Port, u32, Port), SessionRef>,
     next_ephemeral: Port,
 }
 
@@ -385,8 +385,13 @@ mod tests {
 
     #[test]
     fn header_is_8_bytes() {
-        let mut w = WireWriter::with_capacity(UDP_HDR_LEN);
-        w.u16(1).u16(2).u16(8).u16(0);
-        assert_eq!(w.finish().len(), UDP_HDR_LEN);
+        let hdr = FixedWriter::<UDP_HDR_LEN>::new()
+            .u16(1)
+            .u16(2)
+            .u16(8)
+            .u16(0)
+            .finish();
+        let mut r = FixedReader::<UDP_HDR_LEN>::new(&hdr, "udp").unwrap();
+        assert_eq!([r.u16(), r.u16(), r.u16(), r.u16()], [1, 2, 8, 0]);
     }
 }

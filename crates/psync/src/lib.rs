@@ -26,10 +26,11 @@
 
 use std::any::Any;
 use std::cell::{OnceCell, RefCell};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 use xkernel::graph::{GraphArgs, ProtocolRegistry};
+use xkernel::map::{Map, Set};
 use xkernel::prelude::*;
 use xrpc::protnum::rel_proto_num;
 
@@ -52,7 +53,7 @@ pub struct PsyncMsg {
 #[derive(Clone)]
 struct ConvState {
     next_local: u32,
-    delivered: HashSet<MsgId>,
+    delivered: Set<MsgId>,
     leaves: Vec<MsgId>,
     pending: Vec<PsyncMsg>,
     inbox: VecDeque<PsyncMsg>,
@@ -179,8 +180,8 @@ pub struct Psync {
     lower: ProtoId,
     lower_name: OnceCell<&'static str>,
     my_ip: OnceCell<IpAddr>,
-    convs: RefCell<HashMap<u32, Rc<Conversation>>>,
-    lowers: RefCell<HashMap<u32, SessionRef>>,
+    convs: RefCell<Map<u32, Rc<Conversation>>>,
+    lowers: RefCell<Map<u32, SessionRef>>,
 }
 
 impl Psync {
@@ -192,8 +193,8 @@ impl Psync {
             lower,
             lower_name: OnceCell::new(),
             my_ip: OnceCell::new(),
-            convs: RefCell::new(HashMap::new()),
-            lowers: RefCell::new(HashMap::new()),
+            convs: RefCell::new(Map::default()),
+            lowers: RefCell::new(Map::default()),
         })
     }
 
@@ -226,7 +227,7 @@ impl Psync {
                 peers,
                 st: RefCell::new(ConvState {
                     next_local: 0,
-                    delivered: HashSet::new(),
+                    delivered: Set::default(),
                     leaves: Vec::new(),
                     pending: Vec::new(),
                     inbox: VecDeque::new(),
@@ -372,8 +373,8 @@ struct ConvSnap {
 }
 
 struct PsyncSnap {
-    convs: HashMap<u32, ConvSnap>,
-    lowers: HashMap<u32, SessionRef>,
+    convs: Map<u32, ConvSnap>,
+    lowers: Map<u32, SessionRef>,
 }
 
 /// Lint contract for Psync: conversation IPC over an internet-like

@@ -14,9 +14,9 @@
 //! blackholes — so a scenario can express "the server is unreachable between
 //! 100 ms and 400 ms" rather than only uniform randomness.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
+use xkernel::map::Set;
 use xkernel::prelude::EthAddr;
 
 /// What should happen to one transmitted packet.
@@ -61,7 +61,7 @@ pub struct FaultPlan {
     /// Packet indices to drop unconditionally. Indices are **per-LAN**
     /// transmission counters (each LAN counts its own frames from 0), not
     /// global across the simulation.
-    pub drop_script: HashSet<u64>,
+    pub drop_script: Set<u64>,
     /// Arbitrary custom decision, consulted first when present.
     pub custom: Option<FaultFn>,
 }

@@ -14,9 +14,9 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::HashSet;
 use std::rc::Rc;
 
+use xkernel::map::Set;
 use xkernel::prelude::*;
 
 use crate::xdr::{XdrReader, XdrWriter};
@@ -66,7 +66,7 @@ pub struct AuthUnix {
     /// This host's name.
     pub machine: String,
     /// When present, only these uids are accepted.
-    pub allowed_uids: Option<HashSet<u32>>,
+    pub allowed_uids: Option<Set<u32>>,
 }
 
 impl CredScheme for AuthUnix {

@@ -15,9 +15,9 @@
 
 use std::any::Any;
 use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
+use xkernel::map::Map;
 use xkernel::prelude::*;
 use xkernel::shepherd::{ShepherdConfig, ShepherdStats, Shepherds, Submitted};
 use xkernel::sim::Nanos;
@@ -100,10 +100,10 @@ pub struct RequestReply {
     lower_name: OnceCell<&'static str>,
     next_xid: Cell<u32>,
     estimator: RefCell<RtoEstimator>,
-    enables: RefCell<HashMap<u32, ProtoId>>,
-    outstanding: RefCell<HashMap<u32, Out>>,
-    sessions: RefCell<HashMap<(u32, u32), SessionRef>>,
-    lowers: RefCell<HashMap<u32, SessionRef>>,
+    enables: RefCell<Map<u32, ProtoId>>,
+    outstanding: RefCell<Map<u32, Out>>,
+    sessions: RefCell<Map<(u32, u32), SessionRef>>,
+    lowers: RefCell<Map<u32, SessionRef>>,
     shepherds: Rc<Shepherds>,
 }
 
@@ -127,10 +127,10 @@ impl RequestReply {
                 cfg.min_rto_ns,
                 cfg.max_rto_ns,
             )),
-            enables: RefCell::new(HashMap::new()),
-            outstanding: RefCell::new(HashMap::new()),
-            sessions: RefCell::new(HashMap::new()),
-            lowers: RefCell::new(HashMap::new()),
+            enables: RefCell::new(Map::default()),
+            outstanding: RefCell::new(Map::default()),
+            sessions: RefCell::new(Map::default()),
+            lowers: RefCell::new(Map::default()),
             shepherds: Shepherds::new(cfg.shepherds),
         })
     }
@@ -566,8 +566,8 @@ struct RrSnap {
     timeout_ns: u64,
     adaptive: bool,
     max_backoff: u32,
-    enables: HashMap<u32, ProtoId>,
-    sessions: HashMap<(u32, u32), SessionRef>,
-    lowers: HashMap<u32, SessionRef>,
+    enables: Map<u32, ProtoId>,
+    sessions: Map<(u32, u32), SessionRef>,
+    lowers: Map<u32, SessionRef>,
     shepherds: ShepherdStats,
 }

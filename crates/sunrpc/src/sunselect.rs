@@ -8,9 +8,9 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
+use xkernel::map::Map;
 use xkernel::prelude::*;
 
 use crate::xdr::{XdrReader, XdrWriter};
@@ -44,8 +44,8 @@ pub struct SunSelect {
     me: ProtoId,
     lower: ProtoId,
     lower_name: RefCell<Option<&'static str>>,
-    handlers: RefCell<HashMap<(u32, u32, u32), Handler>>,
-    lowers: RefCell<HashMap<u32, SessionRef>>,
+    handlers: RefCell<Map<(u32, u32, u32), Handler>>,
+    lowers: RefCell<Map<u32, SessionRef>>,
 }
 
 impl SunSelect {
@@ -57,8 +57,8 @@ impl SunSelect {
             me,
             lower,
             lower_name: RefCell::new(None),
-            handlers: RefCell::new(HashMap::new()),
-            lowers: RefCell::new(HashMap::new()),
+            handlers: RefCell::new(Map::default()),
+            lowers: RefCell::new(Map::default()),
         })
     }
 
@@ -288,7 +288,7 @@ impl Protocol for SunSelect {
 }
 
 struct SunSelectSnap {
-    lowers: HashMap<u32, SessionRef>,
+    lowers: Map<u32, SessionRef>,
 }
 
 #[cfg(test)]

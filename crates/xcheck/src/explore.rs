@@ -140,6 +140,7 @@ impl ScheduleChooser for WalkChooser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xkernel::map::Set;
 
     /// A synthetic decision tree: each "run" makes `depth` binary choices
     /// and returns them; exploration must visit all 2^depth leaves, each
@@ -156,7 +157,7 @@ mod tests {
         });
         assert!(ex.complete);
         assert_eq!(ex.schedules(), 1 << depth);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = Set::default();
         for leaf in &ex.outcomes {
             assert!(seen.insert(leaf.clone()), "leaf visited twice: {leaf:?}");
         }

@@ -167,15 +167,23 @@ impl Participant {
     }
 }
 
+/// Most participants one [`ParticipantSet`] holds: the local one and up to
+/// two peers.
+pub const MAX_PARTICIPANTS: usize = 3;
+
 /// The participant set passed to the session-creation operations.
 ///
 /// By the paper's convention the first element identifies the *local*
 /// participant and the remaining elements identify the peers. `open` and
 /// `open_done` require all members; `open_enable` requires only the local
-/// one.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+/// one. The members are held inline, so building a set (as every RPC call
+/// does to find its session) never touches the heap.
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct ParticipantSet {
-    parts: Vec<Participant>,
+    // Slots at and beyond `len` stay `Participant::default()`, so the
+    // derived equality compares exactly the members.
+    parts: [Participant; MAX_PARTICIPANTS],
+    len: usize,
 }
 
 impl ParticipantSet {
@@ -186,51 +194,66 @@ impl ParticipantSet {
 
     /// A set with a local participant only, as used by `open_enable`.
     pub fn local(p: Participant) -> ParticipantSet {
-        ParticipantSet { parts: vec![p] }
+        ParticipantSet::new().with_peer(p)
     }
 
     /// A two-party set: local participant then remote peer, the common case
     /// for `open`.
     pub fn pair(local: Participant, remote: Participant) -> ParticipantSet {
-        ParticipantSet {
-            parts: vec![local, remote],
-        }
+        ParticipantSet::local(local).with_peer(remote)
     }
 
-    /// Appends a peer.
+    /// Appends a peer (the local participant, when the set is empty).
+    ///
+    /// # Panics
+    ///
+    /// If the set already holds [`MAX_PARTICIPANTS`] members.
     pub fn with_peer(mut self, p: Participant) -> ParticipantSet {
-        self.parts.push(p);
+        assert!(
+            self.len < MAX_PARTICIPANTS,
+            "a participant set holds at most {MAX_PARTICIPANTS} participants"
+        );
+        self.parts[self.len] = p;
+        self.len += 1;
         self
     }
 
     /// The local participant (first element), if present.
     pub fn local_part(&self) -> Option<&Participant> {
-        self.parts.first()
+        self.all().first()
     }
 
     /// The first remote peer (second element), if present.
     pub fn remote_part(&self) -> Option<&Participant> {
-        self.parts.get(1)
+        self.all().get(1)
     }
 
     /// All peers (everything after the local participant).
     pub fn peers(&self) -> &[Participant] {
-        self.parts.get(1..).unwrap_or(&[])
+        self.all().get(1..).unwrap_or(&[])
     }
 
     /// All participants, local first.
     pub fn all(&self) -> &[Participant] {
-        &self.parts
+        &self.parts[..self.len]
     }
 
     /// Number of participants including the local one.
     pub fn len(&self) -> usize {
-        self.parts.len()
+        self.len
     }
 
     /// True when no participants are present.
     pub fn is_empty(&self) -> bool {
-        self.parts.is_empty()
+        self.len == 0
+    }
+}
+
+impl std::fmt::Debug for ParticipantSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ParticipantSet")
+            .field("parts", &self.all())
+            .finish()
     }
 }
 
@@ -291,5 +314,18 @@ mod tests {
         let enable = ParticipantSet::local(Participant::proto(6));
         assert!(enable.remote_part().is_none());
         assert!(enable.peers().is_empty());
+
+        let third = Participant::host(IpAddr::new(1, 0, 0, 3));
+        let trio = set.clone().with_peer(third);
+        assert_eq!(trio.peers(), &[remote, third]);
+        assert_ne!(trio, set, "members, not slots, decide equality");
+        assert_eq!(ParticipantSet::new().all(), &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 3 participants")]
+    fn participant_set_is_bounded() {
+        let p = Participant::proto(1);
+        let _ = ParticipantSet::pair(p, p).with_peer(p).with_peer(p);
     }
 }

@@ -24,14 +24,14 @@
 //! — re-running the same scenario with the same seed and scheduler
 //! decisions reproduces the violation at the same index.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
+use crate::map::{Map, Set};
 use crate::sim::Time;
 
 /// A vector clock: logical-process id → last observed tick of that
 /// process. Sparse, since most processes never synchronize.
-pub type VClock = HashMap<u64, u64>;
+pub type VClock = Map<u64, u64>;
 
 /// The class of a detected concurrency violation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -168,29 +168,29 @@ pub(crate) struct CheckCore {
     event_index: u64,
     now: Time,
     /// Per-process vector clocks.
-    clocks: HashMap<u64, VClock>,
+    clocks: Map<u64, VClock>,
     /// Clock deposited at the last V of each semaphore; joined by the
     /// acquirer (the semaphore happens-before edge).
-    sema_deposit: HashMap<u64, VClock>,
+    sema_deposit: Map<u64, VClock>,
     /// Clock deposited by a spawner, keyed by the spawned Run event's seq;
     /// consumed when the new process starts (the fork edge).
-    spawn_deposit: HashMap<u64, VClock>,
+    spawn_deposit: Map<u64, VClock>,
     /// Units currently held: (lp, sema) → count.
-    held: HashMap<(u64, u64), u64>,
+    held: Map<(u64, u64), u64>,
     /// Blocked processes and the semaphore each waits on.
-    waiting: HashMap<u64, Waiting>,
+    waiting: Map<u64, Waiting>,
     /// Semaphore id → label, for reporting.
-    sema_label: HashMap<u64, &'static str>,
+    sema_label: Map<u64, &'static str>,
     /// lp → host.
-    lp_host: HashMap<u64, usize>,
+    lp_host: Map<u64, usize>,
     /// Processes whose host crashed: their purged wakes are not lost
     /// wakeups.
-    crashed: HashSet<u64>,
+    crashed: Set<u64>,
     /// Semaphores proven signal-style: some V came from a process holding
     /// no unit (a reply/condition semaphore, not a mutex). Holding-based
     /// checks (double wait, wait-for-graph holders) only apply to
     /// lock-style semaphores, where P and V pair within one process.
-    signal_style: HashSet<u64>,
+    signal_style: Set<u64>,
     hb_edges: u64,
     violations: Vec<Violation>,
 }
@@ -372,7 +372,7 @@ impl CheckCore {
         // sema → holders, lock-style semaphores only (a signal-style
         // sema's "holders" are just past waiters), sorted for
         // deterministic cycle enumeration.
-        let mut holders: HashMap<u64, Vec<u64>> = HashMap::new();
+        let mut holders: Map<u64, Vec<u64>> = Map::default();
         for (&(lp, sema), &n) in &self.held {
             if n > 0 && !self.signal_style.contains(&sema) {
                 holders.entry(sema).or_default().push(lp);
@@ -381,8 +381,8 @@ impl CheckCore {
         for hs in holders.values_mut() {
             hs.sort_unstable();
         }
-        let mut in_cycle: HashSet<u64> = HashSet::new();
-        let mut reported: HashSet<Vec<u64>> = HashSet::new();
+        let mut in_cycle: Set<u64> = Set::default();
+        let mut reported: Set<Vec<u64>> = Set::default();
         for &start in blocked {
             let mut path: Vec<u64> = Vec::new();
             self.find_cycles(
@@ -430,10 +430,10 @@ impl CheckCore {
     fn find_cycles(
         &self,
         lp: u64,
-        holders: &HashMap<u64, Vec<u64>>,
+        holders: &Map<u64, Vec<u64>>,
         path: &mut Vec<u64>,
-        in_cycle: &mut HashSet<u64>,
-        reported: &mut HashSet<Vec<u64>>,
+        in_cycle: &mut Set<u64>,
+        reported: &mut Set<Vec<u64>>,
         violations: &mut Vec<Violation>,
     ) {
         if let Some(pos) = path.iter().position(|&p| p == lp) {

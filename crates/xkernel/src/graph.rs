@@ -36,11 +36,10 @@
 //! TCP-over-VIP failure at run time), and [`ProtocolRegistry::set_lint_mode`]
 //! downgrades enforcement registry-wide.
 
-use std::collections::{HashMap, HashSet};
-
 use crate::error::{XError, XResult};
 use crate::kernel::Kernel;
 use crate::lint::{self, Diagnostic, LintOptions, ProtoContract};
+use crate::map::{Map, Set};
 use crate::proto::{ProtoId, ProtocolRef};
 use crate::sim::Sim;
 
@@ -69,7 +68,7 @@ pub struct GraphArgs<'a> {
     /// Capabilities for the lower protocols listed after `->`, in order.
     pub down: Vec<ProtoId>,
     /// `key=value` parameters from the spec line.
-    pub params: HashMap<String, String>,
+    pub params: Map<String, String>,
 }
 
 impl GraphArgs<'_> {
@@ -113,8 +112,8 @@ pub type Ctor = Box<dyn Fn(&GraphArgs<'_>) -> XResult<ProtocolRef> + Send + Sync
 /// or benchmark so every host is configured from the same vocabulary.
 #[derive(Default)]
 pub struct ProtocolRegistry {
-    ctors: HashMap<String, Ctor>,
-    contracts: HashMap<String, ProtoContract>,
+    ctors: Map<String, Ctor>,
+    contracts: Map<String, ProtoContract>,
     lint_mode: LintMode,
 }
 
@@ -159,10 +158,10 @@ impl ProtocolRegistry {
     pub fn lint(
         &self,
         spec: &str,
-        externals: &HashMap<String, ProtoContract>,
+        externals: &Map<String, ProtoContract>,
         opts: &LintOptions,
     ) -> Vec<Diagnostic> {
-        let ctors: HashSet<String> = self.ctors.keys().cloned().collect();
+        let ctors: Set<String> = self.ctors.keys().cloned().collect();
         lint::lint_spec(spec, &ctors, &self.contracts, externals, opts)
     }
 
@@ -170,7 +169,7 @@ impl ProtocolRegistry {
     /// registered there (NICs, earlier builds) counts as an external whose
     /// contract comes from [`crate::proto::Protocol::contract`].
     pub fn lint_for_kernel(&self, kernel: &Kernel, spec: &str) -> Vec<Diagnostic> {
-        let mut externals = HashMap::new();
+        let mut externals = Map::default();
         for name in kernel.protocol_names() {
             if let Ok(p) = kernel.get(&name) {
                 externals.insert(name, p.contract());
@@ -250,7 +249,7 @@ impl ProtocolRegistry {
 pub(crate) struct ParsedLine {
     pub(crate) instance: String,
     pub(crate) ctor: String,
-    pub(crate) params: HashMap<String, String>,
+    pub(crate) params: Map<String, String>,
     pub(crate) down: Vec<String>,
 }
 
@@ -271,7 +270,7 @@ pub(crate) fn parse_line(line: &str) -> Result<ParsedLine, String> {
             }
         }
     };
-    let mut params = HashMap::new();
+    let mut params = Map::default();
     for tok in tokens {
         if let Some((k, v)) = tok.split_once('=') {
             params.insert(k.to_string(), v.to_string());

@@ -12,11 +12,11 @@
 //! low-level protocol, and vice versa".
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::addr::ParticipantSet;
 use crate::error::{XError, XResult};
+use crate::map::Map;
 use crate::msg::Message;
 use crate::proto::{ControlOp, ControlRes, ProtoId, ProtocolRef, SessionRef, TracedProtocol};
 use crate::sim::{Ctx, HostId, Sim};
@@ -30,7 +30,7 @@ pub struct Kernel {
     name: String,
     host: HostId,
     protocols: RefCell<Vec<Option<ProtocolRef>>>,
-    by_name: RefCell<HashMap<String, ProtoId>>,
+    by_name: RefCell<Map<String, ProtoId>>,
 }
 
 impl Kernel {
@@ -48,7 +48,7 @@ impl Kernel {
             name: name.to_string(),
             host: sim.next_host(),
             protocols: RefCell::new(Vec::new()),
-            by_name: RefCell::new(HashMap::new()),
+            by_name: RefCell::new(Map::default()),
         });
         sim.add_kernel(&k);
         k
@@ -246,5 +246,7 @@ pub mod prelude {
     };
     pub use crate::sim::{Ctx, HostId, HostStats, Mode, RobustEvent, SharedSema, Sim, TimerHandle};
     pub use crate::trace::{CostBreakdown, CostEntry, Event, EventKind, FoldedLine, OpClass};
-    pub use crate::wire::{internet_checksum, ChecksumAcc, WireReader, WireWriter};
+    pub use crate::wire::{
+        internet_checksum, ChecksumAcc, FixedReader, FixedWriter, WireReader, WireWriter,
+    };
 }

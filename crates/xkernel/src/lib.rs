@@ -49,6 +49,7 @@ pub mod graph;
 pub mod journal;
 pub mod kernel;
 pub mod lint;
+pub mod map;
 pub mod msg;
 pub mod par;
 pub mod proto;

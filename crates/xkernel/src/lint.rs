@@ -38,10 +38,11 @@
 //! # xk-lint: allow=XK008,XK010
 //! ```
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::graph::{parse_line, ParsedLine};
+use crate::map::{Map, Set};
 use crate::msg::DEFAULT_HEADROOM;
 
 /// The wire MTU the header-budget rule (XK008) checks against. Mirrors
@@ -467,7 +468,7 @@ struct Node {
     ctor: String,
     contract: ProtoContract,
     lowers: Vec<String>,
-    params: HashMap<String, String>,
+    params: Map<String, String>,
 }
 
 /// Lints `spec` against `contracts` (keyed by constructor name).
@@ -480,15 +481,15 @@ struct Node {
 ///   the same kernel), with the contract describing what they produce.
 pub fn lint_spec(
     spec: &str,
-    ctors: &HashSet<String>,
-    contracts: &HashMap<String, ProtoContract>,
-    externals: &HashMap<String, ProtoContract>,
+    ctors: &Set<String>,
+    contracts: &Map<String, ProtoContract>,
+    externals: &Map<String, ProtoContract>,
     opts: &LintOptions,
 ) -> Vec<Diagnostic> {
     let mut diags: Vec<Diagnostic> = Vec::new();
     let mut allow = opts.allow.clone();
     let mut nodes: Vec<(String, Node)> = Vec::new();
-    let mut defined: HashSet<String> = externals.keys().cloned().collect();
+    let mut defined: Set<String> = externals.keys().cloned().collect();
 
     for (idx, raw) in spec.lines().enumerate() {
         let lineno = idx + 1;
@@ -577,7 +578,7 @@ pub fn lint_spec(
         ));
     }
 
-    let by_name: HashMap<&str, &Node> = nodes.iter().map(|(n, node)| (n.as_str(), node)).collect();
+    let by_name: Map<&str, &Node> = nodes.iter().map(|(n, node)| (n.as_str(), node)).collect();
 
     for (name, node) in &nodes {
         check_arity(name, node, &mut diags);
@@ -675,8 +676,8 @@ fn check_arity(name: &str, node: &Node, diags: &mut Vec<Diagnostic>) {
 /// chains. `None` for opaque or unresolvable producers.
 fn produced_kind(
     instance: &str,
-    by_name: &HashMap<&str, &Node>,
-    externals: &HashMap<String, ProtoContract>,
+    by_name: &Map<&str, &Node>,
+    externals: &Map<String, ProtoContract>,
 ) -> Option<AddrKind> {
     let mut cur = instance.to_string();
     // Bottom-up wiring guarantees termination, but guard anyway.
@@ -699,8 +700,8 @@ fn produced_kind(
 fn check_edge_kinds(
     name: &str,
     node: &Node,
-    by_name: &HashMap<&str, &Node>,
-    externals: &HashMap<String, ProtoContract>,
+    by_name: &Map<&str, &Node>,
+    externals: &Map<String, ProtoContract>,
     diags: &mut Vec<Diagnostic>,
 ) {
     let c = &node.contract;
@@ -908,8 +909,8 @@ fn check_reboot_hooks(name: &str, node: &Node, diags: &mut Vec<Diagnostic>) {
 fn check_signal_path(
     name: &str,
     node: &Node,
-    by_name: &HashMap<&str, &Node>,
-    externals: &HashMap<String, ProtoContract>,
+    by_name: &Map<&str, &Node>,
+    externals: &Map<String, ProtoContract>,
     diags: &mut Vec<Diagnostic>,
 ) {
     let c = &node.contract;
@@ -917,7 +918,7 @@ fn check_signal_path(
         return;
     }
     let mut stack: Vec<&str> = node.lowers.iter().map(String::as_str).collect();
-    let mut visited: HashSet<&str> = HashSet::new();
+    let mut visited: Set<&str> = Set::default();
     let mut inconclusive = stack.is_empty();
     let mut reaches_device = false;
     while let Some(cur) = stack.pop() {
@@ -962,8 +963,8 @@ fn check_signal_path(
 fn check_lock_order(nodes: &[(String, Node)], diags: &mut Vec<Diagnostic>) {
     // edge (a -> b): a is acquired before b, attributed to the declaring
     // node (last declaration wins; any one is enough for the message).
-    let mut edges: HashMap<&str, BTreeSet<&str>> = HashMap::new();
-    let mut declared_by: HashMap<(&str, &str), (usize, &str)> = HashMap::new();
+    let mut edges: Map<&str, BTreeSet<&str>> = Map::default();
+    let mut declared_by: Map<(&str, &str), (usize, &str)> = Map::default();
     for (name, node) in nodes {
         for w in node.contract.lock_order.windows(2) {
             let (a, b) = (w[0].as_str(), w[1].as_str());
@@ -974,13 +975,13 @@ fn check_lock_order(nodes: &[(String, Node)], diags: &mut Vec<Diagnostic>) {
     // Iterative coloring DFS over sorted roots for deterministic output.
     let mut locks: Vec<&str> = edges.keys().copied().collect();
     locks.sort_unstable();
-    let mut done: HashSet<&str> = HashSet::new();
+    let mut done: Set<&str> = Set::default();
     for root in locks {
         if done.contains(root) {
             continue;
         }
         let mut path: Vec<&str> = Vec::new();
-        let mut on_path: HashSet<&str> = HashSet::new();
+        let mut on_path: Set<&str> = Set::default();
         // (lock, next-successor-index) frames.
         let mut frames: Vec<(&str, usize)> = vec![(root, 0)];
         while let Some((lock, idx)) = frames.pop() {
@@ -1045,15 +1046,15 @@ fn check_lock_order(nodes: &[(String, Node)], diags: &mut Vec<Diagnostic>) {
 /// graphs are a handful of nodes, so enumeration is cheap.
 fn check_paths(
     nodes: &[(String, Node)],
-    by_name: &HashMap<&str, &Node>,
-    externals: &HashMap<String, ProtoContract>,
+    by_name: &Map<&str, &Node>,
+    externals: &Map<String, ProtoContract>,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let used: HashSet<&str> = nodes
+    let used: Set<&str> = nodes
         .iter()
         .flat_map(|(_, n)| n.lowers.iter().map(String::as_str))
         .collect();
-    let mut seen: HashSet<(usize, &'static str, String, String)> = HashSet::new();
+    let mut seen: Set<(usize, &'static str, String, String)> = Set::default();
     for (root, _) in nodes.iter().filter(|(n, _)| !used.contains(n.as_str())) {
         let mut path: Vec<&str> = Vec::new();
         walk(root, by_name, &mut path, &mut |path| {
@@ -1064,7 +1065,7 @@ fn check_paths(
 
 fn walk<'a>(
     name: &'a str,
-    by_name: &HashMap<&str, &'a Node>,
+    by_name: &Map<&str, &'a Node>,
     path: &mut Vec<&'a str>,
     visit: &mut impl FnMut(&[&str]),
 ) {
@@ -1085,8 +1086,8 @@ fn walk<'a>(
 
 fn contract_of<'a>(
     name: &str,
-    by_name: &'a HashMap<&str, &Node>,
-    externals: &'a HashMap<String, ProtoContract>,
+    by_name: &'a Map<&str, &Node>,
+    externals: &'a Map<String, ProtoContract>,
 ) -> Option<&'a ProtoContract> {
     by_name
         .get(name)
@@ -1094,16 +1095,16 @@ fn contract_of<'a>(
         .or_else(|| externals.get(name))
 }
 
-fn line_of(name: &str, by_name: &HashMap<&str, &Node>) -> usize {
+fn line_of(name: &str, by_name: &Map<&str, &Node>) -> usize {
     by_name.get(name).map(|n| n.line).unwrap_or(0)
 }
 
 fn check_one_path(
     path: &[&str],
-    by_name: &HashMap<&str, &Node>,
-    externals: &HashMap<String, ProtoContract>,
+    by_name: &Map<&str, &Node>,
+    externals: &Map<String, ProtoContract>,
     diags: &mut Vec<Diagnostic>,
-    seen: &mut HashSet<(usize, &'static str, String, String)>,
+    seen: &mut Set<(usize, &'static str, String, String)>,
 ) {
     let mut push = |rule: &'static str,
                     severity: Severity,
@@ -1230,13 +1231,13 @@ fn check_one_path(
 mod tests {
     use super::*;
 
-    fn ctors(contracts: &HashMap<String, ProtoContract>) -> HashSet<String> {
+    fn ctors(contracts: &Map<String, ProtoContract>) -> Set<String> {
         contracts.keys().cloned().collect()
     }
 
     /// A miniature vocabulary mirroring the real stack's shape.
-    fn vocab() -> HashMap<String, ProtoContract> {
-        let mut m = HashMap::new();
+    fn vocab() -> Map<String, ProtoContract> {
+        let mut m = Map::default();
         for c in [
             ProtoContract::new("wire", AddrKind::Hardware)
                 .lower(&[AddrKind::Device])
@@ -1303,8 +1304,8 @@ mod tests {
         m
     }
 
-    fn ext() -> HashMap<String, ProtoContract> {
-        let mut m = HashMap::new();
+    fn ext() -> Map<String, ProtoContract> {
+        let mut m = Map::default();
         m.insert(
             "nic0".to_string(),
             ProtoContract::new("nic", AddrKind::Device),

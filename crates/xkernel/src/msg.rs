@@ -14,8 +14,17 @@
 //!    The payload is a rope of reference-counted segments, so cloning a
 //!    message for retransmission, fragmenting it, and reassembling fragments
 //!    are all (nearly) copy-free.
+//!
+//! On the host, the headroom itself costs no `malloc` in steady state. A
+//! fresh message only *reserves* its headroom; the buffer is taken on the
+//! first push from a bounded per-thread free list, and it returns there
+//! when the message drops. Clones keep the same headroom (their buffer
+//! comes from the same list), so every [`PushStats`] and [`PopStats`], and
+//! with them every virtual-time charge, is what a freshly allocated buffer
+//! would give.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::ops::Deref;
 use std::rc::Rc;
 
@@ -78,20 +87,92 @@ impl Segment {
     }
 }
 
-/// The owned front buffer; valid bytes are `buf[start..]`.
-#[derive(Clone, Debug, Default)]
+/// Most free headroom buffers one thread keeps for reuse.
+const HEADROOM_POOL_CAP: usize = 64;
+
+thread_local! {
+    /// Free `DEFAULT_HEADROOM`-byte front buffers. The engine is
+    /// single-threaded and a [`Message`] never leaves its thread, so one
+    /// list per thread serves every simulation on it.
+    static HEADROOM_POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A front buffer of `len` bytes, reused from the free list when one fits.
+/// Its contents are stale: callers write before they read.
+fn take_buf(len: usize) -> Vec<u8> {
+    if len == DEFAULT_HEADROOM {
+        if let Ok(Some(buf)) = HEADROOM_POOL.try_with(|p| p.borrow_mut().pop()) {
+            return buf;
+        }
+    }
+    vec![0; len]
+}
+
+/// Returns a front buffer to the free list, or frees it when the list is
+/// full or the buffer is not a default-headroom one.
+fn give_buf(buf: Vec<u8>) {
+    if buf.len() == DEFAULT_HEADROOM && buf.capacity() == DEFAULT_HEADROOM {
+        let _ = HEADROOM_POOL.try_with(move |p| {
+            let mut pool = p.borrow_mut();
+            if pool.len() < HEADROOM_POOL_CAP {
+                pool.push(buf);
+            }
+        });
+    }
+}
+
+/// Free headroom buffers held by this thread.
+#[cfg(test)]
+fn headroom_pool_len() -> usize {
+    HEADROOM_POOL.with(|p| p.borrow().len())
+}
+
+/// The owned front buffer; valid bytes are `buf[start..]`, and `start` is
+/// the headroom left for pushes. An empty `buf` with `start > 0` is
+/// headroom reserved but not yet taken: it holds no bytes, and the first
+/// push takes a `start`-byte buffer.
+#[derive(Debug, Default)]
 struct FrontBuf {
     buf: Vec<u8>,
     start: usize,
 }
 
 impl FrontBuf {
+    /// `room` bytes of headroom, reserved without touching the heap.
+    fn reserved(room: usize) -> FrontBuf {
+        FrontBuf {
+            buf: Vec::new(),
+            start: room,
+        }
+    }
+
     fn len(&self) -> usize {
-        self.buf.len() - self.start
+        self.buf.len().saturating_sub(self.start)
     }
 
     fn bytes(&self) -> &[u8] {
-        &self.buf[self.start..]
+        self.buf.get(self.start..).unwrap_or(&[])
+    }
+}
+
+impl Clone for FrontBuf {
+    /// Same headroom, same bytes; the unused headroom is not copied.
+    fn clone(&self) -> FrontBuf {
+        if self.len() == 0 {
+            return FrontBuf::reserved(self.start);
+        }
+        let mut buf = take_buf(self.buf.len());
+        buf[self.start..].copy_from_slice(self.bytes());
+        FrontBuf {
+            buf,
+            start: self.start,
+        }
+    }
+}
+
+impl Drop for FrontBuf {
+    fn drop(&mut self) {
+        give_buf(std::mem::take(&mut self.buf));
     }
 }
 
@@ -165,10 +246,7 @@ impl Message {
     /// pure pointer adjustments from the first header on.
     pub fn empty_with(policy: HeaderPolicy) -> Message {
         let front = match policy {
-            HeaderPolicy::Headroom { headroom } => FrontBuf {
-                buf: vec![0u8; headroom],
-                start: headroom,
-            },
+            HeaderPolicy::Headroom { headroom } => FrontBuf::reserved(headroom),
             HeaderPolicy::AllocPerHeader => FrontBuf::default(),
         };
         Message {
@@ -263,9 +341,14 @@ impl Message {
             HeaderPolicy::Headroom { headroom } => {
                 if self.front.start >= header.len() {
                     // Fast path: space is already reserved.
-                    let new_start = self.front.start - header.len();
-                    self.front.buf[new_start..self.front.start].copy_from_slice(header);
-                    self.front.start = new_start;
+                    if !header.is_empty() {
+                        if self.front.buf.is_empty() {
+                            self.front.buf = take_buf(self.front.start);
+                        }
+                        let new_start = self.front.start - header.len();
+                        self.front.buf[new_start..self.front.start].copy_from_slice(header);
+                        self.front.start = new_start;
+                    }
                     PushStats {
                         allocated: false,
                         copied: header.len(),
@@ -276,7 +359,7 @@ impl Message {
                     let demoted = self.front.len();
                     self.demote_front();
                     let room = headroom.max(header.len());
-                    let mut buf = vec![0u8; room];
+                    let mut buf = take_buf(room);
                     let start = room - header.len();
                     buf[start..].copy_from_slice(header);
                     self.front = FrontBuf { buf, start };
@@ -314,12 +397,12 @@ impl Message {
                 self.len()
             )));
         }
+        if n == 0 {
+            return Ok(Popped::Borrowed(&[]));
+        }
         if self.front.len() >= n {
             let s = self.front.start;
             self.front.start += n;
-            if self.front.len() == 0 && n < self.front.buf.len() {
-                // Keep buf for potential reuse; bytes remain addressable.
-            }
             return Ok(Popped::Borrowed(&self.front.buf[s..s + n]));
         }
         if self.front.len() == 0 {
@@ -418,41 +501,63 @@ impl Message {
             )));
         }
         self.freeze();
+        // The tail's headroom is only reserved: nothing is allocated for it
+        // unless a header is pushed onto it.
         let mut tail = Message::empty_with(self.policy);
-        let mut seen = 0usize;
-        let mut idx = 0usize;
-        while idx < self.rope.len() {
-            let seg_len = self.rope[idx].len();
-            if seen + seg_len <= at {
-                seen += seg_len;
-                idx += 1;
-                continue;
-            }
-            // This segment straddles (or begins at) the split point.
-            let within = at - seen;
-            if within == 0 {
-                tail.rope.extend(self.rope.drain(idx..));
-            } else {
-                let seg = &mut self.rope[idx];
-                let mut right = seg.clone();
-                right.start = seg.start + within;
-                seg.end = seg.start + within;
-                tail.rope.push(right);
-                tail.rope.extend(self.rope.drain(idx + 1..));
-            }
-            return Ok(tail);
+        let (idx, within) = self.boundary(at);
+        if within == 0 {
+            tail.rope.extend(self.rope.drain(idx..));
+        } else {
+            let seg = &mut self.rope[idx];
+            let mut right = seg.clone();
+            right.start = seg.start + within;
+            seg.end = seg.start + within;
+            tail.rope.push(right);
+            tail.rope.extend(self.rope.drain(idx + 1..));
         }
-        // at == total: tail is empty.
         Ok(tail)
     }
 
-    /// Keeps only the first `len` bytes.
+    /// Where byte offset `at` of the (frozen) rope falls: the index of the
+    /// first segment that straddles or begins at `at`, and the offset
+    /// within it (`(rope.len(), 0)` when `at` is the end).
+    fn boundary(&self, at: usize) -> (usize, usize) {
+        let mut seen = 0usize;
+        for (idx, seg) in self.rope.iter().enumerate() {
+            if seen + seg.len() > at {
+                return (idx, at - seen);
+            }
+            seen += seg.len();
+        }
+        (self.rope.len(), 0)
+    }
+
+    /// Keeps only the first `len` bytes. The rope is cut exactly where
+    /// [`Message::split_off`] would cut it, but no tail is built.
     pub fn truncate(&mut self, len: usize) {
         if len >= self.len() {
             return;
         }
-        // Reuse split_off's segment arithmetic and drop the tail.
-        let _ = self.split_off(len);
+        self.freeze();
+        let (idx, within) = self.boundary(len);
+        if within == 0 {
+            self.rope.truncate(idx);
+        } else {
+            let seg = &mut self.rope[idx];
+            seg.end = seg.start + within;
+            self.rope.truncate(idx + 1);
+        }
+    }
+
+    /// The message cut into consecutive pieces of at most `size` bytes,
+    /// front first, as fragmentation sends them. The pieces share the
+    /// message's segments (zero-copy); the first starts from a clone of
+    /// `self`, and an empty message yields one empty piece.
+    pub fn chunks(&self, size: usize) -> Chunks {
+        Chunks {
+            rest: Some(self.clone()),
+            size,
+        }
     }
 
     /// Appends `other` after this message's bytes (cheap: shares segments).
@@ -501,6 +606,27 @@ impl Message {
 impl Default for Message {
     fn default() -> Message {
         Message::empty()
+    }
+}
+
+/// The pieces of a message, produced one at a time by [`Message::chunks`]:
+/// each `next` splits one piece off the front, so no list of pieces is
+/// ever built.
+#[derive(Debug)]
+pub struct Chunks {
+    rest: Option<Message>,
+    size: usize,
+}
+
+impl Iterator for Chunks {
+    type Item = Message;
+
+    fn next(&mut self) -> Option<Message> {
+        let mut head = self.rest.take()?;
+        if head.len() > self.size {
+            self.rest = Some(head.split_off(self.size).expect("in-range split"));
+        }
+        Some(head)
     }
 }
 
@@ -777,5 +903,186 @@ mod tests {
         assert!(s.allocated, "exhausted headroom grows a new front buffer");
         assert!(!m.push_header(&[3u8; 4]).allocated);
         assert_eq!(m.len(), 4 + 8 + 4 + 4);
+    }
+
+    /// Every push and pop of a script covering clones, splits, truncation,
+    /// appends and fragmentation, as (operation, allocated, bytes copied).
+    fn stats_script(policy: HeaderPolicy) -> Vec<(&'static str, bool, usize)> {
+        let mut out = Vec::new();
+        let mut push = |m: &mut Message, h: &[u8]| {
+            let s = m.push_header(h);
+            out.push(("push", s.allocated, s.copied));
+        };
+        let mut m = Message::from_user_with(policy, payload(40));
+        push(&mut m, &[1; 18]);
+        let mut c = m.clone();
+        push(&mut c, &[2; 4]);
+        push(&mut m, &[3; 14]);
+        let mut tail = m.split_off(10).unwrap();
+        push(&mut tail, &[4; 5]);
+        push(&mut m, &[5; 3]);
+        m.truncate(5);
+        push(&mut m, &[6; 2]);
+        m.append(tail);
+        push(&mut m, &[7; 23]);
+        let mut big = Message::from_user_with(policy, payload(300));
+        push(&mut big, &[8; 36]);
+        let mut rest = big.clone();
+        loop {
+            let next = (rest.len() > 100).then(|| rest.split_off(100).unwrap());
+            push(&mut rest, &[9; 23]);
+            match next {
+                Some(n) => rest = n,
+                None => break,
+            }
+        }
+        let mut pops = Vec::new();
+        for n in [23, 2, 3, 7, 60] {
+            pops.push(("pop", false, m.pop_header(n).unwrap().stats().copied));
+        }
+        for n in [4, 18, 40] {
+            pops.push(("pop", false, c.pop_header(n).unwrap().stats().copied));
+        }
+        out.extend(pops);
+        out
+    }
+
+    #[test]
+    fn push_and_pop_stats_are_pinned_for_both_policies() {
+        // Recorded from the implementation that allocated a fresh buffer
+        // for every headroom reservation and copied whole buffers on
+        // clone: the free list and reserved headroom must not move a
+        // single charge. Each fragment but the last was split off the
+        // front, so it lost its headroom and its push allocates.
+        let headroom = [
+            ("push", false, 18),
+            ("push", false, 4),
+            ("push", false, 14),
+            ("push", false, 5),
+            ("push", true, 3),
+            ("push", true, 2),
+            ("push", true, 23),
+            ("push", false, 36),
+            ("push", true, 23),
+            ("push", true, 23),
+            ("push", true, 23),
+            ("push", false, 23),
+            ("pop", false, 0),
+            ("pop", false, 2),
+            ("pop", false, 3),
+            ("pop", false, 7),
+            ("pop", false, 60),
+            ("pop", false, 0),
+            ("pop", false, 0),
+            ("pop", false, 40),
+        ];
+        assert_eq!(stats_script(HeaderPolicy::default()), headroom);
+        let per_header = [
+            ("push", true, 18),
+            ("push", true, 22),
+            ("push", true, 32),
+            ("push", true, 5),
+            ("push", true, 3),
+            ("push", true, 2),
+            ("push", true, 23),
+            ("push", true, 36),
+            ("push", true, 23),
+            ("push", true, 23),
+            ("push", true, 23),
+            ("push", true, 23),
+            ("pop", false, 0),
+            ("pop", false, 2),
+            ("pop", false, 3),
+            ("pop", false, 7),
+            ("pop", false, 60),
+            ("pop", false, 0),
+            ("pop", false, 18),
+            ("pop", false, 40),
+        ];
+        assert_eq!(stats_script(HeaderPolicy::AllocPerHeader), per_header);
+    }
+
+    #[test]
+    fn clones_pushing_different_headers_stay_apart() {
+        let mut a = Message::from_user(payload(16));
+        a.push_header(b"SHARED");
+        let mut b = a.clone();
+        assert!(!a.push_header(b"AAAA").allocated);
+        assert!(
+            !b.push_header(b"BB").allocated,
+            "the clone kept its headroom"
+        );
+        assert_eq!(a.to_vec(), [&b"AAAA"[..], b"SHARED", &payload(16)].concat());
+        assert_eq!(b.to_vec(), [&b"BB"[..], b"SHARED", &payload(16)].concat());
+        drop(a);
+        assert_eq!(b.to_vec(), [&b"BB"[..], b"SHARED", &payload(16)].concat());
+    }
+
+    #[test]
+    fn retained_copy_survives_the_original_being_pushed_and_sent() {
+        // CHANNEL's and FRAGMENT's retransmission shape: keep a copy, push
+        // the lower headers onto the original and hand it away.
+        let mut msg = Message::from_user(payload(32));
+        msg.push_header(b"CHANNEL");
+        let retained = msg.clone();
+        let before = retained.to_vec();
+        msg.push_header(b"FRAGMENT");
+        msg.push_header(b"ETHERNET");
+        let sent = msg.to_vec();
+        drop(msg);
+        // Headroom buffers recycled by the drop must not alias the copy.
+        let mut other = Message::from_user(payload(4));
+        other.push_header(&[0xee; 100]);
+        assert_eq!(retained.to_vec(), before);
+        assert_eq!(&sent[16..], &before[..]);
+    }
+
+    #[test]
+    fn headroom_buffers_are_reused_and_the_free_list_is_bounded() {
+        // Fill the list past its bound: every dropped message with a taken
+        // default-headroom buffer offers it back.
+        let msgs: Vec<Message> = (0..HEADROOM_POOL_CAP + 8)
+            .map(|_| {
+                let mut m = Message::empty();
+                m.push_header(b"H");
+                m
+            })
+            .collect();
+        drop(msgs);
+        assert_eq!(headroom_pool_len(), HEADROOM_POOL_CAP);
+        // A push takes one back; dropping the message returns it.
+        let mut m = Message::empty();
+        m.push_header(b"H");
+        assert_eq!(headroom_pool_len(), HEADROOM_POOL_CAP - 1);
+        drop(m);
+        assert_eq!(headroom_pool_len(), HEADROOM_POOL_CAP);
+        // Reserving headroom takes nothing until the first push.
+        let reserved = Message::empty();
+        assert_eq!(headroom_pool_len(), HEADROOM_POOL_CAP);
+        drop(reserved);
+        // Other sizes are never pooled.
+        let mut small = Message::from_user_with(HeaderPolicy::Headroom { headroom: 8 }, vec![]);
+        small.push_header(b"H");
+        let mut per_header = Message::from_user_with(HeaderPolicy::AllocPerHeader, vec![]);
+        per_header.push_header(b"H");
+        drop((small, per_header));
+        assert_eq!(headroom_pool_len(), HEADROOM_POOL_CAP);
+    }
+
+    #[test]
+    fn chunks_match_repeated_split_off() {
+        for len in [0usize, 1, 99, 100, 101, 350] {
+            let mut m = Message::from_user(payload(len));
+            m.push_header(b"HDR");
+            let pieces: Vec<Vec<u8>> = m.chunks(100).map(|c| c.to_vec()).collect();
+            let whole = m.to_vec();
+            let expect: Vec<Vec<u8>> = if whole.is_empty() {
+                vec![Vec::new()]
+            } else {
+                whole.chunks(100).map(<[u8]>::to_vec).collect()
+            };
+            assert_eq!(pieces, expect, "length {len}");
+            assert_eq!(m.to_vec(), whole, "chunking leaves the source alone");
+        }
     }
 }

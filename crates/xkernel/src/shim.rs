@@ -12,12 +12,12 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::addr::ParticipantSet;
 use crate::cost::Handicap;
 use crate::error::{XError, XResult};
+use crate::map::Map;
 use crate::msg::Message;
 use crate::proto::{ControlOp, ControlRes, ProtoId, Protocol, Session, SessionRef, TracedSession};
 use crate::sim::Ctx;
@@ -31,8 +31,8 @@ pub struct NullLayer {
     me: ProtoId,
     name: &'static str,
     down: ProtoId,
-    enables: RefCell<HashMap<u16, ProtoId>>,
-    passive: RefCell<HashMap<u16, SessionRef>>,
+    enables: RefCell<Map<u16, ProtoId>>,
+    passive: RefCell<Map<u16, SessionRef>>,
 }
 
 impl NullLayer {
@@ -42,8 +42,8 @@ impl NullLayer {
             me,
             name: "null",
             down,
-            enables: RefCell::new(HashMap::new()),
-            passive: RefCell::new(HashMap::new()),
+            enables: RefCell::new(Map::default()),
+            passive: RefCell::new(Map::default()),
         })
     }
 

@@ -35,7 +35,7 @@
 //! The same protocol code runs unmodified in both modes.
 
 use std::cell::{Cell, RefCell, RefMut};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,6 +49,7 @@ use crate::cost::CostModel;
 use crate::error::{XError, XResult};
 use crate::journal::{Journal, JournalRecord, JOURNAL_VERSION};
 use crate::kernel::Kernel;
+use crate::map::Map;
 use crate::msg::{HeaderPolicy, Message, Popped};
 use crate::proto::{ProtoId, SnapBlob};
 use crate::trace::{
@@ -343,8 +344,8 @@ struct Sched {
     now: Time,
     seq: u64,
     heap: BinaryHeap<std::cmp::Reverse<(Time, u64)>>,
-    events: HashMap<u64, EvKind>,
-    lps: HashMap<u64, LpState>,
+    events: Map<u64, EvKind>,
+    lps: Map<u64, LpState>,
     next_lp: u64,
     current: Option<LpId>,
     executed: u64,
@@ -455,8 +456,8 @@ impl Sim {
                     now: 0,
                     seq: 0,
                     heap: BinaryHeap::new(),
-                    events: HashMap::new(),
-                    lps: HashMap::new(),
+                    events: Map::default(),
+                    lps: Map::default(),
                     next_lp: 0,
                     current: None,
                     executed: 0,
@@ -1163,7 +1164,7 @@ fn breakdown_of(core: &SimCore) -> CostBreakdown {
     }
     let kernels = core.kernels.borrow();
     let tr = core.trace.borrow();
-    let mut agg: HashMap<(usize, Option<ProtoId>, OpClass), Nanos> = HashMap::new();
+    let mut agg: Map<(usize, Option<ProtoId>, OpClass), Nanos> = Map::default();
     for (host, frames, class, ns) in tr.rows() {
         *agg.entry((host, frames.last().copied(), class))
             .or_insert(0) += ns;
@@ -2335,6 +2336,16 @@ impl SharedSema {
     /// Current count (tests/introspection).
     pub fn count(&self) -> i64 {
         self.0.st.borrow().count
+    }
+
+    /// Drops any units left over (a late signal after a timeout), so a
+    /// semaphore reused from round to round, such as a channel's reply
+    /// semaphore at the start of each call, starts every round at zero.
+    /// No process may be parked on it.
+    pub fn reset(&self) {
+        let mut st = self.0.st.borrow_mut();
+        debug_assert!(st.waiters.is_empty(), "sema reset with waiters parked");
+        st.count = 0;
     }
 
     /// Captures `(count, next_seq)` for a whole-sim snapshot. Legal only at

@@ -26,9 +26,10 @@
 //!   process switches, and the scheduler's idle jumps — flows through the
 //!   ledger, so the per-host ledger sum equals the host's clock exactly.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::cost::Nanos;
+use crate::map::Map;
 use crate::proto::ProtoId;
 use crate::sim::{HostId, Time};
 
@@ -245,13 +246,13 @@ struct SpanState {
 
 /// Interns span stacks so the ledger keys on a small integer.
 struct Interner {
-    ids: HashMap<Vec<ProtoId>, u32>,
+    ids: Map<Vec<ProtoId>, u32>,
     rev: Vec<Vec<ProtoId>>,
 }
 
 impl Interner {
     fn new() -> Interner {
-        let mut ids = HashMap::new();
+        let mut ids = Map::default();
         ids.insert(Vec::new(), 0);
         Interner {
             ids,
@@ -279,10 +280,10 @@ pub(crate) const EMPTY_STACK: u32 = 0;
 pub(crate) struct TraceCore {
     ring_cap: usize,
     rings: Vec<VecDeque<Event>>,
-    spans: HashMap<SpanKey, SpanState>,
+    spans: Map<SpanKey, SpanState>,
     interner: Interner,
     /// `(host, interned stack id, class) -> ns`.
-    ledger: HashMap<(usize, u32, OpClass), Nanos>,
+    ledger: Map<(usize, u32, OpClass), Nanos>,
 }
 
 impl TraceCore {
@@ -290,9 +291,9 @@ impl TraceCore {
         TraceCore {
             ring_cap,
             rings: Vec::new(),
-            spans: HashMap::new(),
+            spans: Map::default(),
             interner: Interner::new(),
-            ledger: HashMap::new(),
+            ledger: Map::default(),
         }
     }
 

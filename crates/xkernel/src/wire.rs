@@ -1,13 +1,149 @@
 //! Big-endian wire codec helpers used by every header implementation.
 //!
 //! Headers in this suite are laid out field-for-field after the C structs in
-//! the paper's appendix, in network byte order. [`WireWriter`] appends to a
-//! buffer; [`WireReader`] consumes from a byte slice and reports truncation
-//! as [`XError::Malformed`] instead of panicking.
+//! the paper's appendix, in network byte order. Fixed-size headers encode
+//! with [`FixedWriter`] into a `[u8; N]` on the stack and decode with
+//! [`FixedReader`], which checks the length once and then reads every field
+//! straight from the array. The variable-length encoders use
+//! [`WireWriter`], which appends to a `Vec`, and [`WireReader`], which
+//! checks each field; both readers report truncation as
+//! [`XError::Malformed`] instead of panicking.
 
 use crate::addr::{EthAddr, IpAddr};
 use crate::error::{XError, XResult};
 use crate::msg::Message;
+
+/// Serializes a fixed-size header into a `[u8; N]`, in network byte order,
+/// without touching the heap. The field methods chain like
+/// [`WireWriter`]'s; [`FixedWriter::finish`] returns the array.
+#[derive(Debug)]
+pub struct FixedWriter<const N: usize> {
+    buf: [u8; N],
+    pos: usize,
+}
+
+impl<const N: usize> Default for FixedWriter<N> {
+    fn default() -> FixedWriter<N> {
+        FixedWriter::new()
+    }
+}
+
+impl<const N: usize> FixedWriter<N> {
+    /// A writer at offset 0 of a zeroed `N`-byte header.
+    #[inline]
+    pub fn new() -> FixedWriter<N> {
+        FixedWriter {
+            buf: [0; N],
+            pos: 0,
+        }
+    }
+
+    #[inline]
+    fn put<const M: usize>(&mut self, bytes: [u8; M]) -> &mut Self {
+        self.buf[self.pos..self.pos + M].copy_from_slice(&bytes);
+        self.pos += M;
+        self
+    }
+
+    /// Appends a `u8`.
+    #[inline]
+    pub fn u8(&mut self, v: u8) -> &mut Self {
+        self.put([v])
+    }
+
+    /// Appends a `u16` in network byte order.
+    #[inline]
+    pub fn u16(&mut self, v: u16) -> &mut Self {
+        self.put(v.to_be_bytes())
+    }
+
+    /// Appends a `u32` in network byte order.
+    #[inline]
+    pub fn u32(&mut self, v: u32) -> &mut Self {
+        self.put(v.to_be_bytes())
+    }
+
+    /// Appends an internet address (4 bytes).
+    #[inline]
+    pub fn ip(&mut self, v: IpAddr) -> &mut Self {
+        self.put(v.octets())
+    }
+
+    /// Appends an Ethernet address (6 bytes).
+    #[inline]
+    pub fn eth(&mut self, v: EthAddr) -> &mut Self {
+        self.put(v.0)
+    }
+
+    /// The encoded header. Every byte must have been written.
+    #[inline]
+    pub fn finish(&self) -> [u8; N] {
+        debug_assert_eq!(self.pos, N, "fixed header written short");
+        self.buf
+    }
+}
+
+/// Deserializes a fixed-size header: the length is checked once, in
+/// [`FixedReader::new`], and every field read after that is infallible.
+#[derive(Debug)]
+pub struct FixedReader<'a, const N: usize> {
+    buf: &'a [u8; N],
+    pos: usize,
+}
+
+impl<'a, const N: usize> FixedReader<'a, N> {
+    /// A reader over the first `N` bytes of `bytes`; fails when fewer are
+    /// present. `what` names the header for the error text.
+    #[inline]
+    pub fn new(bytes: &'a [u8], what: &'static str) -> XResult<FixedReader<'a, N>> {
+        match bytes.first_chunk::<N>() {
+            Some(buf) => Ok(FixedReader { buf, pos: 0 }),
+            None => Err(XError::Malformed(format!(
+                "{what}: truncated, {} of {N} bytes",
+                bytes.len()
+            ))),
+        }
+    }
+
+    #[inline]
+    fn take<const M: usize>(&mut self) -> [u8; M] {
+        let mut out = [0; M];
+        out.copy_from_slice(&self.buf[self.pos..self.pos + M]);
+        self.pos += M;
+        out
+    }
+
+    /// Reads a `u8`.
+    #[inline]
+    pub fn u8(&mut self) -> u8 {
+        let [b] = self.take();
+        b
+    }
+
+    /// Reads a big-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> u16 {
+        u16::from_be_bytes(self.take())
+    }
+
+    /// Reads a big-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> u32 {
+        u32::from_be_bytes(self.take())
+    }
+
+    /// Reads an internet address.
+    #[inline]
+    pub fn ip(&mut self) -> IpAddr {
+        IpAddr(self.u32())
+    }
+
+    /// Reads an Ethernet address.
+    #[inline]
+    pub fn eth(&mut self) -> EthAddr {
+        EthAddr(self.take())
+    }
+}
 
 /// Serializes header fields in network byte order.
 #[derive(Debug, Default)]
@@ -269,6 +405,51 @@ mod tests {
         assert_eq!(r.eth().unwrap(), EthAddr::from_index(5));
         assert_eq!(r.bytes(3).unwrap(), &[9, 9, 9]);
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn fixed_writer_reader_roundtrip() {
+        let buf = FixedWriter::<19>::new()
+            .u8(7)
+            .u16(0xbeef)
+            .u32(0xdead_beef)
+            .ip(IpAddr::new(1, 2, 3, 4))
+            .eth(EthAddr::from_index(5))
+            .u16(9)
+            .finish();
+        let mut w = WireWriter::with_capacity(19);
+        w.u8(7)
+            .u16(0xbeef)
+            .u32(0xdead_beef)
+            .ip(IpAddr::new(1, 2, 3, 4))
+            .eth(EthAddr::from_index(5))
+            .u16(9);
+        assert_eq!(
+            &buf[..],
+            &w.finish()[..],
+            "both writers lay bytes out alike"
+        );
+
+        // Trailing bytes beyond N are ignored, as WireReader ignores them.
+        let mut long = buf.to_vec();
+        long.push(0xff);
+        let mut r = FixedReader::<19>::new(&long, "test").unwrap();
+        assert_eq!(r.u8(), 7);
+        assert_eq!(r.u16(), 0xbeef);
+        assert_eq!(r.u32(), 0xdead_beef);
+        assert_eq!(r.ip(), IpAddr::new(1, 2, 3, 4));
+        assert_eq!(r.eth(), EthAddr::from_index(5));
+        assert_eq!(r.u16(), 9);
+    }
+
+    #[test]
+    fn fixed_reader_rejects_short_input_up_front() {
+        let err = FixedReader::<4>::new(&[1, 2, 3], "short").unwrap_err();
+        match err {
+            XError::Malformed(s) => assert!(s.contains("short"), "{s}"),
+            other => panic!("unexpected error {other:?}"),
+        }
+        assert!(FixedReader::<0>::new(&[], "empty").is_ok());
     }
 
     #[test]

@@ -23,11 +23,11 @@
 //! Exit status: 0 clean, 1 findings at the failing severity, 2 usage error.
 //! The rule catalogue lives in `xkernel::lint` (and DESIGN.md).
 
-use std::collections::HashMap;
 use std::io::Read;
 use std::process::ExitCode;
 
 use xkernel::lint::{Diagnostic, LintOptions, ProtoContract, Severity};
+use xkernel::map::Map;
 use xkernel_repro::{default_externals, full_registry, parse_addr_kind};
 
 struct Options {
@@ -36,7 +36,7 @@ struct Options {
     quiet: bool,
     xcheck_only: bool,
     lint: LintOptions,
-    externals: HashMap<String, ProtoContract>,
+    externals: Map<String, ProtoContract>,
     inputs: Vec<String>,
 }
 

@@ -5,10 +5,9 @@
 //! [`ProtocolRegistry`] for the `xk-lint` binary and for integration tests
 //! that want every constructor and every lint contract in scope at once.
 
-use std::collections::HashMap;
-
 use xkernel::graph::ProtocolRegistry;
 use xkernel::lint::{AddrKind, ProtoContract};
+use xkernel::map::Map;
 
 /// A registry holding every protocol constructor and lint contract in the
 /// workspace: inet (eth/arp/ip/udp/icmp/tcp), the Sprite RPC decomposition
@@ -39,8 +38,8 @@ pub fn parse_addr_kind(s: &str) -> Option<AddrKind> {
 }
 
 /// The externals every built-in spec assumes: one Ethernet device `nic0`.
-pub fn default_externals() -> HashMap<String, ProtoContract> {
-    let mut m = HashMap::new();
+pub fn default_externals() -> Map<String, ProtoContract> {
+    let mut m = Map::default();
     m.insert(
         "nic0".to_string(),
         ProtoContract::new("nic", AddrKind::Device),

@@ -165,7 +165,7 @@ proptest! {
         prop_assert_eq!(internet_checksum(&[&bytes]), 0, "self-verifying");
         prop_assert_eq!(inet::ip::IpHeader::decode(&bytes).unwrap(), h);
         // Any single-bit flip must be caught by the checksum.
-        let mut corrupted = bytes.clone();
+        let mut corrupted = bytes;
         corrupted[(id as usize) % 20] ^= 1 << (ttl % 8);
         prop_assert!(inet::ip::IpHeader::decode(&corrupted).is_err());
     }
